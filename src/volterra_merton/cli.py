@@ -104,7 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(_error_record(1, "config", str(exc), problems=exc.problems))
         return 1
-    print(report.to_json())
+    record = json.loads(report.to_json())
+    record["runtime_seconds"] = report.runtime_seconds
+    print(json.dumps(record, sort_keys=True, indent=2))
     return 0
 
 

@@ -116,11 +116,11 @@ class ExperimentReport:
     runtime_seconds: float = 0.0
 
     def to_json(self) -> str:
+        """The report file's content; the wall-clock runtime is left out so reruns match."""
         payload = {
             "kind": self.kind,
             "outputs": self.outputs,
             "metrics": self.metrics,
-            "runtime_seconds": self.runtime_seconds,
             "config": json.loads(self.config_echo),
         }
         return json.dumps(payload, sort_keys=True, indent=2)
@@ -382,6 +382,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _write_report(config: ExperimentConfig, report: ExperimentReport, stem: str) -> None:
+    """Write ``<stem>_report.json`` when json output is requested."""
+    if "json" in config.formats:
+        target = config.out_dir / f"{stem}_report.json"
+        _write_atomic(target, report.to_json() + "\n")
+        report.outputs.append(str(target))
+
+
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
@@ -403,6 +411,12 @@ def _strategy(config: ExperimentConfig, path) -> StrategyPath:
     if isinstance(config.model, WishartModel):
         return strategy_wishart(config.model, path)
     return strategy_general(config.model, path)
+
+
+def _value(config: ExperimentConfig, path, rhs):
+    if isinstance(config.model, WishartModel):
+        return value_wishart(config.model, path, config.x0, rhs=rhs)
+    return value_general(config.model, path, config.x0, rhs=rhs)
 
 
 def _strategy_rows(grid: TimeGrid, strat: StrategyPath):
@@ -480,10 +494,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         report.metrics["min_hedging"] = float(strat.hedging.min())
 
     elif config.kind == "value":
-        if isinstance(model, WishartModel):
-            rep = value_wishart(model, path, config.x0, rhs=rhs)
-        else:
-            rep = value_general(model, path, config.x0, rhs=rhs)
+        rep = _value(config, path, rhs)
         target = config.out_dir / f"{stem}.csv"
         _write_csv(target, ["T", "value", "certainty_equivalent"], [[config.horizon, rep.value, rep.certainty_equivalent]])
         report.outputs.append(str(target))
@@ -491,10 +502,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         report.metrics["certainty_equivalent"] = rep.certainty_equivalent
 
     elif config.kind == "mc-check":
-        if isinstance(model, WishartModel):
-            rep = value_wishart(model, path, config.x0, rhs=rhs)
-        else:
-            rep = value_general(model, path, config.x0, rhs=rhs)
+        rep = _value(config, path, rhs)
         strat = _strategy(config, path)
         bundle = simulate_bundle(model, grid, config.sim)
         est = mc_utility(model, strat, config.sim, config.x0, bundle=bundle)
@@ -534,11 +542,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         report.metrics["rel_sup_diff_psi"] = rel_psi
         report.metrics["rel_sup_diff_hedging"] = rel_hedge
 
-    if "json" in config.formats:
-        target = config.out_dir / f"{stem}_report.json"
-        report.runtime_seconds = time.time() - started
-        _write_atomic(target, report.to_json() + "\n")
-        report.outputs.append(str(target))
+    _write_report(config, report, stem)
     report.runtime_seconds = time.time() - started
     return report
 
@@ -673,6 +677,7 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
     combined = config.out_dir / f"{config.kind}_combined.csv"
     _write_csv(combined, ["sweep_param", "sweep_value", "t", "series", "value"], rows)
     report.outputs.append(str(combined))
+    _write_report(config, report, config.kind)
     report.runtime_seconds = time.time() - started
     return report
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as sps
@@ -212,22 +212,49 @@ def kernel_weights(kernel: Kernel, grid: TimeGrid) -> KernelWeights:
     return KernelWeights(kernel, grid, cell, moment, corrector)
 
 
-def corrector_row(weights: KernelWeights, n: int) -> tuple[np.ndarray, float]:
+@dataclass(frozen=True)
+class StackedWeights:
+    """Product-integration weights of d component kernels, one column each.
+
+    ``cell`` has shape (n_steps, d) and ``corrector`` (n_steps + 1, d); row m
+    holds the same quantity as in ``KernelWeights``.
+    """
+
+    cell: np.ndarray
+    corrector: np.ndarray
+
+
+def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
+    """Stack per-component weights column by column."""
+    return StackedWeights(
+        cell=np.stack([w.cell for w in weights], axis=1),
+        corrector=np.stack([w.corrector for w in weights], axis=1),
+    )
+
+
+def corrector_row(weights: KernelWeights | StackedWeights, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights a_{j,n} (j = 0..n-1) and the newest-node weight a_{n,n}.
 
     Together these integrate the piecewise-linear interpolant of the co-factor
     exactly against K, i.e. the corrector stage of the fractional Adams scheme.
+    The row is reversed (entry 0 weights node n-1).  Stacked weights give one
+    column per component and a newest weight per component.
     """
     cell, corr = weights.cell, weights.corrector
     row = cell[n - 1 :: -1] - corr[n:0:-1]
     if n > 1:
         row[1:] += corr[n:1:-1]
-    return row, float(corr[1])
+    return row, corr[1]
 
 
-def predictor_row(weights: KernelWeights, n: int) -> np.ndarray:
-    """Left-rectangle product weights at node n (explicit predictor stage)."""
-    return weights.cell[n - 1 :: -1]
+def component_kernels(kernel: Kernel | Sequence[Kernel], d: int) -> list[Kernel]:
+    """One kernel per component: a single kernel is repeated d times."""
+    if isinstance(kernel, Kernel):
+        return [kernel] * d
+    kernels = list(kernel)
+    if len(kernels) != d:
+        raise ValueError(f"expected {d} kernels, got {len(kernels)}")
+    return kernels
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +628,18 @@ def _kernel_conv_first_kind(kernel: Kernel, res: FirstKindResolvent, grid: TimeG
         out[1:] = res.atom * c * np.exp(-lam * t[1:]) + dens * np.cumsum(cells)
         out[0] = res.atom * c
         return out
+    # exact two-power cell integrals of (t-s)^(a-1) s^-a summed per node: the
+    # fractional curve, and the doubly singular term of the gamma curve
+    scale = float(sps.rgamma(al) * sps.rgamma(1.0 - al) * sps.beta(1.0 - al, al))
+    out[0] = np.nan
+    for n in range(1, n_steps + 1):
+        out[n] = scale * float(np.sum(np.diff(sps.betainc(1.0 - al, al, np.arange(n + 1) / n))))
     if kernel.family == "fractional" or lam == 0.0:
-        # exact two-power cell integrals of (t-s)^(a-1) s^-a summed per node
-        scale = float(sps.rgamma(al) * sps.rgamma(1.0 - al) * sps.beta(1.0 - al, al))
-        for n in range(1, n_steps + 1):
-            i0 = sps.betainc(1.0 - al, al, np.arange(n + 1) / n)
-            out[n] = scale * float(np.sum(np.diff(i0)))
-        out[0] = np.nan
         return out
 
     # gamma kernel, lam > 0, alpha < 1: density splits into a P-term handled by
-    # two-power quadrature with a smooth co-factor and an exactly integrable
-    # doubly singular term carrying exp(-lam t).
-    scale_b = float(sps.rgamma(al) * sps.rgamma(1.0 - al) * sps.beta(1.0 - al, al))
+    # two-power quadrature with a smooth co-factor and the term above, which
+    # carries exp(-lam t).
 
     def tricomi(x: np.ndarray) -> np.ndarray:
         # gamma*(a, x) = P(a, x) x^-a, entire in x; series limit at x = 0
@@ -630,10 +656,7 @@ def _kernel_conv_first_kind(kernel: Kernel, res: FirstKindResolvent, grid: TimeG
         mass, points = _two_power_cells(tn, 2.0 - al, al, n)
         smooth = np.exp(-lam * (tn - points)) * tricomi(lam * points)
         piece_a = lam * float(sps.rgamma(al)) * float(mass @ smooth)
-        i0 = sps.betainc(1.0 - al, al, np.arange(n + 1) / n)
-        piece_b = math.exp(-lam * tn) * scale_b * float(np.sum(np.diff(i0)))
-        out[n] = piece_a + piece_b
-    out[0] = np.nan
+        out[n] = piece_a + math.exp(-lam * tn) * out[n]
     return out
 
 

@@ -80,14 +80,19 @@ def _mirrored(path: RiccatiPath) -> np.ndarray:
     return path.values[::-1]
 
 
-def strategy_general(model: VectorModel, path: RiccatiPath) -> StrategyPath:
-    """weights(t) = (theta + psi(T-t) N P) / (1-gamma) for the general equation."""
-    path.require_global()
+def _vector_strategy(model: VectorModel, path: RiccatiPath, c: float) -> StrategyPath:
+    """weights(t) = (theta + c psi(T-t) N P) / (1-gamma)."""
     gamma = model.gamma
     myopic = model.theta / (1.0 - gamma)
     scale = model.nu * model.rho  # diagonal of N P
-    hedging = _mirrored(path) * scale / (1.0 - gamma)
+    hedging = c * _mirrored(path) * scale / (1.0 - gamma)
     return StrategyPath(path.grid, myopic + hedging, hedging, myopic)
+
+
+def strategy_general(model: VectorModel, path: RiccatiPath) -> StrategyPath:
+    """weights(t) = (theta + psi(T-t) N P) / (1-gamma) for the general equation."""
+    path.require_global()
+    return _vector_strategy(model, path, 1.0)
 
 
 def strategy_degenerate(model: VectorModel, path: RiccatiPath) -> StrategyPath:
@@ -100,12 +105,7 @@ def strategy_degenerate(model: VectorModel, path: RiccatiPath) -> StrategyPath:
     rho = model.rho
     if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
         raise ValueError("degenerate strategy requires equal correlations")
-    c = distortion_constant(model.gamma, float(rho[0]))
-    gamma = model.gamma
-    myopic = model.theta / (1.0 - gamma)
-    scale = model.nu * model.rho
-    hedging = c * _mirrored(path) * scale / (1.0 - gamma)
-    return StrategyPath(path.grid, myopic + hedging, hedging, myopic)
+    return _vector_strategy(model, path, distortion_constant(model.gamma, float(rho[0])))
 
 
 def strategy_wishart(model: WishartModel, path: RiccatiPath) -> StrategyPath:
@@ -118,32 +118,39 @@ def strategy_wishart(model: WishartModel, path: RiccatiPath) -> StrategyPath:
     return StrategyPath(path.grid, myopic + hedging, hedging, myopic)
 
 
-def _trapz(values: np.ndarray, grid: TimeGrid) -> float:
-    return float(np.trapezoid(values, dx=grid.dt))
+def _value_report(model, path: RiccatiPath, x0: float, state_term) -> ValueReport:
+    """x0^g/g exp(int_0^T gamma r(s) + state_term(s) ds), the value functions' shared tail.
 
-
-def value_general(
-    model: VectorModel, path: RiccatiPath, x0: float, rhs: VectorRiccatiRHS | None = None
-) -> ValueReport:
-    """Closed-form value x0^g/g exp(int_0^T gamma r + F(psi)(T-s) . v0(s) ds)."""
+    ``state_term`` maps psi(T - t_j), for every node j, to the model's part
+    of the log-value integrand; it runs after the x0 and global-existence
+    checks.
+    """
     if x0 <= 0.0:
         raise ValueError("initial wealth must be positive")
     path.require_global()
     grid = path.grid
     gamma = model.gamma
-    if rhs is None:
-        rhs = vector_rhs_general(model)
-    fvals = np.array([rhs(v) for v in _mirrored(path)])
-    curve = model.input_curve(grid)
-    integrand = gamma * rate_on_grid(model.rate, grid) + np.einsum("jd,jd->j", fvals, curve)
-    total = _trapz(integrand, grid)
-    value = x0**gamma / gamma * float(np.exp(total))
+    integrand = gamma * rate_on_grid(model.rate, grid) + state_term(_mirrored(path))
+    value = x0**gamma / gamma * float(np.exp(np.trapezoid(integrand, dx=grid.dt)))
     return ValueReport(
         value=value,
         x0=x0,
         certainty_equivalent=(gamma * value) ** (1.0 / gamma),
         log_value_integrand=SampledFunction(grid, integrand),
     )
+
+
+def value_general(
+    model: VectorModel, path: RiccatiPath, x0: float, rhs: VectorRiccatiRHS | None = None
+) -> ValueReport:
+    """Closed-form value x0^g/g exp(int_0^T gamma r + F(psi)(T-s) . v0(s) ds)."""
+
+    def state_term(rev: np.ndarray) -> np.ndarray:
+        f = vector_rhs_general(model) if rhs is None else rhs
+        fvals = np.array([f(v) for v in rev])
+        return np.einsum("jd,jd->j", fvals, model.input_curve(path.grid))
+
+    return _value_report(model, path, x0, state_term)
 
 
 def value_distortion(model: VectorModel, path: RiccatiPath, x0: float) -> ValueReport:
@@ -153,28 +160,18 @@ def value_distortion(model: VectorModel, path: RiccatiPath, x0: float) -> ValueR
         + g/(2(1-g)) theta Theta xi(s) + c/2 psi(T-s) N^2 Psi(T-s) xi(s) ds)
     with xi the tilted mean variance curve.
     """
-    if x0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    path.require_global()
-    rho = model.rho
-    if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
-        raise ValueError("distortion value requires equal correlations")
-    grid = path.grid
-    gamma = model.gamma
-    c = distortion_constant(gamma, float(rho[0]))
-    xi = expected_variance_curve(model, grid).values
-    rev = _mirrored(path)
-    theta_term = gamma / (2.0 * (1.0 - gamma)) * np.einsum("d,jd->j", model.theta**2, xi)
-    hedge_term = 0.5 * c * np.einsum("jd,jd->j", rev**2 * model.nu**2, xi)
-    integrand = gamma * rate_on_grid(model.rate, grid) + theta_term + hedge_term
-    total = _trapz(integrand, grid)
-    value = x0**gamma / gamma * float(np.exp(total))
-    return ValueReport(
-        value=value,
-        x0=x0,
-        certainty_equivalent=(gamma * value) ** (1.0 / gamma),
-        log_value_integrand=SampledFunction(grid, integrand),
-    )
+
+    def state_term(rev: np.ndarray) -> np.ndarray:
+        rho = model.rho
+        if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
+            raise ValueError("distortion value requires equal correlations")
+        gamma = model.gamma
+        c = distortion_constant(gamma, float(rho[0]))
+        xi = expected_variance_curve(model, path.grid).values
+        theta_term = gamma / (2.0 * (1.0 - gamma)) * np.einsum("d,jd->j", model.theta**2, xi)
+        return theta_term + 0.5 * c * np.einsum("jd,jd->j", rev**2 * model.nu**2, xi)
+
+    return _value_report(model, path, x0, state_term)
 
 
 def value_wishart(
@@ -184,24 +181,10 @@ def value_wishart(
 
     x0^g/g exp(int_0^T gamma r + Tr[f(psi)(T-s) Sigma0 + psi(T-s) N N^T] ds).
     """
-    if x0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    path.require_global()
-    grid = path.grid
-    gamma = model.gamma
-    if rhs is None:
-        rhs = wishart_rhs(model)
-    rev = _mirrored(path)
-    fvals = np.array([rhs(v) for v in rev])
-    nnt = model.drift_constant
-    integrand = gamma * rate_on_grid(model.rate, grid) + np.einsum(
-        "jab,ba->j", fvals, model.sigma0
-    ) + np.einsum("jab,ba->j", rev, nnt)
-    total = _trapz(integrand, grid)
-    value = x0**gamma / gamma * float(np.exp(total))
-    return ValueReport(
-        value=value,
-        x0=x0,
-        certainty_equivalent=(gamma * value) ** (1.0 / gamma),
-        log_value_integrand=SampledFunction(grid, integrand),
-    )
+
+    def state_term(rev: np.ndarray) -> np.ndarray:
+        f = wishart_rhs(model) if rhs is None else rhs
+        fvals = np.array([f(v) for v in rev])
+        return np.einsum("jab,ba->j", fvals, model.sigma0) + np.einsum("jab,ba->j", rev, model.drift_constant)
+
+    return _value_report(model, path, x0, state_term)

@@ -7,7 +7,15 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import Kernel, SampledFunction, TimeGrid, kernel_weights
+from .kernels import (
+    Kernel,
+    SampledFunction,
+    TimeGrid,
+    component_kernels,
+    corrector_row,
+    kernel_weights,
+    stack_weights,
+)
 
 __all__ = [
     "VectorModel",
@@ -23,25 +31,20 @@ __all__ = [
 Rate = float | Callable[[float], float]
 
 
-def _rate_fn(rate: Rate) -> Callable[[float], float]:
-    if callable(rate):
-        return rate
-    value = float(rate)
-    return lambda t: value
-
-
 def rate_on_grid(rate: Rate, grid: TimeGrid) -> np.ndarray:
-    fn = _rate_fn(rate)
-    return np.array([fn(float(t)) for t in grid.nodes])
+    if callable(rate):
+        return np.array([rate(float(t)) for t in grid.nodes])
+    return np.full(grid.n_steps + 1, float(rate))
 
 
-def _kernel_list(kernel, d: int) -> list[Kernel]:
-    if isinstance(kernel, Kernel):
-        return [kernel] * d
-    kernels = list(kernel)
-    if len(kernels) != d:
-        raise ValueError(f"expected {d} kernels, got {len(kernels)}")
-    return kernels
+def _store_arrays(record, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Coerce array fields of a frozen record to float arrays of the given shapes."""
+    for name, shape in shapes.items():
+        arr = np.asarray(getattr(record, name), dtype=float)
+        arr = np.atleast_1d(arr) if len(shape) == 1 else np.atleast_2d(arr)
+        if arr.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}")
+        object.__setattr__(record, name, arr)
 
 
 @dataclass(frozen=True)
@@ -70,44 +73,22 @@ class VectorModel:
     b0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        d = theta.shape[0]
-        nu = np.atleast_1d(np.asarray(self.nu, dtype=float))
-        drift = np.atleast_2d(np.asarray(self.drift, dtype=float))
-        rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
-        v0 = np.atleast_1d(np.asarray(self.v0, dtype=float))
-        b0 = np.zeros(d) if self.b0 is None else np.atleast_1d(np.asarray(self.b0, dtype=float))
-        for name, arr, shape in (
-            ("nu", nu, (d,)),
-            ("drift", drift, (d, d)),
-            ("rho", rho, (d,)),
-            ("v0", v0, (d,)),
-            ("b0", b0, (d,)),
-        ):
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "kernel", _kernel_list(self.kernel, d))
+        d = np.atleast_1d(np.asarray(self.theta, dtype=float)).shape[0]
+        if self.b0 is None:
+            object.__setattr__(self, "b0", np.zeros(d))
+        _store_arrays(self, {"theta": (d,), "nu": (d,), "drift": (d, d), "rho": (d,), "v0": (d,), "b0": (d,)})
+        object.__setattr__(self, "kernel", component_kernels(self.kernel, d))
 
     @property
     def d(self) -> int:
         return self.theta.shape[0]
 
-    def rate_at(self, t: float) -> float:
-        return _rate_fn(self.rate)(t)
-
     def input_curve(self, grid: TimeGrid) -> np.ndarray:
         """v0(t_j) = V0 + b0 * int_0^t K on the grid, shape (n+1, d)."""
         out = np.tile(self.v0, (grid.n_steps + 1, 1))
         if np.any(self.b0 != 0.0):
-            for i, k in enumerate(self.kernel):
-                cum = np.concatenate(([0.0], np.cumsum(kernel_weights(k, grid).cell)))
-                out[:, i] += self.b0[i] * cum
+            cell = stack_weights([kernel_weights(k, grid) for k in self.kernel]).cell
+            out[1:] += self.b0 * np.cumsum(cell, axis=0)
         return out
 
 
@@ -135,30 +116,11 @@ class WishartModel:
     rate: Rate = 0.0
 
     def __post_init__(self) -> None:
-        M = np.atleast_2d(np.asarray(self.mean_reversion, dtype=float))
-        d = M.shape[0]
-        Q = np.atleast_2d(np.asarray(self.vol_of_vol, dtype=float))
-        N = np.atleast_2d(np.asarray(self.noise, dtype=float))
-        rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
-        v = np.atleast_1d(np.asarray(self.market_price, dtype=float))
-        sigma0 = np.atleast_2d(np.asarray(self.sigma0, dtype=float))
-        for name, arr, shape in (
-            ("mean_reversion", M, (d, d)),
-            ("vol_of_vol", Q, (d, d)),
-            ("noise", N, (d, d)),
-            ("rho", rho, (d,)),
-            ("market_price", v, (d,)),
-            ("sigma0", sigma0, (d, d)),
-        ):
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
-        object.__setattr__(self, "mean_reversion", M)
-        object.__setattr__(self, "vol_of_vol", Q)
-        object.__setattr__(self, "noise", N)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "market_price", v)
-        object.__setattr__(self, "sigma0", sigma0)
-        object.__setattr__(self, "kernel", _kernel_list(self.kernel, d))
+        d = np.atleast_2d(np.asarray(self.mean_reversion, dtype=float)).shape[0]
+        sq, vec = (d, d), (d,)
+        shapes = {"mean_reversion": sq, "vol_of_vol": sq, "noise": sq, "rho": vec, "market_price": vec, "sigma0": sq}
+        _store_arrays(self, shapes)
+        object.__setattr__(self, "kernel", component_kernels(self.kernel, d))
 
     @property
     def d(self) -> int:
@@ -167,9 +129,6 @@ class WishartModel:
     @property
     def drift_constant(self) -> np.ndarray:
         return self.noise @ self.noise.T
-
-    def rate_at(self, t: float) -> float:
-        return _rate_fn(self.rate)(t)
 
 
 _PD_FLOOR = 1e-12
@@ -183,27 +142,16 @@ def validate(model) -> list[str]:
     """
     violations: list[str] = []
     if isinstance(model, VectorModel):
-        for i, th in enumerate(model.theta):
-            if th < 0.0:
-                violations.append(f"theta[{i}] < 0")
-        for i, nv in enumerate(model.nu):
-            if nv <= 0.0:
-                violations.append(f"nu[{i}] <= 0")
-        d = model.d
-        for i in range(d):
-            for j in range(d):
-                if i != j and model.drift[i, j] < 0.0:
-                    violations.append(f"D[{i}][{j}] < 0")
-        for i, r in enumerate(model.rho):
-            if not -1.0 <= r <= 1.0:
-                violations.append(f"rho[{i}] outside [-1, 1]")
-        for i, v in enumerate(model.v0):
-            if v < 0.0:
-                violations.append(f"v0[{i}] < 0")
-        if model.b0 is not None:
-            for i, b in enumerate(model.b0):
-                if b < 0.0:
-                    violations.append(f"b0[{i}] < 0")
+        rho = model.rho
+        for template, bad in (
+            ("theta[{}] < 0", model.theta < 0.0),
+            ("nu[{}] <= 0", model.nu <= 0.0),
+            ("D[{}][{}] < 0", (model.drift < 0.0) & ~np.eye(model.d, dtype=bool)),
+            ("rho[{}] outside [-1, 1]", ~((rho >= -1.0) & (rho <= 1.0))),
+            ("v0[{}] < 0", model.v0 < 0.0),
+            ("b0[{}] < 0", model.b0 < 0.0),
+        ):
+            violations.extend(template.format(*idx) for idx in np.argwhere(bad))
     elif isinstance(model, WishartModel):
         rho = model.rho
         if float(rho @ rho) > 1.0 + 1e-12:
@@ -258,24 +206,16 @@ def expected_variance_curve(
     if B.shape != (d, d):
         raise ValueError(f"drift matrix must be {d}x{d}")
     n_steps = grid.n_steps
-    per = [kernel_weights(k, grid) for k in model.kernel]
-    cell = np.stack([w.cell for w in per], axis=1)
-    corr = np.stack([w.corrector for w in per], axis=1)
-    base = np.empty_like(corr)
-    base[0] = np.nan
-    base[1:] = cell - corr[1:]
+    weights = stack_weights([kernel_weights(k, grid) for k in model.kernel])
     forced = model.input_curve(grid)
     xi = np.zeros((n_steps + 1, d))
     xi[0] = forced[0]
     gvals = np.empty_like(xi)  # g = B xi, convolved row-wise with K_i
     gvals[0] = B @ xi[0]
-    newest = corr[1]
-    lhs = np.eye(d) - np.diag(newest) @ B
+    lhs = np.eye(d) - np.diag(weights.corrector[1]) @ B
     for n in range(1, n_steps + 1):
-        w = base[n:0:-1].copy()
-        if n > 1:
-            w[1:] += corr[n:1:-1]
-        hist = np.einsum("jd,jd->d", w, gvals[:n])
+        row, _ = corrector_row(weights, n)
+        hist = np.einsum("jd,jd->d", row, gvals[:n])
         sol = np.linalg.solve(lhs, forced[n] + hist)
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("expected-variance iteration diverged")

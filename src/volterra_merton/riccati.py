@@ -15,11 +15,9 @@ with the trapezoidal product weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .kernels import Kernel, TimeGrid, kernel_weights
+from .kernels import TimeGrid, component_kernels, corrector_row, kernel_weights, stack_weights
 
 __all__ = [
     "VectorRiccatiRHS",
@@ -153,15 +151,6 @@ class RiccatiPath:
         return self.values[self.grid.n_steps - j]
 
 
-def _as_kernel_list(kernel, d: int) -> list[Kernel]:
-    if isinstance(kernel, Kernel):
-        return [kernel] * d
-    kernels = list(kernel)
-    if len(kernels) != d:
-        raise ValueError(f"expected {d} kernels, got {len(kernels)}")
-    return kernels
-
-
 def vector_rhs_degenerate(model) -> VectorRiccatiRHS:
     """Right-hand side of the distortion-transform equation (equal leverages).
 
@@ -221,55 +210,39 @@ def wishart_rhs(model) -> MatrixRiccatiRHS:
     )
 
 
-def _stack_weights(kernels: Sequence[Kernel], grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell, base and corrector arrays stacked per component, shape (., d)."""
-    per = [kernel_weights(k, grid) for k in kernels]
-    cell = np.stack([w.cell for w in per], axis=1)
-    corr = np.stack([w.corrector for w in per], axis=1)
-    base = np.empty_like(corr)
-    base[0] = np.nan
-    base[1:] = cell - corr[1:]
-    return cell, corr, base
+def _history(weights: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """Sum over past nodes j of weights[j, i] * hist[j, ..., i].
 
-
-def _step_rows(cell: np.ndarray, corr: np.ndarray, base: np.ndarray, n: int):
-    """Predictor weights (n, d) and corrector weights ((n, d), newest (d,))."""
-    pred = cell[n - 1 :: -1]
-    corr_hist = base[n:0:-1].copy()
-    if n > 1:
-        corr_hist[1:] += corr[n:1:-1]
-    return pred, corr_hist, corr[1]
-
-
-def solve_riccati_vector(
-    kernel,
-    rhs: VectorRiccatiRHS,
-    grid: TimeGrid,
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-) -> RiccatiPath:
-    """PECE product-integration solve of the row-vector Riccati equation.
-
-    On blow-up the returned path is truncated (values frozen at the last
-    finite node) and carries the estimated divergence time.
+    Column i of the state (component i of a vector, column i of a matrix)
+    is convolved with kernel K_i.
     """
-    d = rhs.dim
-    kernels = _as_kernel_list(kernel, d)
-    cell, corr, base = _stack_weights(kernels, grid)
+    return np.einsum("ji,j...i->...i", weights, hist)
+
+
+def _symmetrized(state: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix state; vector states pass through."""
+    return 0.5 * (state + state.T) if state.ndim == 2 else state
+
+
+def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tuple) -> RiccatiPath:
+    """The PECE loop behind both solvers; ``shape`` is the state's, (d,) or (d, d)."""
+    kernels = component_kernels(kernel, shape[-1])
+    weights = stack_weights([kernel_weights(k, grid) for k in kernels])
     n_steps = grid.n_steps
-    psi = np.zeros((n_steps + 1, d))
-    fvals = np.empty((n_steps + 1, d))
+    psi = np.zeros((n_steps + 1,) + shape)
+    fvals = np.empty_like(psi)
     fvals[0] = rhs(psi[0])
     blowup = None
     for n in range(1, n_steps + 1):
-        pred_w, corr_w, newest = _step_rows(cell, corr, base, n)
+        row, newest = corrector_row(weights, n)
         hist = fvals[:n]
-        pred = np.einsum("jd,jd->d", pred_w, hist)
+        pred = _symmetrized(_history(weights.cell[n - 1 :: -1], hist))
         pred_norm = float(np.max(np.abs(pred)))
         if pred_norm > blowup_threshold or np.isinf(pred_norm):
             blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=pred_norm)
             psi[n:] = psi[n - 1]
             break
-        val = np.einsum("jd,jd->d", corr_w, hist) + newest * rhs(pred)
+        val = _symmetrized(_history(row, hist) + newest * rhs(pred))
         norm = float(np.max(np.abs(val)))
         if np.isnan(norm):
             # predictor was finite, so NaN here means bad inputs, not blow-up
@@ -286,6 +259,20 @@ def solve_riccati_vector(
     return RiccatiPath(grid, psi, blowup, residual)
 
 
+def solve_riccati_vector(
+    kernel,
+    rhs: VectorRiccatiRHS,
+    grid: TimeGrid,
+    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+) -> RiccatiPath:
+    """PECE product-integration solve of the row-vector Riccati equation.
+
+    On blow-up the returned path is truncated (values frozen at the last
+    finite node) and carries the estimated divergence time.
+    """
+    return _solve_pece(kernel, rhs, grid, blowup_threshold, (rhs.dim,))
+
+
 def solve_riccati_matrix(
     kernel,
     rhs: MatrixRiccatiRHS,
@@ -298,39 +285,7 @@ def solve_riccati_matrix(
     uses kernel K_i.  With equal component kernels symmetry is automatic;
     with distinct kernels each iterate is re-symmetrized.
     """
-    d = rhs.dim
-    kernels = _as_kernel_list(kernel, d)
-    cell, corr, base = _stack_weights(kernels, grid)
-    n_steps = grid.n_steps
-    psi = np.zeros((n_steps + 1, d, d))
-    fvals = np.empty((n_steps + 1, d, d))
-    fvals[0] = rhs(psi[0])
-    blowup = None
-    for n in range(1, n_steps + 1):
-        pred_w, corr_w, newest = _step_rows(cell, corr, base, n)
-        hist = fvals[:n]
-        pred = np.einsum("ji,jli->li", pred_w, hist)
-        pred = 0.5 * (pred + pred.T)
-        pred_norm = float(np.max(np.abs(pred)))
-        if pred_norm > blowup_threshold or np.isinf(pred_norm):
-            blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=pred_norm)
-            psi[n:] = psi[n - 1]
-            break
-        val = np.einsum("ji,jli->li", corr_w, hist) + newest[None, :] * rhs(pred)
-        val = 0.5 * (val + val.T)
-        norm = float(np.max(np.abs(val)))
-        if np.isnan(norm):
-            raise FloatingPointError(f"non-finite Riccati step at t = {grid.nodes[n]:.6g}")
-        if norm > blowup_threshold or np.isinf(norm):
-            blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=norm)
-            psi[n:] = psi[n - 1]
-            break
-        psi[n] = val
-        fvals[n] = rhs(val)
-    residual = np.nan if blowup is not None else fixed_point_residual(
-        RiccatiPath(grid, psi, None, np.nan), kernels, rhs
-    )
-    return RiccatiPath(grid, psi, blowup, residual)
+    return _solve_pece(kernel, rhs, grid, blowup_threshold, (rhs.dim, rhs.dim))
 
 
 def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
@@ -346,19 +301,13 @@ def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
         raise ValueError("residual undefined for a blown-up path")
     grid = path.grid
     vals = path.values
-    d = vals.shape[1]
-    kernels = _as_kernel_list(kernel, d)
-    cell = np.stack([kernel_weights(k, grid).cell for k in kernels], axis=1)
+    kernels = component_kernels(kernel, vals.shape[1])
+    cell = stack_weights([kernel_weights(k, grid) for k in kernels]).cell
     fvals = np.array([rhs(v) for v in vals])
     mid = 0.5 * (fvals[:-1] + fvals[1:])
     worst = 0.0
     for n in range(1, grid.n_steps + 1):
-        w = cell[n - 1 :: -1]
-        if vals.ndim == 2:
-            approx = np.einsum("jd,jd->d", w, mid[:n])
-        else:
-            approx = np.einsum("ji,jli->li", w, mid[:n])
-            approx = 0.5 * (approx + approx.T)
+        approx = _symmetrized(_history(cell[n - 1 :: -1], mid[:n]))
         worst = max(worst, float(np.max(np.abs(vals[n] - approx))))
     return worst
 

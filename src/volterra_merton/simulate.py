@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeGrid, kernel_weights
+from .kernels import TimeGrid, kernel_weights, stack_weights
 from .merton import StrategyPath
 from .models import VectorModel, WishartModel, rate_on_grid
 
@@ -75,6 +75,11 @@ class PathBundle:
     (n_paths, n_nodes, d, d) for the matrix model.  Increments are retained
     so wealth simulation can reuse the exact same noise (common random
     numbers, correct leverage correlation).
+
+    Matrix bundles also keep, at the left nodes t_0..t_{n-1}, the roots
+    Sigma^(1/2) (n_paths, n_steps, d, d) and the assets' Brownian increments
+    (n_paths, n_steps, d), so that wealth and diagnostics do not decompose
+    the states again; both are None for vector bundles.
     """
 
     grid: TimeGrid
@@ -82,6 +87,8 @@ class PathBundle:
     increments: dict[str, np.ndarray]
     psd_violation_count: int
     config: SimConfig
+    roots: np.ndarray | None = None
+    asset_noise: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     w2 = raw[:, :, d:] * sq_dt
     rho = model.rho
     db = rho * w1 + np.sqrt(1.0 - rho**2) * w2
-    cell = np.stack([kernel_weights(k, grid).cell for k in model.kernel], axis=1)  # (n_steps, d)
+    cell = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell  # (n_steps, d)
     forced = model.input_curve(grid)
     states = np.empty((cfg.n_paths, n_steps + 1, d))
     states[:, 0, :] = forced[0]
@@ -180,7 +187,8 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     are transposes of each other, so the transposed term reuses the weighted
     first term.  After each update the state is symmetrized and eigenvalues
     are clipped at psd_floor (count recorded); matrix square roots come from
-    the same symmetric eigendecomposition.
+    the same symmetric eigendecomposition and are kept in the bundle, with the
+    assets' Brownian increments, for the wealth and diagnostic functionals.
     """
     d = model.d
     n_steps = grid.n_steps
@@ -189,20 +197,21 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     raw = _normals(cfg, n_steps, d * d + d)
     dws = raw[:, :, : d * d].reshape(cfg.n_paths, n_steps, d, d) * sq_dt
     dbs = raw[:, :, d * d :] * sq_dt
-    cell = np.stack([kernel_weights(k, grid).cell for k in model.kernel], axis=1)  # (n_steps, d)
+    cell = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell  # (n_steps, d)
     nnt = model.drift_constant
     M = model.mean_reversion
     Q = model.vol_of_vol
     states = np.empty((cfg.n_paths, n_steps + 1, d, d))
     states[:, 0] = model.sigma0
-    _, roots, _ = _psd_clip(np.broadcast_to(model.sigma0, (cfg.n_paths, d, d)).copy(), cfg.psd_floor)
+    roots = np.empty((cfg.n_paths, n_steps + 1, d, d))  # Sigma^(1/2) at every node
+    roots[:, 0] = _psd_clip(np.broadcast_to(model.sigma0, (cfg.n_paths, d, d)).copy(), cfg.psd_floor)[1]
     drift_hist = np.empty((cfg.n_paths, n_steps, d, d))
     noise_hist = np.empty((cfg.n_paths, n_steps, d, d))
     clipped = 0
     for n in range(1, n_steps + 1):
         prev = states[:, n - 1]
         drift_hist[:, n - 1] = nnt + np.einsum("ab,pbc->pac", M, prev) + np.einsum("pab,cb->pac", prev, M)
-        noise_hist[:, n - 1] = np.einsum("pab,pbc,cd->pad", roots, dws[:, n - 1], Q) / dt
+        noise_hist[:, n - 1] = np.einsum("pab,pbc,cd->pad", roots[:, n - 1], dws[:, n - 1], Q) / dt
         w_rev = cell[n - 1 :: -1]
         left = np.einsum("ja,pjab->pab", w_rev, drift_hist[:, :n] + noise_hist[:, :n])
         right = np.einsum("ja,pjab->pab", w_rev, noise_hist[:, :n]).transpose(0, 2, 1)
@@ -211,15 +220,19 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
         if not np.all(np.isfinite(sigma)):
             bad = int(np.nonzero(~np.isfinite(sigma).reshape(cfg.n_paths, -1).all(axis=1))[0][0])
             raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
-        sigma, roots, n_below = _psd_clip(sigma, cfg.psd_floor)
+        sigma, roots[:, n], n_below = _psd_clip(sigma, cfg.psd_floor)
         clipped += n_below
         states[:, n] = sigma
+    rho = model.rho
+    orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
     return PathBundle(
         grid=grid,
         states=states,
         increments={"w_sigma": dws, "b": dbs},
         psd_violation_count=clipped,
         config=cfg,
+        roots=roots[:, :-1],
+        asset_noise=orth * dbs + np.einsum("pnab,b->pna", dws, rho),
     )
 
 
@@ -238,32 +251,19 @@ def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float
     pis = strategy.weights[:-1]  # left-point weights
     if isinstance(model, VectorModel):
         v = bundle.states[:, :-1, :]  # (p, n, d)
-        w1 = bundle.increments["w1"]
-        drift = pis * v * model.theta  # pi_i theta_i V_i summed below
-        quad = pis**2 * v
-        diff = pis * np.sqrt(np.maximum(v, 0.0)) * w1
-        log_growth = np.sum(
-            (rates[None, :] + drift.sum(axis=2) - 0.5 * quad.sum(axis=2)) * dt + diff.sum(axis=2),
-            axis=1,
-        )
-        return x0 * np.exp(log_growth)
-    if isinstance(model, WishartModel):
-        sigma = bundle.states[:, :-1]  # (p, n, d, d)
-        _, roots, _ = _psd_clip(
-            sigma.reshape(-1, model.d, model.d).copy(), bundle.config.psd_floor
-        )
-        roots = roots.reshape(sigma.shape)
-        rho = model.rho
-        orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
-        dws = orth * bundle.increments["b"] + np.einsum("pnab,b->pna", bundle.increments["w_sigma"], rho)
-        sig_pi = np.einsum("pnab,nb->pna", sigma, pis)
+        drift = (pis * v * model.theta).sum(axis=2)  # sum of pi_i theta_i V_i
+        quad = (pis**2 * v).sum(axis=2)
+        diff = (pis * np.sqrt(np.maximum(v, 0.0)) * bundle.increments["w1"]).sum(axis=2)
+    elif isinstance(model, WishartModel):
+        sig_pi = np.einsum("pnab,nb->pna", bundle.states[:, :-1], pis)
         drift = np.einsum("pna,a->pn", sig_pi, model.market_price)
-        root_pi = np.einsum("pnab,nb->pna", roots, pis)
+        root_pi = np.einsum("pnab,nb->pna", bundle.roots, pis)
         quad = np.einsum("pna,pna->pn", root_pi, root_pi)
-        diff = np.einsum("pna,pna->pn", root_pi, dws)
-        log_growth = np.sum((rates[None, :] + drift - 0.5 * quad) * dt + diff, axis=1)
-        return x0 * np.exp(log_growth)
-    raise TypeError(f"unsupported model type {type(model)!r}")
+        diff = np.einsum("pna,pna->pn", root_pi, bundle.asset_noise)
+    else:
+        raise TypeError(f"unsupported model type {type(model)!r}")
+    log_growth = np.sum((rates[None, :] + drift - 0.5 * quad) * dt + diff, axis=1)
+    return x0 * np.exp(log_growth)
 
 
 def _estimate(samples: np.ndarray, antithetic: bool) -> McEstimate:
@@ -318,13 +318,7 @@ def _martingale_control(model, bundle: PathBundle) -> np.ndarray:
         v = bundle.states[:, :-1, :]
         w1 = bundle.increments["w1"]
         return (np.sqrt(np.maximum(v, 0.0)) * w1).sum(axis=(1, 2))
-    sigma = bundle.states[:, :-1]
-    _, roots, _ = _psd_clip(sigma.reshape(-1, model.d, model.d).copy(), bundle.config.psd_floor)
-    roots = roots.reshape(sigma.shape)
-    rho = model.rho
-    orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
-    dws = orth * bundle.increments["b"] + np.einsum("pnab,b->pna", bundle.increments["w_sigma"], rho)
-    return np.einsum("pnab,pnb->p", roots, dws)
+    return np.einsum("pnab,pnb->p", bundle.roots, bundle.asset_noise)
 
 
 def compare_strategies(
@@ -350,10 +344,7 @@ def compare_strategies(
     if var_c > 0.0:
         beta = float(np.cov(diff, control, ddof=1)[0, 1]) / var_c
         diff = diff - beta * control
-    n = diff.shape[0]
-    mean = float(np.mean(diff))
-    stderr = float(np.std(diff, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean=mean, stderr=stderr, n_paths=n)
+    return _estimate(diff, antithetic=False)
 
 
 def martingale_diagnostic(
@@ -381,14 +372,8 @@ def martingale_diagnostic(
         mart = np.einsum("pna,pna->pn", vol_rows, w1)
         quad = np.einsum("pna,pna->pn", vol_rows, vol_rows)
     else:
-        sigma = bundle.states[:, :-1]
-        _, roots, _ = _psd_clip(sigma.reshape(-1, model.d, model.d).copy(), bundle.config.psd_floor)
-        roots = roots.reshape(sigma.shape)
-        rho = model.rho
-        orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
-        dws = orth * bundle.increments["b"] + np.einsum("pnab,b->pna", bundle.increments["w_sigma"], rho)
-        root_pi = np.einsum("pnab,nb->pna", roots, pis)
-        mart = np.einsum("pna,pna->pn", root_pi, dws)
+        root_pi = np.einsum("pnab,nb->pna", bundle.roots, pis)
+        mart = np.einsum("pna,pna->pn", root_pi, bundle.asset_noise)
         quad = np.einsum("pna,pna->pn", root_pi, root_pi)
     log_z = gamma * mart.sum(axis=1) - 0.5 * gamma**2 * (quad * dt).sum(axis=1)
     return _estimate(np.exp(log_z), bundle.config.antithetic)

@@ -163,25 +163,38 @@ class TestRunPipelines:
         header = (tmp_path / "solve.csv").read_text().splitlines()[0]
         assert header == "t,psi_1"
 
-    def test_svg_and_json_outputs(self, tmp_path):
-        raw = vector_config(tmp_path)
+    @pytest.mark.parametrize(
+        "overrides, svg",
+        [
+            ({}, "strategy.svg"),
+            ({"kind": "sweep-gamma", "sweep": {"gamma": [0.3, 0.5]}}, "sweep-gamma_gamma_0_3.svg"),
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_svg_and_json_outputs(self, tmp_path, overrides, svg):
+        raw = vector_config(tmp_path, **overrides)
         raw["output"]["formats"] = ["csv", "svg", "json"]
         report = run(config_from_dict(raw))
-        svg = (tmp_path / "strategy.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
-        payload = json.loads((tmp_path / "strategy_report.json").read_text())
-        assert payload["kind"] == "strategy"
+        text = (tmp_path / svg).read_text()
+        assert text.startswith("<svg") and "polyline" in text
+        target = tmp_path / f"{raw['kind']}_report.json"
+        payload = json.loads(target.read_text())
+        assert payload["kind"] == raw["kind"]
+        assert "runtime_seconds" not in payload
+        assert str(target) in report.outputs
 
     def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
         raw = vector_config(tmp_path, kind="mc-check")
         raw["numerics"] = {"horizon": 0.25, "n_steps": 60}
         raw["simulation"] = {"n_paths": 500, "seed": 7, "antithetic": True}
-        raw["output"]["directory"] = str(out1)
-        run(config_from_dict(raw))
-        raw["output"]["directory"] = str(out2)
-        run(config_from_dict(raw))
-        assert (out1 / "mc-check.csv").read_bytes() == (out2 / "mc-check.csv").read_bytes()
+        raw["output"]["formats"] = ["csv", "json"]
+        # both runs write into one directory: the JSON report lists absolute output paths
+        snapshots = []
+        for _ in range(2):
+            run(config_from_dict(raw))
+            snapshots.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+        assert sorted(snapshots[0]) == ["mc-check.csv", "mc-check_report.json"]
+        assert snapshots[0] == snapshots[1]
 
     def test_blowup_raises_for_strategy(self, tmp_path):
         from volterra_merton.riccati import RiccatiBlowUpError
