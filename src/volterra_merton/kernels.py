@@ -172,10 +172,6 @@ class SampledFunction:
             raise ValueError("one value per grid node required")
         object.__setattr__(self, "values", values)
 
-    @property
-    def value_shape(self) -> tuple:
-        return self.values.shape[1:]
-
 
 @dataclass(frozen=True)
 class KernelWeights:
@@ -241,10 +237,9 @@ def corrector_row(weights: KernelWeights | StackedWeights, n: int) -> tuple[np.n
     column per component and a newest weight per component.
     """
     cell, corr = weights.cell, weights.corrector
-    row = cell[n - 1 :: -1] - corr[n:0:-1]
-    if n > 1:
-        row[1:] += corr[n:1:-1]
-    return row, corr[1]
+    row = cell[:n] - corr[1 : n + 1]  # built in node order, returned reversed
+    row[: n - 1] += corr[2 : n + 1]
+    return row[::-1].copy(), corr[1]
 
 
 def component_kernels(kernel: Kernel | Sequence[Kernel], d: int) -> list[Kernel]:

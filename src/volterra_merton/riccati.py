@@ -146,10 +146,6 @@ class RiccatiPath:
             raise RiccatiBlowUpError(self.blowup)
         return self
 
-    def at_time_to_go(self, j: int) -> np.ndarray:
-        """psi(T - t_j) by grid-index mirroring."""
-        return self.values[self.grid.n_steps - j]
-
 
 def vector_rhs_degenerate(model) -> VectorRiccatiRHS:
     """Right-hand side of the distortion-transform equation (equal leverages).
