@@ -237,7 +237,8 @@ def corrector_row(weights: KernelWeights | StackedWeights, n: int) -> tuple[np.n
     column per component and a newest weight per component.
     """
     cell, corr = weights.cell, weights.corrector
-    row = cell[:n] - corr[1 : n + 1]  # built in node order, returned reversed
+    # built in node order and reversed once: cheaper than arithmetic on reversed slices
+    row = cell[:n] - corr[1 : n + 1]
     row[: n - 1] += corr[2 : n + 1]
     return row[::-1].copy(), corr[1]
 

@@ -15,6 +15,7 @@ with the trapezoidal product weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .kernels import TimeGrid, component_kernels, corrector_row, kernel_weights, stack_weights
