@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import make_rough_heston, make_wishart
-from volterra_merton.kernels import Kernel, TimeGrid
+from volterra_merton.kernels import Kernel, TimeGrid, kernel_weights
 from volterra_merton.merton import StrategyPath, strategy_general, strategy_wishart
 from volterra_merton.models import VectorModel, WishartModel, expected_variance_curve
 from volterra_merton.riccati import (
@@ -65,6 +65,57 @@ class TestDeterminism:
     def test_antithetic_needs_even_paths(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=7, antithetic=True)
+
+
+def wishart_two_sum_reference(model: WishartModel, grid: TimeGrid, cfg: SimConfig, dws: np.ndarray):
+    """Left-point Euler Wishart scheme written as two row-weighted history sums.
+
+    Row a of drift + noise and, transposed, row a of the noise alone are
+    convolved with K_a; the sum is symmetrized and eigenvalue-clipped.
+    Returns the states and the roots at every node.
+    """
+    p, n_steps, d = cfg.n_paths, grid.n_steps, model.d
+    dt = grid.dt
+    cell = np.stack([kernel_weights(k, grid).cell for k in model.kernel], axis=1)
+
+    def clip(mats):
+        vals, vecs = np.linalg.eigh(mats)
+        vals = np.maximum(vals, cfg.psd_floor)
+        return vecs @ (vals[..., None] * np.swapaxes(vecs, -1, -2)), vecs @ (
+            np.sqrt(vals)[..., None] * np.swapaxes(vecs, -1, -2)
+        )
+
+    states = np.empty((p, n_steps + 1, d, d))
+    roots = np.empty_like(states)
+    states[:, 0] = model.sigma0
+    roots[:, 0] = clip(model.sigma0)[1]
+    drift = np.empty((p, n_steps, d, d))
+    noise = np.empty((p, n_steps, d, d))
+    M, Q = model.mean_reversion, model.vol_of_vol
+    for n in range(1, n_steps + 1):
+        prev = states[:, n - 1]
+        drift[:, n - 1] = model.drift_constant + M @ prev + prev @ M.T
+        noise[:, n - 1] = roots[:, n - 1] @ dws[:, n - 1] @ Q / dt
+        w = cell[n - 1 :: -1]
+        left = np.einsum("ja,pjab->pab", w, drift[:, :n] + noise[:, :n])
+        right = np.einsum("ja,pjab->pab", w, noise[:, :n]).transpose(0, 2, 1)
+        sigma = model.sigma0 + left + right
+        states[:, n], roots[:, n] = clip(0.5 * (sigma + sigma.transpose(0, 2, 1)))
+    return states, roots
+
+
+class TestWishartScheme:
+    def test_distinct_kernels_match_two_sum_reference(self):
+        # distinct component kernels: the row-weighted and the transposed
+        # stochastic sums use different kernels per entry, the case where the
+        # scheme's layout of the history matters
+        m = make_wishart(alphas=(0.95, 0.6))
+        grid = TimeGrid(0.5, 40)
+        cfg = SimConfig(n_paths=32, seed=7)
+        bundle = simulate_wishart(m, grid, cfg)
+        states, roots = wishart_two_sum_reference(m, grid, cfg, bundle.increments["w_sigma"])
+        np.testing.assert_allclose(bundle.states, states, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(bundle.roots, roots[:, :-1], rtol=1e-10, atol=1e-13)
 
 
 class TestDeterministicLimits:
