@@ -9,17 +9,15 @@ blow-up before the horizon, 3 Monte Carlo divergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from .experiments import (
     SWEEP_KINDS,
     ConfigError,
-    ExperimentConfig,
     available_presets,
-    load_config,
+    config_from_dict,
+    read_config,
     run,
 )
 from .riccati import RiccatiBlowUpError
@@ -55,23 +53,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = Path(args.out)
-    if args.steps is not None:
-        if args.steps < 1:
-            raise ConfigError(["--steps must be at least 1"])
-        updates["n_steps"] = args.steps
-    if args.seed is not None:
-        updates["sim"] = dataclasses.replace(config.sim, seed=args.seed)
-    if args.format is not None:
-        formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = [f for f in formats if f not in ("csv", "svg", "json")]
-        if bad:
-            raise ConfigError([f"unsupported output formats: {bad}"])
-        updates["formats"] = formats
-    return config.replaced(**updates) if updates else config
+def _apply_overrides(raw: dict, args: argparse.Namespace) -> None:
+    """Write the command-line overrides into the config mapping before validation."""
+    formats = None if args.format is None else [f.strip() for f in args.format.split(",") if f.strip()]
+    for section, key, value in (
+        ("output", "directory", args.out),
+        ("simulation", "seed", args.seed),
+        ("numerics", "n_steps", args.steps),
+        ("output", "formats", formats),
+    ):
+        if value is None:
+            continue
+        if raw.get(section) is None:
+            raw[section] = {}
+        if isinstance(raw[section], dict):  # a malformed section is reported by validation
+            raw[section][key] = value
 
 
 def _error_record(code: int, kind: str, message: str, **extra) -> str:
@@ -82,14 +78,15 @@ def _error_record(code: int, kind: str, message: str, **extra) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        raw = read_config(args.config)
+        _apply_overrides(raw, args)
+        config = config_from_dict(raw)
         allowed = _SUBCOMMAND_KINDS[args.command]
         if config.kind not in allowed:
             raise ConfigError(
                 [f"config kind {config.kind!r} cannot run under '{args.command}' "
                  f"(allowed: {', '.join(allowed)})"]
             )
-        config = _apply_overrides(config, args)
     except ConfigError as exc:
         print(_error_record(1, "config", str(exc), problems=exc.problems))
         return 1

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 import tempfile
 import time
@@ -50,6 +52,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "load_config",
+    "read_config",
     "run",
     "sweep",
     "preset_path",
@@ -250,6 +253,11 @@ def load_config(path_or_preset: str | Path) -> ExperimentConfig:
     Accepts a filesystem path or the name of a bundled preset.  Every
     violation is collected and reported in a single ConfigError.
     """
+    return config_from_dict(read_config(path_or_preset))
+
+
+def read_config(path_or_preset: str | Path) -> dict:
+    """The configuration mapping of a file or bundled preset, not yet validated."""
     path = Path(path_or_preset)
     if not path.exists() and not str(path_or_preset).endswith((".yaml", ".yml")):
         path = preset_path(str(path_or_preset))
@@ -263,7 +271,34 @@ def load_config(path_or_preset: str | Path) -> ExperimentConfig:
         raise ConfigError([f"config parse error: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a mapping of sections"])
-    return config_from_dict(raw)
+    return raw
+
+
+def _section(raw: dict, name: str, problems: list[str]) -> dict:
+    """A config section as a mapping; a missing or empty one is an empty mapping."""
+    node = raw.get(name) or {}
+    if not isinstance(node, dict):
+        problems.append(f"'{name}' must be a mapping")
+        return {}
+    return node
+
+
+def _number(section: dict, key: str, default, problems: list[str], prefix: str = "", integer: bool = False):
+    """A finite number (an integral one if ``integer``) from a section, or None after a problem."""
+    value = section.get(key, default)
+    label = prefix + key
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        problems.append(f"{label} must be a number (got {value!r})")
+        return None
+    if not math.isfinite(value):
+        problems.append(f"{label} must be finite (got {value!r})")
+        return None
+    if integer:
+        if not float(value).is_integer():
+            problems.append(f"{label} must be an integer (got {value!r})")
+            return None
+        return int(value)
+    return float(value)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -275,37 +310,44 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     model = _build_model(raw.get("model"), problems)
 
-    numerics = raw.get("numerics") or {}
-    horizon = float(numerics.get("horizon", 1.0))
-    n_steps = int(numerics.get("n_steps", 1000))
-    blowup = float(numerics.get("blowup_threshold", DEFAULT_BLOWUP_THRESHOLD))
-    if horizon <= 0:
+    numerics = _section(raw, "numerics", problems)
+    horizon = _number(numerics, "horizon", 1.0, problems, "numerics.")
+    n_steps = _number(numerics, "n_steps", 1000, problems, "numerics.", integer=True)
+    blowup = _number(numerics, "blowup_threshold", DEFAULT_BLOWUP_THRESHOLD, problems, "numerics.")
+    if horizon is not None and horizon <= 0:
         problems.append("numerics.horizon must be positive")
-    if n_steps < 1:
+    if n_steps is not None and n_steps < 1:
         problems.append("numerics.n_steps must be at least 1")
+    if blowup is not None and blowup <= 0:
+        problems.append("numerics.blowup_threshold must be positive")
 
-    sim_section = raw.get("simulation") or {}
-    try:
-        sim = SimConfig(
-            n_paths=int(sim_section.get("n_paths", 10_000)),
-            seed=int(sim_section.get("seed", 42)),
-            psd_floor=float(sim_section.get("psd_floor", 0.0)),
-            variance_floor=float(sim_section.get("variance_floor", 0.0)),
-            antithetic=bool(sim_section.get("antithetic", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"simulation section: {exc}")
-        sim = SimConfig(n_paths=1)
+    sim_section = _section(raw, "simulation", problems)
+    n_paths = _number(sim_section, "n_paths", 10_000, problems, "simulation.", integer=True)
+    seed = _number(sim_section, "seed", 42, problems, "simulation.", integer=True)
+    psd_floor = _number(sim_section, "psd_floor", 0.0, problems, "simulation.")
+    variance_floor = _number(sim_section, "variance_floor", 0.0, problems, "simulation.")
+    sim = SimConfig(n_paths=1)
+    if None not in (n_paths, seed, psd_floor, variance_floor):
+        try:
+            sim = SimConfig(
+                n_paths=n_paths,
+                seed=seed,
+                psd_floor=psd_floor,
+                variance_floor=variance_floor,
+                antithetic=bool(sim_section.get("antithetic", False)),
+            )
+        except ValueError as exc:
+            problems.append(f"simulation section: {exc}")
 
-    output = raw.get("output") or {}
+    output = _section(raw, "output", problems)
     out_dir = Path(output.get("directory", "out"))
     formats = tuple(output.get("formats", ["csv"]))
     bad = [f for f in formats if f not in ("csv", "svg", "json")]
     if bad:
         problems.append(f"unsupported output formats: {bad}")
 
-    x0 = float(raw.get("x0", 1.0))
-    if x0 <= 0:
+    x0 = _number(raw, "x0", 1.0, problems)
+    if x0 is not None and x0 <= 0:
         problems.append("x0 must be positive")
 
     sweep_axis = None
@@ -668,24 +710,17 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
             report.metrics[f"{key}[{_slug(value)}]"] = metric
         nodes = sub.grid.nodes
         d = strat.d
-        vtext = _sweep_value_text(value)
         for j in range(sub.grid.n_steps + 1):
             for i in range(d):
-                rows.append([axis, vtext, nodes[j], f"pi_{i + 1}", strat.weights[j, i]])
+                rows.append([axis, value, nodes[j], f"pi_{i + 1}", strat.weights[j, i]])
             for i in range(d):
-                rows.append([axis, vtext, nodes[j], f"hedge_{i + 1}", strat.hedging[j, i]])
+                rows.append([axis, value, nodes[j], f"hedge_{i + 1}", strat.hedging[j, i]])
     combined = config.out_dir / f"{config.kind}_combined.csv"
     _write_csv(combined, ["sweep_param", "sweep_value", "t", "series", "value"], rows)
     report.outputs.append(str(combined))
     _write_report(config, report, config.kind)
     report.runtime_seconds = time.time() - started
     return report
-
-
-def _sweep_value_text(value) -> str:
-    if isinstance(value, str):
-        return value
-    return _fmt(value)
 
 
 def _slug(value) -> str:

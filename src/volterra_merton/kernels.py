@@ -228,19 +228,28 @@ def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
     )
 
 
-def corrector_row(weights: KernelWeights | StackedWeights, n: int) -> tuple[np.ndarray, np.ndarray]:
+def corrector_row(weights: StackedWeights, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights a_{j,n} (j = 0..n-1) and the newest-node weight a_{n,n}.
 
     Together these integrate the piecewise-linear interpolant of the co-factor
     exactly against K, i.e. the corrector stage of the fractional Adams scheme.
-    The row is reversed (entry 0 weights node n-1).  Stacked weights give one
-    column per component and a newest weight per component.
+    The row is reversed (entry 0 weights node n-1) and has one column per
+    component; the newest weight has one entry per component.
     """
     cell, corr = weights.cell, weights.corrector
     # built in node order and reversed once: cheaper than arithmetic on reversed slices
     row = cell[:n] - corr[1 : n + 1]
     row[: n - 1] += corr[2 : n + 1]
     return row[::-1].copy(), corr[1]
+
+
+def history_sum(row: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """Sum over past nodes j of row[j, i] * hist[j, ..., i].
+
+    Time is the first axis and components the last: column i of the state is
+    convolved with K_i, and the axes in between (paths, matrix rows) pass through.
+    """
+    return np.einsum("ji,j...i->...i", row, hist)
 
 
 def component_kernels(kernel: Kernel | Sequence[Kernel], d: int) -> list[Kernel]:
@@ -500,14 +509,14 @@ def convolve(f, g, grid: TimeGrid | None = None) -> SampledFunction:
     if isinstance(f, Kernel):
         if grid is None:
             raise ValueError("grid required when convolving a kernel")
-        weights = kernel_weights(f, grid)
+        weights = stack_weights([kernel_weights(f, grid)])
         gv = g.values
         if not np.all(np.isfinite(gv)):
             raise ValueError("co-factor must be finite at every node (including t=0)")
         out = np.zeros_like(gv)
         for n in range(1, grid.n_steps + 1):
-            row, newest = corrector_row(weights, n)
-            out[n] = np.tensordot(row, gv[:n], axes=(0, 0)) + newest * gv[n]
+            row, newest = corrector_row(weights, n)  # one column: the single kernel
+            out[n] = history_sum(row, gv[:n, ..., None])[..., 0] + newest[0] * gv[n]
         return SampledFunction(grid, out)
     # sampled * sampled: composite trapezoid over the products f(t-s) g(s)
     if grid is None:

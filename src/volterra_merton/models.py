@@ -13,6 +13,7 @@ from .kernels import (
     TimeGrid,
     component_kernels,
     corrector_row,
+    history_sum,
     kernel_weights,
     stack_weights,
 )
@@ -215,8 +216,7 @@ def expected_variance_curve(
     lhs = np.eye(d) - np.diag(weights.corrector[1]) @ B
     for n in range(1, n_steps + 1):
         row, _ = corrector_row(weights, n)
-        hist = np.einsum("jd,jd->d", row, gvals[:n])
-        sol = np.linalg.solve(lhs, forced[n] + hist)
+        sol = np.linalg.solve(lhs, forced[n] + history_sum(row, gvals[:n]))
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("expected-variance iteration diverged")
         xi[n] = sol

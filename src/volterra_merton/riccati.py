@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeGrid, component_kernels, corrector_row, kernel_weights, stack_weights
+from .kernels import TimeGrid, component_kernels, corrector_row, history_sum, kernel_weights, stack_weights
 
 __all__ = [
     "VectorRiccatiRHS",
@@ -207,15 +207,6 @@ def wishart_rhs(model) -> MatrixRiccatiRHS:
     )
 
 
-def _history(weights: np.ndarray, hist: np.ndarray) -> np.ndarray:
-    """Sum over past nodes j of weights[j, i] * hist[j, ..., i].
-
-    Column i of the state (component i of a vector, column i of a matrix)
-    is convolved with kernel K_i.
-    """
-    return np.einsum("ji,j...i->...i", weights, hist)
-
-
 def _symmetrized(state: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix state; vector states pass through."""
     return 0.5 * (state + state.T) if state.ndim == 2 else state
@@ -233,13 +224,13 @@ def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tup
     for n in range(1, n_steps + 1):
         row, newest = corrector_row(weights, n)
         hist = fvals[:n]
-        pred = _symmetrized(_history(weights.cell[n - 1 :: -1], hist))
+        pred = _symmetrized(history_sum(weights.cell[n - 1 :: -1], hist))
         pred_norm = float(np.max(np.abs(pred)))
         if pred_norm > blowup_threshold or np.isinf(pred_norm):
             blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=pred_norm)
             psi[n:] = psi[n - 1]
             break
-        val = _symmetrized(_history(row, hist) + newest * rhs(pred))
+        val = _symmetrized(history_sum(row, hist) + newest * rhs(pred))
         norm = float(np.max(np.abs(val)))
         if np.isnan(norm):
             # predictor was finite, so NaN here means bad inputs, not blow-up
@@ -304,7 +295,7 @@ def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
     mid = 0.5 * (fvals[:-1] + fvals[1:])
     worst = 0.0
     for n in range(1, grid.n_steps + 1):
-        approx = _symmetrized(_history(cell[n - 1 :: -1], mid[:n]))
+        approx = _symmetrized(history_sum(cell[n - 1 :: -1], mid[:n]))
         worst = max(worst, float(np.max(np.abs(vals[n] - approx))))
     return worst
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeGrid, kernel_weights, stack_weights
+from .kernels import TimeGrid, history_sum, kernel_weights, stack_weights
 from .merton import StrategyPath
 from .models import VectorModel, WishartModel, rate_on_grid
 
@@ -61,6 +61,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must lie in [0, 2**128), the Philox key range")
         if self.psd_floor < 0.0 or self.variance_floor < 0.0:
             raise ValueError("clip floors must be nonnegative")
         if self.antithetic and self.n_paths % 2 != 0:
@@ -144,16 +146,15 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     forced = model.input_curve(grid)
     states = np.empty((cfg.n_paths, n_steps + 1, d))
     states[:, 0, :] = forced[0]
-    shocks = np.empty((cfg.n_paths, n_steps, d))  # D V + nu sqrt(V) dB / dt, per node
+    shocks = np.empty((n_steps, cfg.n_paths, d))  # D V + nu sqrt(V) dB / dt, per node
     clipped = 0
     floor = cfg.variance_floor
     drift = model.drift
     nu = model.nu
     for n in range(1, n_steps + 1):
         v_prev = states[:, n - 1, :]
-        shocks[:, n - 1, :] = v_prev @ drift.T + nu * np.sqrt(np.maximum(v_prev, 0.0)) * db[:, n - 1, :] / dt
-        w_rev = cell[n - 1 :: -1]
-        vn = forced[n] + np.einsum("jd,pjd->pd", w_rev, shocks[:, :n, :])
+        shocks[n - 1] = v_prev @ drift.T + nu * np.sqrt(np.maximum(v_prev, 0.0)) * db[:, n - 1, :] / dt
+        vn = forced[n] + history_sum(cell[n - 1 :: -1], shocks[:n])
         below = vn < floor
         clipped += int(np.count_nonzero(below))
         np.maximum(vn, floor, out=vn)
@@ -183,12 +184,12 @@ def _psd_clip(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, i
 def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
     """Left-point Euler convolution scheme for the matrix Volterra equation.
 
-    Drift cells use exact kernel integrals row-wise; the two stochastic terms
-    are transposes of each other, so the transposed term reuses the weighted
-    first term.  After each update the state is symmetrized and eigenvalues
-    are clipped at psd_floor (count recorded); matrix square roots come from
-    the same symmetric eigendecomposition and are kept in the bundle, with the
-    assets' Brownian increments, for the wealth and diagnostic functionals.
+    Sigma_n = Sigma0 + sym(sum_{j<n} Z_j K) with Z_j = drift_j + 2 noise_j^T,
+    column i weighted by the cell integrals of K_i.  As sym(A^T) = sym(A), this
+    equals the scheme's row-weighted drift + noise plus the transposed
+    row-weighted noise, for distinct kernels too.  Eigenvalues are clipped at
+    psd_floor (count recorded); the roots from the same eigendecomposition are
+    kept in the bundle, with the assets' increments, for wealth and diagnostics.
     """
     d = model.d
     n_steps = grid.n_steps
@@ -204,18 +205,15 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     states = np.empty((cfg.n_paths, n_steps + 1, d, d))
     states[:, 0] = model.sigma0
     roots = np.empty((cfg.n_paths, n_steps + 1, d, d))  # Sigma^(1/2) at every node
-    roots[:, 0] = _psd_clip(np.broadcast_to(model.sigma0, (cfg.n_paths, d, d)).copy(), cfg.psd_floor)[1]
-    drift_hist = np.empty((cfg.n_paths, n_steps, d, d))
-    noise_hist = np.empty((cfg.n_paths, n_steps, d, d))
+    roots[:, 0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1]
+    hist = np.empty((n_steps, cfg.n_paths, d, d))  # Z_j, one slice per node
     clipped = 0
     for n in range(1, n_steps + 1):
         prev = states[:, n - 1]
-        drift_hist[:, n - 1] = nnt + np.einsum("ab,pbc->pac", M, prev) + np.einsum("pab,cb->pac", prev, M)
-        noise_hist[:, n - 1] = np.einsum("pab,pbc,cd->pad", roots[:, n - 1], dws[:, n - 1], Q) / dt
-        w_rev = cell[n - 1 :: -1]
-        left = np.einsum("ja,pjab->pab", w_rev, drift_hist[:, :n] + noise_hist[:, :n])
-        right = np.einsum("ja,pjab->pab", w_rev, noise_hist[:, :n]).transpose(0, 2, 1)
-        sigma = model.sigma0 + left + right
+        drift = nnt + np.einsum("ab,pbc->pac", M, prev) + np.einsum("pab,cb->pac", prev, M)
+        noise_t = np.einsum("pab,pbc,cd->pda", roots[:, n - 1], dws[:, n - 1], Q)  # (root dW Q)^T
+        hist[n - 1] = drift + noise_t * (2.0 / dt)
+        sigma = model.sigma0 + history_sum(cell[n - 1 :: -1], hist[:n])
         sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
         if not np.all(np.isfinite(sigma)):
             bad = int(np.nonzero(~np.isfinite(sigma).reshape(cfg.n_paths, -1).all(axis=1))[0][0])

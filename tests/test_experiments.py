@@ -351,3 +351,40 @@ class TestCli:
 
     def test_format_override_rejects_unknown(self, tmp_path, capsys):
         assert cli_main(["strategy", "--config", "bpt10_wishart", "--out", str(tmp_path), "--format", "pdf"]) == 1
+
+    @pytest.mark.parametrize(
+        "section, key, text",
+        [
+            ("numerics", "horizon", ".nan"),
+            ("numerics", "horizon", ".inf"),
+            ("numerics", "horizon", "abc"),
+            ("numerics", "n_steps", "1e9"),
+            (None, "x0", ".nan"),
+            ("numerics", "blowup_threshold", ".nan"),
+            ("simulation", "n_paths", "2.5"),
+            ("simulation", "seed", "-1"),
+        ],
+    )
+    def test_bad_numeric_field_is_one_config_record(self, tmp_path, capsys, section, key, text):
+        raw = vector_config(tmp_path)
+        (raw.setdefault(section, {}) if section else raw)[key] = "PROBE"
+        cfg = tmp_path / "probe.yaml"
+        cfg.write_text(yaml.safe_dump(raw).replace("PROBE", text))
+        assert cli_main(["strategy", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["code"] == 1
+        assert any(key in problem for problem in record["error"]["problems"])
+        assert captured.err == ""
+        assert not (tmp_path / "strategy.csv").exists()
+
+    def test_report_config_shows_overrides(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        args = ["strategy", "--config", "bpt10_wishart", "--steps", "50", "--format", "csv,json", "--out", str(out)]
+        assert cli_main(args) == 0
+        capsys.readouterr()
+        assert len((out / "strategy.csv").read_text().splitlines()) == 1 + 51
+        config = json.loads((out / "strategy_report.json").read_text())["config"]
+        assert config["numerics"]["n_steps"] == 50
+        assert config["output"]["formats"] == ["csv", "json"]
+        assert config["output"]["directory"] == str(out)
