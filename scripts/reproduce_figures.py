@@ -9,7 +9,7 @@ vol-of-vol study into --out (default ./out), one subdirectory per preset.
 import argparse
 from pathlib import Path
 
-from volterra_merton.experiments import load_config, run
+from volterra_merton.experiments import config_from_dict, read_config, run, with_overrides
 
 PRESETS = [
     "bpt10_wishart",
@@ -21,16 +21,18 @@ PRESETS = [
 ]
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output root directory")
     parser.add_argument("--steps", type=int, default=None, help="override time steps")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     root = Path(args.out)
     for name in PRESETS:
-        config = load_config(name).replaced(out_dir=root / name, formats=("csv", "svg", "json"))
-        if args.steps is not None:
-            config = config.replaced(n_steps=args.steps)
+        config = config_from_dict(with_overrides(read_config(name), {
+            "output.directory": str(root / name),
+            "output.formats": ["csv", "svg", "json"],
+            "numerics.n_steps": args.steps,
+        }))
         report = run(config)
         print(f"{name}: {len(report.outputs)} files in {root / name} "
               f"({report.runtime_seconds:.1f}s)")

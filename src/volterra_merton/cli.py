@@ -19,6 +19,7 @@ from .experiments import (
     config_from_dict,
     read_config,
     run,
+    with_overrides,
 )
 from .riccati import RiccatiBlowUpError
 from .simulate import SimulationError
@@ -53,23 +54,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> None:
-    """Write the command-line overrides into the config mapping before validation."""
-    formats = None if args.format is None else [f.strip() for f in args.format.split(",") if f.strip()]
-    for section, key, value in (
-        ("output", "directory", args.out),
-        ("simulation", "seed", args.seed),
-        ("numerics", "n_steps", args.steps),
-        ("output", "formats", formats),
-    ):
-        if value is None:
-            continue
-        if raw.get(section) is None:
-            raw[section] = {}
-        if isinstance(raw[section], dict):  # a malformed section is reported by validation
-            raw[section][key] = value
-
-
 def _error_record(code: int, kind: str, message: str, **extra) -> str:
     record = {"error": {"code": code, "kind": kind, "message": message, **extra}}
     return json.dumps(record, sort_keys=True)
@@ -78,8 +62,13 @@ def _error_record(code: int, kind: str, message: str, **extra) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        raw = read_config(args.config)
-        _apply_overrides(raw, args)
+        formats = None if args.format is None else [f.strip() for f in args.format.split(",") if f.strip()]
+        raw = with_overrides(read_config(args.config), {
+            "output.directory": args.out,
+            "simulation.seed": args.seed,
+            "numerics.n_steps": args.steps,
+            "output.formats": formats,
+        })
         config = config_from_dict(raw)
         allowed = _SUBCOMMAND_KINDS[args.command]
         if config.kind not in allowed:

@@ -107,6 +107,7 @@ class ExperimentConfig:
         return TimeGrid(self.horizon, self.n_steps)
 
     def replaced(self, **model_and_numerics) -> "ExperimentConfig":
+        """A copy with fields swapped; its ``echo`` is still the mapping it was parsed from."""
         return dataclasses.replace(self, **model_and_numerics)
 
 
@@ -275,8 +276,10 @@ def read_config(path_or_preset: str | Path) -> dict:
 
 
 def _section(raw: dict, name: str, problems: list[str]) -> dict:
-    """A config section as a mapping; a missing or empty one is an empty mapping."""
-    node = raw.get(name) or {}
+    """A config section as a mapping; a missing or null one is an empty mapping."""
+    node = raw.get(name)
+    if node is None:
+        return {}
     if not isinstance(node, dict):
         problems.append(f"'{name}' must be a mapping")
         return {}
@@ -284,21 +287,51 @@ def _section(raw: dict, name: str, problems: list[str]) -> dict:
 
 
 def _number(section: dict, key: str, default, problems: list[str], prefix: str = "", integer: bool = False):
-    """A finite number (an integral one if ``integer``) from a section, or None after a problem."""
+    """A finite number (an integral one if ``integer``) from a section, or None after a problem.
+
+    Text is read with ``int`` or ``float`` by the field's type, because YAML loads
+    ``1e-8`` and ``1.0e8`` as strings; ``int`` refuses ``1e9``.
+    """
     value = section.get(key, default)
     label = prefix + key
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
         problems.append(f"{label} must be a number (got {value!r})")
         return None
-    if not math.isfinite(value):
+    try:
+        parsed = (int(value) if integer else float(value)) if isinstance(value, str) else value
+        number = float(parsed)
+    except ValueError:
+        problems.append(f"{label} must be {'an integer' if integer else 'a number'} (got {value!r})")
+        return None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         problems.append(f"{label} must be finite (got {value!r})")
         return None
     if integer:
-        if not float(value).is_integer():
+        if not number.is_integer():
             problems.append(f"{label} must be an integer (got {value!r})")
             return None
-        return int(value)
-    return float(value)
+        return int(parsed)
+    return number
+
+
+def with_overrides(raw: dict, overrides: dict) -> dict:
+    """``raw`` with each ``"section.key": value`` of ``overrides`` written in; None values are skipped.
+
+    Overrides go into the mapping before ``config_from_dict``, so they are validated like the
+    file's own fields and show in the report's ``config``.  A missing section is created; a
+    malformed one is left for validation to report.
+    """
+    for dotted, value in overrides.items():
+        if value is None:
+            continue
+        section, key = dotted.split(".")
+        if raw.get(section) is None:
+            raw[section] = {}
+        if isinstance(raw[section], dict):
+            raw[section][key] = value
+    return raw
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

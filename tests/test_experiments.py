@@ -1,6 +1,8 @@
 """Config loading, experiment pipelines, CSV contracts, CLI exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from volterra_merton.experiments import (
     run,
     sweep,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_VECTOR = {
     "kind": "strategy",
@@ -98,6 +102,32 @@ class TestLoadConfig:
     def test_unknown_preset_lists_alternatives(self):
         with pytest.raises(ConfigError, match="available"):
             load_config("no_such_preset")
+
+    def test_readme_numeric_lines_load(self, tmp_path):
+        # YAML reads 1.0e8 (no signed exponent) as a string; float fields still take it
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        raw = vector_config(tmp_path)
+        for section in ("numerics", "simulation"):
+            (line,) = [ln for ln in lines if ln.startswith(section + ":")]
+            raw.update(yaml.safe_load(line))
+        assert isinstance(raw["numerics"]["blowup_threshold"], str)
+        config = config_from_dict(raw)
+        assert config.blowup_threshold == 1.0e8
+        assert (config.horizon, config.n_steps, config.sim.n_paths) == (1.0, 1000, 10000)
+
+    @pytest.mark.parametrize("section, key, text, value", [
+        ("simulation", "psd_floor", "1e-8", 1e-8),
+        ("numerics", "blowup_threshold", "1e12", 1e12),
+        ("numerics", "horizon", "'2.5'", 2.5),
+        ("simulation", "seed", "'7'", 7),
+    ])
+    def test_numeric_text_is_read_by_field_type(self, tmp_path, section, key, text, value):
+        raw = vector_config(tmp_path)
+        raw.setdefault(section, {})[key] = "PROBE"
+        config = config_from_dict(yaml.safe_load(yaml.safe_dump(raw).replace("PROBE", text)))
+        got = {"psd_floor": config.sim.psd_floor, "blowup_threshold": config.blowup_threshold,
+               "horizon": config.horizon, "seed": config.sim.seed}[key]
+        assert got == value and type(got) is type(value)
 
 
 class TestRunPipelines:
@@ -363,6 +393,8 @@ class TestCli:
             ("numerics", "blowup_threshold", ".nan"),
             ("simulation", "n_paths", "2.5"),
             ("simulation", "seed", "-1"),
+            pytest.param("simulation", "seed", "9" * 400, id="seed-400-digits"),
+            pytest.param("numerics", "horizon", "9" * 400, id="horizon-400-digits"),
         ],
     )
     def test_bad_numeric_field_is_one_config_record(self, tmp_path, capsys, section, key, text):
@@ -388,3 +420,26 @@ class TestCli:
         assert config["numerics"]["n_steps"] == 50
         assert config["output"]["formats"] == ["csv", "json"]
         assert config["output"]["directory"] == str(out)
+
+    def test_malformed_section_keeps_override_unapplied(self, tmp_path, capsys):
+        raw = vector_config(tmp_path)
+        raw["output"] = []
+        cfg = tmp_path / "probe.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["strategy", "--config", str(cfg), "--out", str(tmp_path / "D")]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["problems"] == ["'output' must be a mapping"]
+        assert not (tmp_path / "D").exists()
+
+
+def test_reproduce_figures_reports_show_overrides(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--out", str(tmp_path), "--steps", "20"])
+    capsys.readouterr()
+    for name in script.PRESETS:
+        (report,) = (tmp_path / name).glob("*_report.json")
+        config = json.loads(report.read_text())["config"]
+        assert config["numerics"]["n_steps"] == 20
+        assert config["output"] == {"directory": str(tmp_path / name), "formats": ["csv", "svg", "json"]}
