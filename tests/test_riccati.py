@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BPT10_M, BPT10_Q, BPT10_RHO, BPT10_V, make_degenerate_pair, make_wishart, rk4_path
-from volterra_merton.kernels import Kernel, TimeGrid
-from volterra_merton.models import VectorModel, distortion_constant
+from volterra_merton.kernels import Kernel, SampledFunction, TimeGrid, convolve, kernel_weights
+from volterra_merton.models import VectorModel, distortion_constant, expected_variance_curve, lambda_matrix
 from volterra_merton.riccati import (
     MatrixRiccatiRHS,
     RiccatiBlowUpError,
@@ -325,3 +325,144 @@ class TestFixedPointResidual:
         path = solve_riccati_vector(k, rhs, TimeGrid(1.0, 2000))
         bad = RiccatiPath(path.grid, path.values * 1.1, None, np.nan)
         assert fixed_point_residual(bad, [k], rhs) > 10.0 * path.residual
+
+
+# ---------------------------------------------------------------------------
+# Long grids against the history sums written out node by node
+# ---------------------------------------------------------------------------
+
+
+def _stacked(kernels, grid):
+    ws = [kernel_weights(k, grid) for k in kernels]
+    return np.stack([w.cell for w in ws], axis=1), np.stack([w.corrector for w in ws], axis=1)
+
+
+def _direct_sum(row, hist):
+    return np.einsum("ji,j...i->...i", row, hist)
+
+
+def _corrector_weights(cell, corr, n):
+    """Trapezoidal product weights of nodes 0..n-1 at node n, in node order."""
+    row = cell[:n] - corr[1 : n + 1]
+    row[: n - 1] += corr[2 : n + 1]
+    return row[::-1]
+
+
+def direct_pece(kernels, rhs, grid, shape, threshold=1e8):
+    """PECE with every predictor and corrector sum taken over all past nodes.
+
+    Returns the path up to the first node that exceeds the threshold and the
+    index of that node (None without blow-up).
+    """
+    cell, corr = _stacked(kernels, grid)
+    sym = (lambda a: 0.5 * (a + a.T)) if len(shape) == 2 else (lambda a: a)
+    psi = np.zeros((grid.n_steps + 1,) + shape)
+    fvals = np.empty_like(psi)
+    fvals[0] = rhs(psi[0])
+    for n in range(1, grid.n_steps + 1):
+        pred = sym(_direct_sum(cell[n - 1 :: -1], fvals[:n]))
+        if np.max(np.abs(pred)) > threshold:
+            return psi[:n], n
+        val = sym(_direct_sum(_corrector_weights(cell, corr, n), fvals[:n]) + corr[1] * rhs(pred))
+        if np.max(np.abs(val)) > threshold:
+            return psi[:n], n
+        psi[n] = val
+        fvals[n] = rhs(val)
+    return psi, None
+
+
+def direct_residual(path, kernels, rhs):
+    cell, _ = _stacked(kernels, path.grid)
+    vals = path.values
+    fvals = np.array([rhs(v) for v in vals])
+    mid = 0.5 * (fvals[:-1] + fvals[1:])
+    sym = (lambda a: 0.5 * (a + a.T)) if vals.ndim == 3 else (lambda a: a)
+    return max(
+        float(np.max(np.abs(vals[n] - sym(_direct_sum(cell[n - 1 :: -1], mid[:n])))))
+        for n in range(1, path.grid.n_steps + 1)
+    )
+
+
+def assert_matches_direct(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.max(np.abs(want)))
+
+
+class TestLongGridsAgainstDirectSums:
+    """Grids well above the solvers' block length agree with the direct sums."""
+
+    RHS = VectorRiccatiRHS(const=[0.5], linear=[[-1.15]], quad=[0.3])
+
+    @pytest.mark.parametrize("kernel", [Kernel.fractional(1.0, 0.6), Kernel.gamma(1.0, 0.8, 0.7)])
+    def test_vector_single_kernel(self, kernel):
+        grid = TimeGrid(1.0, 3000)
+        path = solve_riccati_vector(kernel, self.RHS, grid)
+        want, stop = direct_pece([kernel], self.RHS, grid, (1,))
+        assert stop is None and path.blowup is None
+        assert_matches_direct(path.values, want)
+        assert abs(path.residual - direct_residual(path, [kernel], self.RHS)) <= 1e-13
+
+    def test_vector_mixed_components(self):
+        rhs = VectorRiccatiRHS(const=[0.5, 0.4], linear=[[-1.0, 0.2], [0.1, -1.3]], quad=[0.5, 0.3])
+        kernels = [Kernel.fractional(1.0, 0.6), Kernel.exponential(1.5, 2.0)]
+        grid = TimeGrid(1.0, 3000)
+        path = solve_riccati_vector(kernels, rhs, grid)
+        want, _ = direct_pece(kernels, rhs, grid, (2,))
+        assert_matches_direct(path.values, want)
+        assert abs(path.residual - direct_residual(path, kernels, rhs)) <= 1e-13
+
+    def test_matrix_distinct_kernels(self, wishart_bpt10):
+        rhs = wishart_rhs(wishart_bpt10)
+        kernels = [Kernel.fractional(1.0, 0.95), Kernel.fractional(1.0, 0.55)]
+        grid = TimeGrid(1.0, 2000)
+        path = solve_riccati_matrix(kernels, rhs, grid)
+        want, _ = direct_pece(kernels, rhs, grid, (2, 2))
+        assert_matches_direct(path.values, want)
+        assert abs(path.residual - direct_residual(path, kernels, rhs)) <= 1e-13
+        assert abs(fixed_point_residual(path, kernels, rhs) - path.residual) <= 1e-13
+
+    def test_blowup_in_a_later_block(self):
+        # psi' = 10 + 10 psi^2 diverges at t = pi/20, near node 1257 of 8000
+        rhs = VectorRiccatiRHS(const=[10.0], linear=[[0.0]], quad=[10.0])
+        grid = TimeGrid(1.0, 8000)
+        path = solve_riccati_vector(Kernel.constant(1.0), rhs, grid)
+        want, stop = direct_pece([Kernel.constant(1.0)], rhs, grid, (1,))
+        assert stop is not None and stop > 1024
+        assert path.blowup is not None
+        assert path.blowup.detected_at == grid.nodes[stop - 1]
+        assert_matches_direct(path.values[:stop], want)
+        assert np.all(path.values[stop:] == path.values[stop - 1])
+
+
+class TestLongLinearSumsAgainstDirectSums:
+    def test_expected_variance_curve(self):
+        m = VectorModel(
+            theta=[1.0, 0.8], nu=[0.3, 0.25], drift=[[-1.0, 0.1], [0.05, -1.2]], rho=[-0.5, -0.3],
+            v0=[0.04, 0.06], gamma=0.5, kernel=[Kernel.fractional(1.0, 0.6), Kernel.gamma(1.0, 0.5, 0.8)],
+            b0=[0.02, 0.01],
+        )
+        grid = TimeGrid(2.0, 3000)
+        B = lambda_matrix(m)
+        cell, corr = _stacked(m.kernel, grid)
+        forced = m.input_curve(grid)
+        lhs = np.eye(2) - np.diag(corr[1]) @ B
+        want = np.zeros((grid.n_steps + 1, 2))
+        want[0] = forced[0]
+        gvals = np.empty_like(want)
+        gvals[0] = B @ want[0]
+        for n in range(1, grid.n_steps + 1):
+            hist = _direct_sum(_corrector_weights(cell, corr, n), gvals[:n])
+            want[n] = np.linalg.solve(lhs, forced[n] + hist)
+            gvals[n] = B @ want[n]
+        assert_matches_direct(expected_variance_curve(m, grid).values, want)
+
+    def test_convolve_kernel_against_matrix_cofactor(self):
+        grid = TimeGrid(1.0, 3000)
+        t = grid.nodes
+        g = np.stack([np.cos(3.0 * t), 1.0 + t**2, np.exp(-t), np.sin(t)], axis=1).reshape(-1, 2, 2)
+        kernel = Kernel.fractional(1.0, 0.6)
+        cell, corr = _stacked([kernel], grid)
+        want = np.zeros_like(g)
+        for n in range(1, grid.n_steps + 1):
+            row = _corrector_weights(cell, corr, n)
+            want[n] = _direct_sum(row, g[:n, ..., None])[..., 0] + corr[1, 0] * g[n]
+        assert_matches_direct(convolve(kernel, SampledFunction(grid, g), grid).values, want)
