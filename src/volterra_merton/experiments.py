@@ -76,6 +76,8 @@ _SWEEP_AXES = {
     "correlation-study": "correlation",
     "volofvol-study": "volofvol_scale",
 }
+# correlation-study regimes: factor on the off-diagonal entries of M and Q
+_REGIMES = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
 THREADS_ENV = "VOLTERRA_MERTON_THREADS"
 
 
@@ -334,6 +336,31 @@ def with_overrides(raw: dict, overrides: dict) -> dict:
     return raw
 
 
+def _check_sweep_values(axis: str, values: list, model, problems: list[str]) -> None:
+    """Report every sweep value that no sweep point could be built from."""
+    if axis == "correlation":
+        problems.extend(
+            f"sweep.correlation values must be positive|zero|negative (got {value!r})"
+            for value in values
+            if str(value) not in _REGIMES
+        )
+        return
+    for value in values:
+        number = _number({axis: value}, axis, None, problems, "sweep.")
+        if number is None:
+            continue
+        if axis == "alpha" and model is not None:
+            try:
+                for k in model.kernel:
+                    Kernel(k.family, k.c, alpha=number, lam=k.lam)
+            except ValueError as exc:
+                problems.append(f"sweep.alpha {value!r}: {exc}")
+        elif axis == "horizon" and number <= 0:
+            problems.append(f"sweep.horizon values must be positive (got {value!r})")
+        elif axis == "gamma" and not 0.0 < number < 1.0:
+            problems.append(f"sweep.gamma values must lie in (0, 1) (got {value!r})")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     problems: list[str] = []
     kind = raw.get("kind")
@@ -373,8 +400,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             problems.append(f"simulation section: {exc}")
 
     output = _section(raw, "output", problems)
-    out_dir = Path(output.get("directory", "out"))
-    formats = tuple(output.get("formats", ["csv"]))
+    directory = output.get("directory", "out")
+    if not isinstance(directory, str):
+        problems.append(f"output.directory must be a path (got {directory!r})")
+    out_dir = Path(str(directory))
+    formats = output.get("formats", ["csv"])
+    if not isinstance(formats, (list, tuple)):
+        problems.append(f"output.formats must be a list drawn from csv, svg, json (got {formats!r})")
+        formats = ()
+    formats = tuple(formats)
     bad = [f for f in formats if f not in ("csv", "svg", "json")]
     if bad:
         problems.append(f"unsupported output formats: {bad}")
@@ -403,6 +437,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                     problems.append("sweep values must be a nonempty list")
                 else:
                     sweep_values = tuple(values)
+                    _check_sweep_values(sweep_axis, values, model, problems)
     elif sweep_section:
         problems.append(f"kind {kind} does not take a sweep section")
 
@@ -666,9 +701,9 @@ def _point_config(config: ExperimentConfig, value) -> ExperimentConfig:
         # asset-correlation regime: sign of the off-diagonal entries of M and Q
         # ('zero' drops them, 'negative' flips them, 'positive' keeps them)
         regime = str(value)
-        if regime not in ("positive", "zero", "negative"):
+        if regime not in _REGIMES:
             raise ConfigError([f"correlation values must be positive|zero|negative, got {regime!r}"])
-        factor = {"positive": 1.0, "zero": 0.0, "negative": -1.0}[regime]
+        factor = _REGIMES[regime]
         def off_scaled(mat):
             out = np.array(mat, dtype=float, copy=True)
             diag = np.diag(np.diag(out))

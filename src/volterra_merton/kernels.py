@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import special as sps
 from scipy.integrate import quad
 
@@ -219,6 +220,27 @@ class StackedWeights:
     cell: np.ndarray
     corrector: np.ndarray
 
+    def predictor_lags(self) -> LagWeights:
+        """Left-rectangle weights: lag L weighs cell[L-1], node 0 included."""
+        lag = np.zeros((len(self.cell) + 1, self.cell.shape[1]))
+        lag[1:] = self.cell
+        return LagWeights(lag)
+
+    def corrector_lags(self) -> LagWeights:
+        """Trapezoidal weights a_{k,n} of the nodes before n, by lag.
+
+        Lag L weighs cell[L-1] - corrector[L] + corrector[L+1]; node 0 weighs
+        cell[n-1] - corrector[n].  Together with corrector[1] on node n they
+        integrate the piecewise-linear interpolant of the co-factor exactly
+        against K, the corrector stage of the fractional Adams scheme.
+        """
+        cell, corr = self.cell, self.corrector
+        head = np.zeros((len(cell) + 1, cell.shape[1]))
+        head[1:] = cell - corr[1:]
+        lag = head.copy()
+        lag[1:-1] += corr[2:]  # lag N is node 0's at node N, never read
+        return LagWeights(lag, head)
+
 
 def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
     """Stack per-component weights column by column."""
@@ -228,21 +250,6 @@ def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
     )
 
 
-def corrector_row(weights: StackedWeights, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights a_{j,n} (j = 0..n-1) and the newest-node weight a_{n,n}.
-
-    Together these integrate the piecewise-linear interpolant of the co-factor
-    exactly against K, i.e. the corrector stage of the fractional Adams scheme.
-    The row is reversed (entry 0 weights node n-1) and has one column per
-    component; the newest weight has one entry per component.
-    """
-    cell, corr = weights.cell, weights.corrector
-    # built in node order and reversed once: cheaper than arithmetic on reversed slices
-    row = cell[:n] - corr[1 : n + 1]
-    row[: n - 1] += corr[2 : n + 1]
-    return row[::-1].copy(), corr[1]
-
-
 def history_sum(row: np.ndarray, hist: np.ndarray) -> np.ndarray:
     """Sum over past nodes j of row[j, i] * hist[j, ..., i].
 
@@ -250,6 +257,102 @@ def history_sum(row: np.ndarray, hist: np.ndarray) -> np.ndarray:
     convolved with K_i, and the axes in between (paths, matrix rows) pass through.
     """
     return np.einsum("ji,j...i->...i", row, hist)
+
+
+# Sums over at most BLOCK past nodes are taken directly.  On longer grids each
+# closed block of BLOCK nodes reaches every later node through one FFT
+# convolution; a grid of at most BLOCK steps closes no block.
+BLOCK = 512
+
+
+@dataclass(frozen=True)
+class LagWeights:
+    """History weights that depend on the lag L = n - k only, one column per component.
+
+    Row L of ``lag`` (row 0 is zero) weights node k = n - L in the sum at node
+    n.  Where ``head`` is given, its row n weights node 0 instead.
+    """
+
+    lag: np.ndarray
+    head: np.ndarray | None = None
+
+
+def _columns(weights: np.ndarray, ndim: int) -> np.ndarray:
+    """(rows, d) weights shaped to broadcast against a (rows, ..., d) co-factor."""
+    return weights.reshape(weights.shape[:1] + (1,) * (ndim - 2) + weights.shape[1:])
+
+
+def _lag_spectrum(weights: LagWeights, size: int, ndim: int) -> np.ndarray:
+    return _columns(sp_fft.rfft(weights.lag, size, axis=0), ndim)
+
+
+def _fft_sums(weights: LagWeights, block: np.ndarray, start: int, spectrum: np.ndarray, size: int) -> np.ndarray:
+    """Share of the block (nodes start, start + 1, ...) in the sums at nodes start + j, j < size.
+
+    One FFT convolution; ``size`` must cover the block plus every lag read, so
+    that nothing wraps around onto the nodes read.
+    """
+    head = weights.head if start == 0 else None
+    if head is not None:
+        first = block[0]
+        block = block.copy()
+        block[0] = 0.0
+    out = sp_fft.irfft(sp_fft.rfft(block, size, axis=0) * spectrum, size, axis=0)
+    if head is not None:
+        out[1 : len(head)] += _columns(head[1:], block.ndim) * first
+    return out
+
+
+class HistorySums:
+    """Running sums s_n = sum over k < n of the lag weights times values[k].
+
+    ``values`` (time first, components last) may still be filling: s_n reads
+    values[:n], and n must run 1, 2, ... in turn.  The open block of at most
+    BLOCK nodes is summed with ``history_sum``; once it is full, one FFT adds
+    its share to every later node.  A block holding a non-finite value stays
+    open, so that an overflow reaches later sums as in the direct sum rather
+    than as NaN smeared by the FFT.
+    """
+
+    def __init__(self, weights: LagWeights, values: np.ndarray):
+        n_steps = len(weights.lag) - 1
+        self.weights = weights
+        self.values = values
+        self._start = 0  # first node of the open block
+        self._closed = None  # share of the closed blocks, per node
+        if n_steps > BLOCK:
+            self._size = sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True)
+            self._spectrum = _lag_spectrum(weights, self._size, values.ndim)
+            self._closed = np.zeros((n_steps + 1,) + values.shape[1:])
+
+    def __call__(self, n: int) -> np.ndarray:
+        start = self._start
+        if self._closed is not None and n - start == BLOCK and np.all(np.isfinite(self.values[start:n])):
+            shares = _fft_sums(self.weights, self.values[start:n], start, self._spectrum, self._size)
+            self._closed[n:] += shares[n - start : len(self._closed) - start]
+            start = self._start = n
+        row = self.weights.lag[n - start : 0 : -1]  # lags of nodes start..n-1
+        if start == 0 and self.weights.head is not None:
+            row = row.copy()
+            row[0] = self.weights.head[n]
+        direct = history_sum(row, self.values[start:n])
+        return direct if start == 0 else self._closed[n] + direct
+
+
+def causal_sums(weights: LagWeights, values: np.ndarray) -> np.ndarray:
+    """s_n of ``HistorySums`` for n = 1..N at once, every value being known.
+
+    Grids of at most BLOCK steps, and values with a non-finite entry, go
+    through ``HistorySums``; other grids take one FFT convolution over the
+    whole array.
+    """
+    n_steps = len(weights.lag) - 1
+    if n_steps <= BLOCK or not np.all(np.isfinite(values)):
+        sums = HistorySums(weights, values)
+        return np.array([sums(n) for n in range(1, n_steps + 1)])
+    size = sp_fft.next_fast_len(len(values) + n_steps, real=True)
+    spectrum = _lag_spectrum(weights, size, values.ndim)
+    return _fft_sums(weights, values, 0, spectrum, size)[1 : n_steps + 1]
 
 
 def component_kernels(kernel: Kernel | Sequence[Kernel], d: int) -> list[Kernel]:
@@ -509,14 +612,12 @@ def convolve(f, g, grid: TimeGrid | None = None) -> SampledFunction:
     if isinstance(f, Kernel):
         if grid is None:
             raise ValueError("grid required when convolving a kernel")
-        weights = stack_weights([kernel_weights(f, grid)])
+        weights = stack_weights([kernel_weights(f, grid)])  # one column: the single kernel
         gv = g.values
         if not np.all(np.isfinite(gv)):
             raise ValueError("co-factor must be finite at every node (including t=0)")
         out = np.zeros_like(gv)
-        for n in range(1, grid.n_steps + 1):
-            row, newest = corrector_row(weights, n)  # one column: the single kernel
-            out[n] = history_sum(row, gv[:n, ..., None])[..., 0] + newest[0] * gv[n]
+        out[1:] = causal_sums(weights.corrector_lags(), gv[..., None])[..., 0] + weights.corrector[1, 0] * gv[1:]
         return SampledFunction(grid, out)
     # sampled * sampled: composite trapezoid over the products f(t-s) g(s)
     if grid is None:
@@ -633,12 +734,12 @@ def _kernel_conv_first_kind(kernel: Kernel, res: FirstKindResolvent, grid: TimeG
         out[1:] = res.atom * c * np.exp(-lam * t[1:]) + dens * np.cumsum(cells)
         out[0] = res.atom * c
         return out
-    # exact two-power cell integrals of (t-s)^(a-1) s^-a summed per node: the
-    # fractional curve, and the doubly singular term of the gamma curve
+    # exact two-power integral of (t-s)^(a-1) s^-a over [0, t]: the fractional
+    # curve, and the doubly singular term of the gamma curve.  Its cell masses
+    # telescope to the whole incomplete-beta range, the same at every node.
     scale = float(sps.rgamma(al) * sps.rgamma(1.0 - al) * sps.beta(1.0 - al, al))
     out[0] = np.nan
-    for n in range(1, n_steps + 1):
-        out[n] = scale * float(np.sum(np.diff(sps.betainc(1.0 - al, al, np.arange(n + 1) / n))))
+    out[1:] = scale * float(sps.betainc(1.0 - al, al, 1.0) - sps.betainc(1.0 - al, al, 0.0))
     if kernel.family == "fractional" or lam == 0.0:
         return out
 

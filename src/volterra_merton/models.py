@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .kernels import (
+    HistorySums,
     Kernel,
     SampledFunction,
     TimeGrid,
     component_kernels,
-    corrector_row,
-    history_sum,
     kernel_weights,
     stack_weights,
 )
@@ -141,7 +142,16 @@ def validate(model) -> list[str]:
     An empty list means the model is admissible; violations are data, not
     exceptions, so configuration loaders can report them all at once.
     """
-    violations: list[str] = []
+    if not isinstance(model, (VectorModel, WishartModel)):
+        raise TypeError(f"unsupported model type {type(model)!r}")
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+    violations = [
+        f"{name} has non-finite entries"
+        for name, value in fields.items()
+        if isinstance(value, np.ndarray) and not np.all(np.isfinite(value))
+    ]
+    if not callable(model.rate) and not math.isfinite(model.rate):
+        violations.append("rate is not finite")
     if isinstance(model, VectorModel):
         rho = model.rho
         for template, bad in (
@@ -153,19 +163,17 @@ def validate(model) -> list[str]:
             ("b0[{}] < 0", model.b0 < 0.0),
         ):
             violations.extend(template.format(*idx) for idx in np.argwhere(bad))
-    elif isinstance(model, WishartModel):
+    else:
         rho = model.rho
         if float(rho @ rho) > 1.0 + 1e-12:
             violations.append("rho^T rho > 1")
         sigma0 = model.sigma0
         if not np.allclose(sigma0, sigma0.T, atol=1e-12, rtol=0.0):
             violations.append("sigma0 not symmetric")
-        else:
+        elif np.all(np.isfinite(sigma0)):  # a non-finite sigma0 is reported above
             smallest = float(np.linalg.eigvalsh(0.5 * (sigma0 + sigma0.T)).min())
             if smallest <= _PD_FLOOR:
                 violations.append(f"sigma0 not positive definite (min eigenvalue {smallest:.3e})")
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
     if not 0.0 < model.gamma < 1.0:
         violations.append("gamma outside (0, 1)")
     return violations
@@ -214,9 +222,9 @@ def expected_variance_curve(
     gvals = np.empty_like(xi)  # g = B xi, convolved row-wise with K_i
     gvals[0] = B @ xi[0]
     lhs = np.eye(d) - np.diag(weights.corrector[1]) @ B
+    history = HistorySums(weights.corrector_lags(), gvals)
     for n in range(1, n_steps + 1):
-        row, _ = corrector_row(weights, n)
-        sol = np.linalg.solve(lhs, forced[n] + history_sum(row, gvals[:n]))
+        sol = np.linalg.solve(lhs, forced[n] + history(n))
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("expected-variance iteration diverged")
         xi[n] = sol

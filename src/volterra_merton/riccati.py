@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeGrid, component_kernels, corrector_row, history_sum, kernel_weights, stack_weights
+from .kernels import BLOCK, HistorySums, TimeGrid, causal_sums, component_kernels, kernel_weights, stack_weights
 
 __all__ = [
     "VectorRiccatiRHS",
@@ -42,7 +42,8 @@ DEFAULT_BLOWUP_THRESHOLD = 1e8
 class VectorRiccatiRHS:
     """Quadratic right-hand side F(psi) = const + psi @ linear + quad * psi**2.
 
-    psi is a row vector; ``quad`` acts componentwise.
+    psi is a row vector, or a stack of them along a leading time axis;
+    ``quad`` acts componentwise.
     """
 
     const: np.ndarray
@@ -74,7 +75,7 @@ class MatrixRiccatiRHS:
 
     ``quadratic`` (S) and ``constant`` (C) must be symmetric; f then maps
     symmetric matrices to symmetric matrices.  Evaluations are symmetrized to
-    kill floating-point asymmetry.
+    kill floating-point asymmetry.  psi may carry a leading time axis.
     """
 
     linear: np.ndarray
@@ -102,7 +103,7 @@ class MatrixRiccatiRHS:
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         out = psi @ self.linear + self.linear.T @ psi + 2.0 * psi @ self.quadratic @ psi + self.constant
-        return 0.5 * (out + out.T)
+        return _symmetrized(out, matrix=True)
 
 
 @dataclass(frozen=True)
@@ -207,30 +208,32 @@ def wishart_rhs(model) -> MatrixRiccatiRHS:
     )
 
 
-def _symmetrized(state: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix state; vector states pass through."""
-    return 0.5 * (state + state.T) if state.ndim == 2 else state
+def _symmetrized(state: np.ndarray, matrix: bool) -> np.ndarray:
+    """Symmetric part of matrix states (over the last two axes); vectors pass through."""
+    return 0.5 * (state + state.swapaxes(-1, -2)) if matrix else state
 
 
 def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tuple) -> RiccatiPath:
     """The PECE loop behind both solvers; ``shape`` is the state's, (d,) or (d, d)."""
     kernels = component_kernels(kernel, shape[-1])
     weights = stack_weights([kernel_weights(k, grid) for k in kernels])
+    matrix = len(shape) == 2
     n_steps = grid.n_steps
     psi = np.zeros((n_steps + 1,) + shape)
     fvals = np.empty_like(psi)
     fvals[0] = rhs(psi[0])
+    predictor = HistorySums(weights.predictor_lags(), fvals)
+    corrector = HistorySums(weights.corrector_lags(), fvals)
+    newest = weights.corrector[1]
     blowup = None
     for n in range(1, n_steps + 1):
-        row, newest = corrector_row(weights, n)
-        hist = fvals[:n]
-        pred = _symmetrized(history_sum(weights.cell[n - 1 :: -1], hist))
+        pred = _symmetrized(predictor(n), matrix)
         pred_norm = float(np.max(np.abs(pred)))
         if pred_norm > blowup_threshold or np.isinf(pred_norm):
             blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=pred_norm)
             psi[n:] = psi[n - 1]
             break
-        val = _symmetrized(history_sum(row, hist) + newest * rhs(pred))
+        val = _symmetrized(corrector(n) + newest * rhs(pred), matrix)
         norm = float(np.max(np.abs(val)))
         if np.isnan(norm):
             # predictor was finite, so NaN here means bad inputs, not blow-up
@@ -290,14 +293,11 @@ def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
     grid = path.grid
     vals = path.values
     kernels = component_kernels(kernel, vals.shape[1])
-    cell = stack_weights([kernel_weights(k, grid) for k in kernels]).cell
-    fvals = np.array([rhs(v) for v in vals])
+    weights = stack_weights([kernel_weights(k, grid) for k in kernels])
+    fvals = rhs(vals) if grid.n_steps > BLOCK else np.array([rhs(v) for v in vals])
     mid = 0.5 * (fvals[:-1] + fvals[1:])
-    worst = 0.0
-    for n in range(1, grid.n_steps + 1):
-        approx = _symmetrized(history_sum(cell[n - 1 :: -1], mid[:n]))
-        worst = max(worst, float(np.max(np.abs(vals[n] - approx))))
-    return worst
+    approx = _symmetrized(causal_sums(weights.predictor_lags(), mid), matrix=vals.ndim == 3)
+    return float(np.max(np.abs(vals[1:] - approx)))
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,34 @@ class TestCli:
         assert captured.err == ""
         assert not (tmp_path / "strategy.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, field, text, needle",
+        [
+            pytest.param("sweep", ("sweep", "alpha", 0), ".nan", "sweep.alpha", id="sweep-alpha-nan"),
+            pytest.param("sweep", ("sweep", "horizon", 0), "abc", "sweep.horizon", id="sweep-horizon-text"),
+            pytest.param("strategy", ("output", "formats"), "5", "output.formats", id="formats-number"),
+            pytest.param("strategy", ("output", "directory"), "5", "output.directory", id="directory-number"),
+            pytest.param("mc-check", ("model", "v0", 0), ".nan", "v0", id="mc-check-v0-nan"),
+        ],
+    )
+    def test_bad_field_is_one_config_record(self, tmp_path, capsys, command, field, text, needle):
+        kind = {"sweep": f"sweep-{field[1]}", "mc-check": "mc-check"}.get(command, "strategy")
+        raw = vector_config(tmp_path, kind=kind, simulation={"n_paths": 100})
+        if command == "sweep":
+            raw["sweep"] = {field[1]: [0.5]}
+        node = raw
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = "PROBE"
+        cfg = tmp_path / "probe.yaml"
+        cfg.write_text(yaml.safe_dump(raw).replace("PROBE", text))
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["code"] == 1
+        assert any(needle in problem for problem in record["error"]["problems"])
+        assert captured.err == ""
+
     def test_report_config_shows_overrides(self, tmp_path, capsys):
         out = tmp_path / "D"
         args = ["strategy", "--config", "bpt10_wishart", "--steps", "50", "--format", "csv,json", "--out", str(out)]

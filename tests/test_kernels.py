@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from volterra_merton.kernels import (
+    BLOCK,
+    HistorySums,
     Kernel,
+    LagWeights,
     SampledFunction,
     TimeGrid,
+    causal_sums,
     convolve,
     first_kind_residual,
     kernel_weights,
@@ -385,3 +389,37 @@ class TestFractionalDegeneracy:
         rf = resolvent_second_kind(Kernel.fractional(2.0, 1.0), grid).values
         rc = resolvent_second_kind(Kernel.constant(2.0), grid).values
         assert np.max(np.abs(rf - rc)) < 1e-10
+
+
+class TestHistorySums:
+    """Blocked running sums against the sums over all past nodes."""
+
+    @staticmethod
+    def direct(weights, values, n):
+        row = weights.lag[n:0:-1].copy()
+        if weights.head is not None:
+            row[0] = weights.head[n]
+        return np.einsum("ji,j...i->...i", row, values[:n])
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)])
+    def test_streamed_and_one_shot_sums_match_direct(self, shape):
+        rng = np.random.default_rng(5)
+        n_steps = 2 * BLOCK + 300
+        lag = np.vstack([np.zeros((1, 2)), rng.uniform(0.5, 1.0, (n_steps, 2)) / np.arange(1, n_steps + 1)[:, None]])
+        weights = LagWeights(lag, head=rng.uniform(0.0, 0.1, (n_steps + 1, 2)))
+        values = rng.normal(size=(n_steps + 1,) + shape)
+        sums = HistorySums(weights, values)
+        streamed = np.array([sums(n) for n in range(1, n_steps + 1)])
+        want = np.array([self.direct(weights, values, n) for n in range(1, n_steps + 1)])
+        np.testing.assert_allclose(streamed, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(causal_sums(weights, values), want, rtol=0.0, atol=1e-13)
+
+    def test_overflow_in_a_closing_block_stays_infinite(self):
+        n_steps = 2 * BLOCK
+        weights = LagWeights(np.vstack([[0.0], np.full((n_steps, 1), 1e-3)]))
+        values = np.ones((n_steps + 1, 1))
+        values[BLOCK - 1] = np.inf  # the last node of the first block
+        sums = HistorySums(weights, values)
+        got = [sums(n)[0] for n in range(1, BLOCK + 2)]
+        assert np.all(np.isfinite(got[: BLOCK - 1])) and np.all(np.isposinf(got[BLOCK - 1 :]))
+        assert np.all(np.isposinf(causal_sums(weights, values)[BLOCK - 1 :, 0]))

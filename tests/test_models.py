@@ -50,6 +50,18 @@ class TestValidate:
         )
         assert "rho^T rho > 1" in validate(bad)
 
+    def test_non_finite_arrays_flagged(self):
+        m = VectorModel(theta=[1.0], nu=[0.3], drift=[[-1.0]], rho=[0.0], v0=[np.nan],
+                        gamma=0.5, kernel=[Kernel.constant(1.0)])
+        assert validate(m) == ["v0 has non-finite entries"]
+        w = make_wishart()
+        bad = w.__class__(
+            mean_reversion=w.mean_reversion, vol_of_vol=w.vol_of_vol, noise=w.noise,
+            rho=w.rho, market_price=w.market_price, sigma0=[[np.inf, 0.0], [0.0, 1.0]],
+            gamma=w.gamma, kernel=w.kernel,
+        )
+        assert validate(bad) == ["sigma0 has non-finite entries"]
+
     def test_multiple_violations_reported_together(self):
         m = VectorModel(theta=[-1.0], nu=[0.3], drift=[[-1.0]], rho=[0.0], v0=[-0.04],
                         gamma=1.5, kernel=[Kernel.constant(1.0)])

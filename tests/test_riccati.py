@@ -145,6 +145,14 @@ class TestWishartRHS:
         assert np.allclose(rhs.quadratic, 0.5 * (s_tilde + s_tilde.T), rtol=1e-14)
         assert np.allclose(rhs.constant, gamma_tilde, rtol=1e-14)
 
+    def test_leading_time_axis(self, wishart_bpt10):
+        rhs = wishart_rhs(wishart_bpt10)
+        stack = np.random.default_rng(3).normal(size=(5, 2, 2))
+        stack = stack + stack.transpose(0, 2, 1)
+        np.testing.assert_allclose(rhs(stack), [rhs(v) for v in stack], rtol=1e-14, atol=1e-14)
+        vrhs = vector_rhs_general(make_degenerate_pair())
+        np.testing.assert_allclose(vrhs(stack[:, 0]), [vrhs(v) for v in stack[:, 0]], rtol=1e-14, atol=1e-14)
+
     def test_asymmetric_inputs_rejected(self):
         with pytest.raises(ValueError):
             MatrixRiccatiRHS(linear=np.eye(2), quadratic=[[1.0, 0.3], [0.0, 1.0]], constant=np.zeros((2, 2)))
