@@ -211,10 +211,10 @@ def kernel_weights(kernel: Kernel, grid: TimeGrid) -> KernelWeights:
 
 @dataclass(frozen=True)
 class StackedWeights:
-    """Product-integration weights of d component kernels, one column each.
+    """Product-integration weights of d component kernels, one row each.
 
-    ``cell`` has shape (n_steps, d) and ``corrector`` (n_steps + 1, d); row m
-    holds the same quantity as in ``KernelWeights``.
+    ``cell`` has shape (d, n_steps) and ``corrector`` (d, n_steps + 1); column
+    m holds the same quantity as in ``KernelWeights``.
     """
 
     cell: np.ndarray
@@ -222,8 +222,8 @@ class StackedWeights:
 
     def predictor_lags(self) -> LagWeights:
         """Left-rectangle weights: lag L weighs cell[L-1], node 0 included."""
-        lag = np.zeros((len(self.cell) + 1, self.cell.shape[1]))
-        lag[1:] = self.cell
+        lag = np.zeros((len(self.cell), self.cell.shape[1] + 1))
+        lag[:, 1:] = self.cell
         return LagWeights(lag)
 
     def corrector_lags(self) -> LagWeights:
@@ -235,28 +235,30 @@ class StackedWeights:
         against K, the corrector stage of the fractional Adams scheme.
         """
         cell, corr = self.cell, self.corrector
-        head = np.zeros((len(cell) + 1, cell.shape[1]))
-        head[1:] = cell - corr[1:]
+        head = np.zeros((len(cell), cell.shape[1] + 1))
+        head[:, 1:] = cell - corr[:, 1:]
         lag = head.copy()
-        lag[1:-1] += corr[2:]  # lag N is node 0's at node N, never read
+        lag[:, 1:-1] += corr[:, 2:]  # lag N is node 0's at node N, never read
         return LagWeights(lag, head)
 
 
 def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
-    """Stack per-component weights column by column."""
+    """Stack per-component weights row by row."""
     return StackedWeights(
-        cell=np.stack([w.cell for w in weights], axis=1),
-        corrector=np.stack([w.corrector for w in weights], axis=1),
+        cell=np.stack([w.cell for w in weights]),
+        corrector=np.stack([w.corrector for w in weights]),
     )
 
 
 def history_sum(row: np.ndarray, hist: np.ndarray) -> np.ndarray:
-    """Sum over past nodes j of row[j, i] * hist[j, ..., i].
+    """Sum over past nodes j of row[i, j] * hist[i, j, :], shape (d, width).
 
-    Time is the first axis and components the last: column i of the state is
-    convolved with K_i, and the axes in between (paths, matrix rows) pass through.
+    Components come first and time second: component i of the state is
+    convolved with K_i, and the last axis (paths, matrix rows) passes through.
+    The sum is one batched matrix product of each (1, n) row against its
+    (n, width) history, which BLAS takes.
     """
-    return np.einsum("ji,j...i->...i", row, hist)
+    return np.matmul(row[:, None, :], hist)[:, 0]
 
 
 # Sums over at most BLOCK past nodes are taken directly.  On longer grids each
@@ -267,92 +269,88 @@ BLOCK = 512
 
 @dataclass(frozen=True)
 class LagWeights:
-    """History weights that depend on the lag L = n - k only, one column per component.
+    """History weights that depend on the lag L = n - k only, one row per component.
 
-    Row L of ``lag`` (row 0 is zero) weights node k = n - L in the sum at node
-    n.  Where ``head`` is given, its row n weights node 0 instead.
+    Column L of ``lag`` (column 0 is zero) weights node k = n - L in the sum at
+    node n.  Where ``head`` is given, its column n weights node 0 instead.
     """
 
     lag: np.ndarray
     head: np.ndarray | None = None
 
 
-def _columns(weights: np.ndarray, ndim: int) -> np.ndarray:
-    """(rows, d) weights shaped to broadcast against a (rows, ..., d) co-factor."""
-    return weights.reshape(weights.shape[:1] + (1,) * (ndim - 2) + weights.shape[1:])
-
-
-def _lag_spectrum(weights: LagWeights, size: int, ndim: int) -> np.ndarray:
-    return _columns(sp_fft.rfft(weights.lag, size, axis=0), ndim)
+def _lag_spectrum(weights: LagWeights, size: int) -> np.ndarray:
+    return sp_fft.rfft(weights.lag, size, axis=1)[..., None]
 
 
 def _fft_sums(weights: LagWeights, block: np.ndarray, start: int, spectrum: np.ndarray, size: int) -> np.ndarray:
     """Share of the block (nodes start, start + 1, ...) in the sums at nodes start + j, j < size.
 
-    One FFT convolution; ``size`` must cover the block plus every lag read, so
-    that nothing wraps around onto the nodes read.
+    One FFT convolution along the time axis; ``size`` must cover the block
+    plus every lag read, so that nothing wraps around onto the nodes read.
     """
     head = weights.head if start == 0 else None
     if head is not None:
-        first = block[0]
+        first = block[:, 0]
         block = block.copy()
-        block[0] = 0.0
-    out = sp_fft.irfft(sp_fft.rfft(block, size, axis=0) * spectrum, size, axis=0)
+        block[:, 0] = 0.0
+    out = sp_fft.irfft(sp_fft.rfft(block, size, axis=1) * spectrum, size, axis=1)
     if head is not None:
-        out[1 : len(head)] += _columns(head[1:], block.ndim) * first
+        out[:, 1 : head.shape[1]] += head[:, 1:, None] * first[:, None]
     return out
 
 
 class HistorySums:
-    """Running sums s_n = sum over k < n of the lag weights times values[k].
+    """Running sums s_n = sum over k < n of the lag weights times values[:, k].
 
-    ``values`` (time first, components last) may still be filling: s_n reads
-    values[:n], and n must run 1, 2, ... in turn.  The open block of at most
-    BLOCK nodes is summed with ``history_sum``; once it is full, one FFT adds
-    its share to every later node.  A block holding a non-finite value stays
-    open, so that an overflow reaches later sums as in the direct sum rather
-    than as NaN smeared by the FFT.
+    ``values`` is component-major, (d, nodes, width), and may still be
+    filling: s_n, shape (d, width), reads values[:, :n], and n must run 1, 2,
+    ... in turn.  The open block of at most BLOCK nodes is summed with
+    ``history_sum``; once it is full, one FFT adds its share to every later
+    node.  A block holding a non-finite value stays open, so that an overflow
+    reaches later sums as in the direct sum rather than as NaN smeared by the
+    FFT.
     """
 
     def __init__(self, weights: LagWeights, values: np.ndarray):
-        n_steps = len(weights.lag) - 1
+        n_steps = weights.lag.shape[1] - 1
         self.weights = weights
         self.values = values
+        self._rows = weights.lag[:, :0:-1].copy()  # lags N..1, so each row is a forward slice
         self._start = 0  # first node of the open block
         self._closed = None  # share of the closed blocks, per node
         if n_steps > BLOCK:
             self._size = sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True)
-            self._spectrum = _lag_spectrum(weights, self._size, values.ndim)
-            self._closed = np.zeros((n_steps + 1,) + values.shape[1:])
+            self._spectrum = _lag_spectrum(weights, self._size)
+            self._closed = np.zeros((len(values), n_steps + 1, values.shape[2]))
 
     def __call__(self, n: int) -> np.ndarray:
         start = self._start
-        if self._closed is not None and n - start == BLOCK and np.all(np.isfinite(self.values[start:n])):
-            shares = _fft_sums(self.weights, self.values[start:n], start, self._spectrum, self._size)
-            self._closed[n:] += shares[n - start : len(self._closed) - start]
+        if self._closed is not None and n - start == BLOCK and np.all(np.isfinite(self.values[:, start:n])):
+            shares = _fft_sums(self.weights, self.values[:, start:n], start, self._spectrum, self._size)
+            self._closed[:, n:] += shares[:, n - start : self._closed.shape[1] - start]
             start = self._start = n
-        row = self.weights.lag[n - start : 0 : -1]  # lags of nodes start..n-1
+        row = self._rows[:, self._rows.shape[1] - n + start :]  # lags of nodes start..n-1
         if start == 0 and self.weights.head is not None:
             row = row.copy()
-            row[0] = self.weights.head[n]
-        direct = history_sum(row, self.values[start:n])
-        return direct if start == 0 else self._closed[n] + direct
+            row[:, 0] = self.weights.head[:, n]
+        direct = history_sum(row, self.values[:, start:n])
+        return direct if start == 0 else self._closed[:, n] + direct
 
 
 def causal_sums(weights: LagWeights, values: np.ndarray) -> np.ndarray:
     """s_n of ``HistorySums`` for n = 1..N at once, every value being known.
 
-    Grids of at most BLOCK steps, and values with a non-finite entry, go
-    through ``HistorySums``; other grids take one FFT convolution over the
-    whole array.
+    Returns (d, N, width).  Grids of at most BLOCK steps, and values with a
+    non-finite entry, go through ``HistorySums``; other grids take one FFT
+    convolution over the whole array.
     """
-    n_steps = len(weights.lag) - 1
+    n_steps = weights.lag.shape[1] - 1
     if n_steps <= BLOCK or not np.all(np.isfinite(values)):
         sums = HistorySums(weights, values)
-        return np.array([sums(n) for n in range(1, n_steps + 1)])
-    size = sp_fft.next_fast_len(len(values) + n_steps, real=True)
-    spectrum = _lag_spectrum(weights, size, values.ndim)
-    return _fft_sums(weights, values, 0, spectrum, size)[1 : n_steps + 1]
+        return np.stack([sums(n) for n in range(1, n_steps + 1)], axis=1)
+    size = sp_fft.next_fast_len(values.shape[1] + n_steps, real=True)
+    return _fft_sums(weights, values, 0, _lag_spectrum(weights, size), size)[:, 1 : n_steps + 1]
 
 
 def component_kernels(kernel: Kernel | Sequence[Kernel], d: int) -> list[Kernel]:
@@ -612,12 +610,13 @@ def convolve(f, g, grid: TimeGrid | None = None) -> SampledFunction:
     if isinstance(f, Kernel):
         if grid is None:
             raise ValueError("grid required when convolving a kernel")
-        weights = stack_weights([kernel_weights(f, grid)])  # one column: the single kernel
+        weights = stack_weights([kernel_weights(f, grid)])  # one row: the single kernel
         gv = g.values
         if not np.all(np.isfinite(gv)):
             raise ValueError("co-factor must be finite at every node (including t=0)")
         out = np.zeros_like(gv)
-        out[1:] = causal_sums(weights.corrector_lags(), gv[..., None])[..., 0] + weights.corrector[1, 0] * gv[1:]
+        sums = causal_sums(weights.corrector_lags(), gv.reshape(1, len(gv), -1))  # every entry one column
+        out[1:] = sums.reshape(gv[1:].shape) + weights.corrector[0, 1] * gv[1:]
         return SampledFunction(grid, out)
     # sampled * sampled: composite trapezoid over the products f(t-s) g(s)
     if grid is None:

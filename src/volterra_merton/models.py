@@ -90,7 +90,7 @@ class VectorModel:
         out = np.tile(self.v0, (grid.n_steps + 1, 1))
         if np.any(self.b0 != 0.0):
             cell = stack_weights([kernel_weights(k, grid) for k in self.kernel]).cell
-            out[1:] += self.b0 * np.cumsum(cell, axis=0)
+            out[1:] += self.b0 * np.cumsum(cell, axis=1).T
         return out
 
 
@@ -219,14 +219,14 @@ def expected_variance_curve(
     forced = model.input_curve(grid)
     xi = np.zeros((n_steps + 1, d))
     xi[0] = forced[0]
-    gvals = np.empty_like(xi)  # g = B xi, convolved row-wise with K_i
-    gvals[0] = B @ xi[0]
-    lhs = np.eye(d) - np.diag(weights.corrector[1]) @ B
+    gvals = np.empty((d, n_steps + 1, 1))  # g = B xi, component i convolved with K_i
+    gvals[:, 0, 0] = B @ xi[0]
+    lhs = np.eye(d) - np.diag(weights.corrector[:, 1]) @ B
     history = HistorySums(weights.corrector_lags(), gvals)
     for n in range(1, n_steps + 1):
-        sol = np.linalg.solve(lhs, forced[n] + history(n))
+        sol = np.linalg.solve(lhs, forced[n] + history(n)[:, 0])
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("expected-variance iteration diverged")
         xi[n] = sol
-        gvals[n] = B @ sol
+        gvals[:, n, 0] = B @ sol
     return SampledFunction(grid, xi)

@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BLOCK, HistorySums, TimeGrid, causal_sums, component_kernels, kernel_weights, stack_weights
+from .kernels import (
+    BLOCK,
+    HistorySums,
+    StackedWeights,
+    TimeGrid,
+    causal_sums,
+    component_kernels,
+    kernel_weights,
+    stack_weights,
+)
 
 __all__ = [
     "VectorRiccatiRHS",
@@ -213,6 +222,11 @@ def _symmetrized(state: np.ndarray, matrix: bool) -> np.ndarray:
     return 0.5 * (state + state.swapaxes(-1, -2)) if matrix else state
 
 
+def _columns(state: np.ndarray) -> np.ndarray:
+    """One state as (d, width): entry i of a vector, or column i of a matrix, in row i."""
+    return state.reshape(-1, state.shape[-1]).T
+
+
 def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tuple) -> RiccatiPath:
     """The PECE loop behind both solvers; ``shape`` is the state's, (d,) or (d, d)."""
     kernels = component_kernels(kernel, shape[-1])
@@ -220,20 +234,20 @@ def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tup
     matrix = len(shape) == 2
     n_steps = grid.n_steps
     psi = np.zeros((n_steps + 1,) + shape)
-    fvals = np.empty_like(psi)
-    fvals[0] = rhs(psi[0])
+    fvals = np.empty((shape[-1], n_steps + 1, psi[0].size // shape[-1]))  # F(psi), component-major
+    fvals[:, 0] = _columns(rhs(psi[0]))
     predictor = HistorySums(weights.predictor_lags(), fvals)
     corrector = HistorySums(weights.corrector_lags(), fvals)
-    newest = weights.corrector[1]
+    newest = weights.corrector[:, 1]
     blowup = None
     for n in range(1, n_steps + 1):
-        pred = _symmetrized(predictor(n), matrix)
+        pred = _symmetrized(predictor(n).T.reshape(shape), matrix)
         pred_norm = float(np.max(np.abs(pred)))
         if pred_norm > blowup_threshold or np.isinf(pred_norm):
             blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=pred_norm)
             psi[n:] = psi[n - 1]
             break
-        val = _symmetrized(corrector(n) + newest * rhs(pred), matrix)
+        val = _symmetrized(corrector(n).T.reshape(shape) + newest * rhs(pred), matrix)
         norm = float(np.max(np.abs(val)))
         if np.isnan(norm):
             # predictor was finite, so NaN here means bad inputs, not blow-up
@@ -243,10 +257,8 @@ def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tup
             psi[n:] = psi[n - 1]
             break
         psi[n] = val
-        fvals[n] = rhs(val)
-    residual = np.nan if blowup is not None else fixed_point_residual(
-        RiccatiPath(grid, psi, None, np.nan), kernels, rhs
-    )
+        fvals[:, n] = _columns(rhs(val))
+    residual = np.nan if blowup is not None else _residual(psi, weights, rhs)
     return RiccatiPath(grid, psi, blowup, residual)
 
 
@@ -290,13 +302,19 @@ def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
     """
     if path.blowup is not None:
         raise ValueError("residual undefined for a blown-up path")
-    grid = path.grid
-    vals = path.values
-    kernels = component_kernels(kernel, vals.shape[1])
-    weights = stack_weights([kernel_weights(k, grid) for k in kernels])
-    fvals = rhs(vals) if grid.n_steps > BLOCK else np.array([rhs(v) for v in vals])
+    kernels = component_kernels(kernel, path.values.shape[1])
+    return _residual(path.values, stack_weights([kernel_weights(k, path.grid) for k in kernels]), rhs)
+
+
+def _residual(vals: np.ndarray, weights: StackedWeights, rhs) -> float:
+    """``fixed_point_residual`` of the path values, with the kernels' stacked weights."""
+    n_steps = len(vals) - 1
+    fvals = rhs(vals) if n_steps > BLOCK else np.array([rhs(v) for v in vals])
     mid = 0.5 * (fvals[:-1] + fvals[1:])
-    approx = _symmetrized(causal_sums(weights.predictor_lags(), mid), matrix=vals.ndim == 3)
+    d = vals.shape[-1]
+    cols = np.ascontiguousarray(mid.reshape(n_steps, -1, d).transpose(2, 0, 1))
+    sums = causal_sums(weights.predictor_lags(), cols).transpose(1, 2, 0).reshape(vals[1:].shape)
+    approx = _symmetrized(sums, matrix=vals.ndim == 3)
     return float(np.max(np.abs(vals[1:] - approx)))
 
 

@@ -129,9 +129,11 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     """Left-point Euler convolution scheme for the square-root Volterra process.
 
     V(t_n) = v0(t_n) + sum_{j<n} w[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt),
-    with w the exact kernel cell integrals and dB built from the retained
-    (W1, W2) increments through the leverage correlation.  Components are
-    clipped at variance_floor after each update (clip count recorded).
+    with w the exact kernel cell integrals and dB built step by step from the
+    retained (W1, W2) increments through the leverage correlation.  The
+    history is kept component-major, (d, n_steps, n_paths), so that each
+    node's sum is one BLAS product.  Components are clipped at variance_floor
+    after each update (clip count recorded).
     """
     d = model.d
     n_steps = grid.n_steps
@@ -141,27 +143,27 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     w1 = raw[:, :, :d] * sq_dt
     w2 = raw[:, :, d:] * sq_dt
     rho = model.rho
-    db = rho * w1 + np.sqrt(1.0 - rho**2) * w2
-    cell = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell  # (n_steps, d)
-    forced = model.input_curve(grid)
+    orth = np.sqrt(1.0 - rho**2)
+    rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
+    forced = model.input_curve(grid)[:, :, None]
     states = np.empty((cfg.n_paths, n_steps + 1, d))
-    states[:, 0, :] = forced[0]
-    shocks = np.empty((n_steps, cfg.n_paths, d))  # D V + nu sqrt(V) dB / dt, per node
+    states[:, 0, :] = forced[0, :, 0]
+    hist = np.empty((d, n_steps, cfg.n_paths))  # D V + nu sqrt(V) dB / dt, per component and node
     clipped = 0
     floor = cfg.variance_floor
     drift = model.drift
-    nu = model.nu
+    nu = model.nu[:, None]
+    v = np.repeat(forced[0], cfg.n_paths, axis=1)  # the state component-major, (d, n_paths)
     for n in range(1, n_steps + 1):
-        v_prev = states[:, n - 1, :]
-        shocks[n - 1] = v_prev @ drift.T + nu * np.sqrt(np.maximum(v_prev, 0.0)) * db[:, n - 1, :] / dt
-        vn = forced[n] + history_sum(cell[n - 1 :: -1], shocks[:n])
-        below = vn < floor
-        clipped += int(np.count_nonzero(below))
-        np.maximum(vn, floor, out=vn)
-        if not np.all(np.isfinite(vn)):
-            bad = int(np.nonzero(~np.isfinite(vn).all(axis=1))[0][0])
+        db = rho[:, None] * w1[:, n - 1].T + orth[:, None] * w2[:, n - 1].T
+        hist[:, n - 1] = drift @ v + nu * np.sqrt(np.maximum(v, 0.0)) * db / dt
+        v = forced[n] + history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
+        clipped += int(np.count_nonzero(v < floor))
+        np.maximum(v, floor, out=v)
+        if not np.all(np.isfinite(v)):
+            bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
             raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
-        states[:, n, :] = vn
+        states[:, n, :] = v.T
     return PathBundle(
         grid=grid,
         states=states,
@@ -171,56 +173,110 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     )
 
 
+def _sym2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The batch of symmetric 2x2 matrices [[a, b], [b, c]]."""
+    out = np.empty(a.shape + (2, 2))
+    out[:, 0, 0] = a
+    out[:, 0, 1] = out[:, 1, 0] = b
+    out[:, 1, 1] = c
+    return out
+
+
+def _psd_clip_2x2(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_psd_clip`` by closed forms for a batch of symmetric 2x2 matrices S.
+
+    The eigenvalues are m -+ r with m = (a + c)/2, r = hypot((a - c)/2, b).  A
+    clipped S is rebuilt from its spectral projectors, lo P_lo + hi P_hi with
+    P_hi = (S - lo I)/(2r) (S = m I when r = 0), and the root of a PSD S with
+    eigenvalues l1, l2 is (S + sqrt(l1 l2) I)/(sqrt(l1) + sqrt(l2)), or 0.
+    """
+    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+    mid = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), b)
+    lo, hi = mid - rad, mid + rad
+    n_below = int(np.count_nonzero(lo < floor)) + int(np.count_nonzero(hi < floor))
+    clip = lo < floor
+    if clip.any():
+        lo_c, hi_c = np.maximum(lo, floor), np.maximum(hi, floor)
+        scale = np.divide(hi_c - lo_c, 2.0 * rad, out=np.zeros_like(rad), where=rad > 0.0)
+        a, b, c = (np.where(clip, new, old) for new, old in ((lo_c + scale * (a - lo), a), (scale * b, b), (lo_c + scale * (c - lo), c)))
+        mats = _sym2(a, b, c)
+        lo, hi = lo_c, hi_c
+    sq_lo, sq_hi = np.sqrt(lo), np.sqrt(hi)
+    denom = sq_lo + sq_hi
+    inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    shift = sq_lo * sq_hi
+    return mats, _sym2((a + shift) * inv, b * inv, (c + shift) * inv), n_below
+
+
 def _psd_clip(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenvalue-clip a batch of symmetric matrices; also return sqrt(mats)."""
+    """Eigenvalue-clip a batch of symmetric matrices at floor; also return their roots.
+
+    Matrices with no eigenvalue below the floor are returned as given.  2x2
+    batches use closed forms, others a batched ``eigh``.
+    """
+    if mats.shape[-1] == 2:
+        return _psd_clip_2x2(mats, floor)
     vals, vecs = np.linalg.eigh(mats)
-    n_below = int(np.count_nonzero(vals < floor))
+    below = vals < floor
     vals = np.maximum(vals, floor)
-    clipped = np.einsum("pab,pb,pcb->pac", vecs, vals, vecs)
-    roots = np.einsum("pab,pb,pcb->pac", vecs, np.sqrt(vals), vecs)
-    return clipped, roots, n_below
+    vecs_t = vecs.swapaxes(-1, -2)
+    clip = below.any(axis=-1)
+    if clip.any():
+        mats = np.where(clip[:, None, None], (vecs * vals[:, None, :]) @ vecs_t, mats)
+    return mats, (vecs * np.sqrt(vals)[:, None, :]) @ vecs_t, int(np.count_nonzero(below))
 
 
 def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
     """Left-point Euler convolution scheme for the matrix Volterra equation.
 
     Sigma_n = Sigma0 + sym(sum_{j<n} Z_j K) with Z_j = drift_j + 2 noise_j^T,
+    drift_j = N N^T + M Sigma_j + Sigma_j M^T and noise_j = Sigma_j^(1/2) dW_j Q / dt,
     column i weighted by the cell integrals of K_i.  As sym(A^T) = sym(A), this
     equals the scheme's row-weighted drift + noise plus the transposed
-    row-weighted noise, for distinct kernels too.  Eigenvalues are clipped at
-    psd_floor (count recorded); the roots from the same eigendecomposition are
-    kept in the bundle, with the assets' increments, for wealth and diagnostics.
+    row-weighted noise, for distinct kernels too.  The history holds Z_j
+    component-major, column i of every path's Z_j in row i of a
+    (d, n_steps, n_paths * d) buffer, so that each node's sum is one BLAS
+    product; the step algebra is matrix products too.  Eigenvalues are
+    clipped at psd_floor (count recorded): for d = 2 by closed forms, else
+    by a batched ``eigh``; a state with no eigenvalue below the floor is kept
+    as computed.  The roots of the states are kept in the bundle, with the
+    assets' increments, for wealth and diagnostics.
     """
     d = model.d
+    p = cfg.n_paths
     n_steps = grid.n_steps
     dt = grid.dt
     sq_dt = np.sqrt(dt)
     raw = _normals(cfg, n_steps, d * d + d)
-    dws = raw[:, :, : d * d].reshape(cfg.n_paths, n_steps, d, d) * sq_dt
+    dws = raw[:, :, : d * d].reshape(p, n_steps, d, d) * sq_dt
     dbs = raw[:, :, d * d :] * sq_dt
-    cell = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell  # (n_steps, d)
+    rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
     nnt = model.drift_constant
     M = model.mean_reversion
     Q = model.vol_of_vol
-    states = np.empty((cfg.n_paths, n_steps + 1, d, d))
+    states = np.empty((p, n_steps + 1, d, d))
     states[:, 0] = model.sigma0
-    roots = np.empty((cfg.n_paths, n_steps + 1, d, d))  # Sigma^(1/2) at every node
+    roots = np.empty((p, n_steps + 1, d, d))  # Sigma^(1/2) at every node
     roots[:, 0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1]
-    hist = np.empty((n_steps, cfg.n_paths, d, d))  # Z_j, one slice per node
+    hist = np.empty((d, n_steps, p, d))  # hist[i, j, path, a] = Z_j[path, a, i]
     clipped = 0
+    sigma, root = states[:, 0], roots[:, 0]
     for n in range(1, n_steps + 1):
-        prev = states[:, n - 1]
-        drift = nnt + np.einsum("ab,pbc->pac", M, prev) + np.einsum("pab,cb->pac", prev, M)
-        noise_t = np.einsum("pab,pbc,cd->pda", roots[:, n - 1], dws[:, n - 1], Q)  # (root dW Q)^T
-        hist[n - 1] = drift + noise_t * (2.0 / dt)
-        sigma = model.sigma0 + history_sum(cell[n - 1 :: -1], hist[:n])
+        sig_mt = (sigma.reshape(-1, d) @ M.T).reshape(p, d, d)  # Sigma M^T; M Sigma is its transpose
+        noise = ((root @ dws[:, n - 1]).reshape(-1, d) @ Q).reshape(p, d, d)
+        z_t = nnt.T + sig_mt + sig_mt.transpose(0, 2, 1) + noise * (2.0 / dt)  # Z_j^T
+        hist[:, n - 1] = z_t.transpose(1, 0, 2)
+        sums = history_sum(rows[:, n_steps - n :], hist[:, :n].reshape(d, n, p * d)).reshape(d, p, d)
+        sigma = model.sigma0 + sums.transpose(1, 2, 0)
         sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
         if not np.all(np.isfinite(sigma)):
-            bad = int(np.nonzero(~np.isfinite(sigma).reshape(cfg.n_paths, -1).all(axis=1))[0][0])
+            bad = int(np.nonzero(~np.isfinite(sigma).reshape(p, -1).all(axis=1))[0][0])
             raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
-        sigma, roots[:, n], n_below = _psd_clip(sigma, cfg.psd_floor)
+        sigma, root, n_below = _psd_clip(sigma, cfg.psd_floor)
         clipped += n_below
         states[:, n] = sigma
+        roots[:, n] = root
     rho = model.rho
     orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
     return PathBundle(
@@ -230,8 +286,22 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
         psd_violation_count=clipped,
         config=cfg,
         roots=roots[:, :-1],
-        asset_noise=orth * dbs + np.einsum("pnab,b->pna", dws, rho),
+        asset_noise=orth * dbs + dws @ rho,
     )
+
+
+def _exposure(bundle: PathBundle, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows pi_n' Sigma_n^(1/2) at the left nodes, (n_paths, n_steps, d), and the
+    assets' Brownian increments they multiply; pi_n sqrt(V_n^+) and W1 for
+    vector bundles."""
+    if bundle.roots is None:
+        return pis * np.sqrt(np.maximum(bundle.states[:, :-1], 0.0)), bundle.increments["w1"]
+    return (bundle.roots @ pis[:, :, None])[..., 0], bundle.asset_noise
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of x and y along the last axis, the other axes broadcast."""
+    return np.einsum("...a,...a->...", x, y)
 
 
 def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float) -> np.ndarray:
@@ -248,19 +318,15 @@ def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float
     rates = rate_on_grid(model.rate, grid)[:-1]
     pis = strategy.weights[:-1]  # left-point weights
     if isinstance(model, VectorModel):
-        v = bundle.states[:, :-1, :]  # (p, n, d)
-        drift = (pis * v * model.theta).sum(axis=2)  # sum of pi_i theta_i V_i
-        quad = (pis**2 * v).sum(axis=2)
-        diff = (pis * np.sqrt(np.maximum(v, 0.0)) * bundle.increments["w1"]).sum(axis=2)
+        drift = _row_dot(bundle.states[:, :-1, :], pis * model.theta)  # sum of pi_i theta_i V_i
     elif isinstance(model, WishartModel):
-        sig_pi = np.einsum("pnab,nb->pna", bundle.states[:, :-1], pis)
-        drift = np.einsum("pna,a->pn", sig_pi, model.market_price)
-        root_pi = np.einsum("pnab,nb->pna", bundle.roots, pis)
-        quad = np.einsum("pna,pna->pn", root_pi, root_pi)
-        diff = np.einsum("pna,pna->pn", root_pi, bundle.asset_noise)
+        p, n, d = bundle.asset_noise.shape
+        weights = pis[:, :, None] * model.market_price  # v' Sigma pi = sum over (b, a) of pi_b v_a Sigma_ba
+        drift = _row_dot(bundle.states[:, :-1].reshape(p, n, d * d), weights.reshape(n, d * d))
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
-    log_growth = np.sum((rates[None, :] + drift - 0.5 * quad) * dt + diff, axis=1)
+    vol, noise = _exposure(bundle, pis)
+    log_growth = np.sum((rates[None, :] + drift - 0.5 * _row_dot(vol, vol)) * dt + _row_dot(vol, noise), axis=1)
     return x0 * np.exp(log_growth)
 
 
@@ -312,11 +378,8 @@ def _martingale_control(model, bundle: PathBundle) -> np.ndarray:
     comparisons: the integrated volatility-weighted noise dominates the
     variance of utility differences but not their mean.
     """
-    if isinstance(model, VectorModel):
-        v = bundle.states[:, :-1, :]
-        w1 = bundle.increments["w1"]
-        return (np.sqrt(np.maximum(v, 0.0)) * w1).sum(axis=(1, 2))
-    return np.einsum("pnab,pnb->p", bundle.roots, bundle.asset_noise)
+    vol, noise = _exposure(bundle, np.ones((bundle.grid.n_steps, bundle.states.shape[2])))
+    return _row_dot(vol, noise).sum(axis=1)
 
 
 def compare_strategies(
@@ -362,16 +425,8 @@ def martingale_diagnostic(
     grid = bundle.grid
     dt = grid.dt
     gamma = model.gamma
-    pis = strategy.weights[:-1]
-    if isinstance(model, VectorModel):
-        v = bundle.states[:, :-1, :]
-        w1 = bundle.increments["w1"]
-        vol_rows = pis * np.sqrt(np.maximum(v, 0.0))
-        mart = np.einsum("pna,pna->pn", vol_rows, w1)
-        quad = np.einsum("pna,pna->pn", vol_rows, vol_rows)
-    else:
-        root_pi = np.einsum("pnab,nb->pna", bundle.roots, pis)
-        mart = np.einsum("pna,pna->pn", root_pi, bundle.asset_noise)
-        quad = np.einsum("pna,pna->pn", root_pi, root_pi)
+    vol, noise = _exposure(bundle, strategy.weights[:-1])
+    mart = _row_dot(vol, noise)
+    quad = _row_dot(vol, vol)
     log_z = gamma * mart.sum(axis=1) - 0.5 * gamma**2 * (quad * dt).sum(axis=1)
     return _estimate(np.exp(log_z), bundle.config.antithetic)

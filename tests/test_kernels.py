@@ -395,10 +395,11 @@ class TestHistorySums:
     """Blocked running sums against the sums over all past nodes."""
 
     @staticmethod
-    def direct(weights, values, n):
-        row = weights.lag[n:0:-1].copy()
-        if weights.head is not None:
-            row[0] = weights.head[n]
+    def direct(lag, head, values, n):
+        """Time-first reference: lag (N + 1, d), values (nodes, ..., d)."""
+        row = lag[n:0:-1].copy()
+        if head is not None:
+            row[0] = head[n]
         return np.einsum("ji,j...i->...i", row, values[:n])
 
     @pytest.mark.parametrize("shape", [(2,), (3, 2)])
@@ -406,20 +407,23 @@ class TestHistorySums:
         rng = np.random.default_rng(5)
         n_steps = 2 * BLOCK + 300
         lag = np.vstack([np.zeros((1, 2)), rng.uniform(0.5, 1.0, (n_steps, 2)) / np.arange(1, n_steps + 1)[:, None]])
-        weights = LagWeights(lag, head=rng.uniform(0.0, 0.1, (n_steps + 1, 2)))
+        head = rng.uniform(0.0, 0.1, (n_steps + 1, 2))
+        weights = LagWeights(np.ascontiguousarray(lag.T), head=np.ascontiguousarray(head.T))
         values = rng.normal(size=(n_steps + 1,) + shape)
-        sums = HistorySums(weights, values)
-        streamed = np.array([sums(n) for n in range(1, n_steps + 1)])
-        want = np.array([self.direct(weights, values, n) for n in range(1, n_steps + 1)])
+        columns = np.ascontiguousarray(values.reshape(n_steps + 1, -1, 2).transpose(2, 0, 1))  # (d, nodes, width)
+        sums = HistorySums(weights, columns)
+        streamed = np.stack([sums(n) for n in range(1, n_steps + 1)], axis=1)
+        want = np.array([self.direct(lag, head, values, n) for n in range(1, n_steps + 1)])
+        want = want.reshape(n_steps, -1, 2).transpose(2, 0, 1)
         np.testing.assert_allclose(streamed, want, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(causal_sums(weights, values), want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(causal_sums(weights, columns), want, rtol=0.0, atol=1e-13)
 
     def test_overflow_in_a_closing_block_stays_infinite(self):
         n_steps = 2 * BLOCK
-        weights = LagWeights(np.vstack([[0.0], np.full((n_steps, 1), 1e-3)]))
-        values = np.ones((n_steps + 1, 1))
-        values[BLOCK - 1] = np.inf  # the last node of the first block
+        weights = LagWeights(np.hstack([[[0.0]], np.full((1, n_steps), 1e-3)]))
+        values = np.ones((1, n_steps + 1, 1))
+        values[0, BLOCK - 1] = np.inf  # the last node of the first block
         sums = HistorySums(weights, values)
-        got = [sums(n)[0] for n in range(1, BLOCK + 2)]
+        got = [sums(n)[0, 0] for n in range(1, BLOCK + 2)]
         assert np.all(np.isfinite(got[: BLOCK - 1])) and np.all(np.isposinf(got[BLOCK - 1 :]))
-        assert np.all(np.isposinf(causal_sums(weights, values)[BLOCK - 1 :, 0]))
+        assert np.all(np.isposinf(causal_sums(weights, values)[0, BLOCK - 1 :, 0]))

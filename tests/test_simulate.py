@@ -16,6 +16,7 @@ from volterra_merton.riccati import (
 )
 from volterra_merton.simulate import (
     SimConfig,
+    _psd_clip,
     compare_strategies,
     martingale_diagnostic,
     mc_utility,
@@ -261,6 +262,53 @@ class TestMomentOracles:
             xi = expected_variance_curve(m, grid, drift_matrix=m.drift).values[-1, 0]
             biases.append(abs(bundle.states[:, -1, 0].mean() - xi))
         assert biases[1] < biases[0]
+
+
+def eigh_clip_reference(mats: np.ndarray, floor: float):
+    """Eigenvalue clip and root by ``np.linalg.eigh``, with the count of eigenvalues below the floor."""
+    vals, vecs = np.linalg.eigh(mats)
+    count = int(np.count_nonzero(vals < floor))
+    vals = np.maximum(vals, floor)
+    vecs_t = np.swapaxes(vecs, -1, -2)
+    return vecs @ (vals[..., None] * vecs_t), vecs @ (np.sqrt(vals)[..., None] * vecs_t), count
+
+
+def symmetric_2x2_batch() -> np.ndarray:
+    """PSD, indefinite, negative-definite, c I (zero included) and nearly singular 2x2 matrices."""
+    rng = np.random.default_rng(71)
+
+    def with_eigenvalues(eigs):
+        angle = rng.uniform(0.0, np.pi, len(eigs))
+        c, s = np.cos(angle), np.sin(angle)
+        vecs = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        return vecs @ (eigs[..., None] * np.swapaxes(vecs, -1, -2))
+
+    a = rng.normal(size=(40, 2, 2))
+    psd = a @ np.swapaxes(a, -1, -2)
+    indefinite = with_eigenvalues(np.column_stack([-rng.uniform(0.1, 2.0, 20), rng.uniform(0.1, 2.0, 20)]))
+    negative = with_eigenvalues(-rng.uniform(0.1, 2.0, (20, 2)))
+    scalar = np.array([c * np.eye(2) for c in (0.0, 1e-3, 0.5, 2.0, -0.3)])
+    nearly_singular = with_eigenvalues(np.column_stack([rng.uniform(1.0, 2.0, 20) * 1e-5, rng.uniform(0.5, 2.0, 20)]))
+    batch = np.concatenate([psd, indefinite, negative, scalar, nearly_singular])
+    return 0.5 * (batch + np.swapaxes(batch, -1, -2))
+
+
+class TestPsdClip2x2:
+    @pytest.mark.parametrize("floor", [0.0, 0.01])
+    def test_closed_form_matches_eigh(self, floor):
+        mats = symmetric_2x2_batch()
+        clipped, roots, count = _psd_clip(mats, floor)
+        want_clipped, want_roots, want_count = eigh_clip_reference(mats, floor)
+        assert count == want_count > 0
+        scale = np.maximum(np.abs(mats).max(axis=(1, 2)), floor)[:, None, None]
+        assert np.all(np.abs(clipped - want_clipped) <= 1e-13 * scale)
+        assert np.all(np.abs(roots - want_roots) <= 1e-13 * np.sqrt(scale))
+        assert np.all(np.abs(roots @ roots - clipped) <= 1e-13 * scale)
+        assert np.array_equal(clipped, np.swapaxes(clipped, -1, -2))
+        assert np.array_equal(roots, np.swapaxes(roots, -1, -2))
+        # a matrix with no eigenvalue below the floor is kept as given
+        kept = (np.linalg.eigvalsh(mats) >= floor).all(axis=1)
+        assert kept.any() and np.array_equal(clipped[kept], mats[kept])
 
 
 class TestPsdHandling:
