@@ -142,22 +142,22 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     raw = _normals(cfg, n_steps, 2 * d)
     w1 = raw[:, :, :d] * sq_dt
     w2 = raw[:, :, d:] * sq_dt
-    rho = model.rho
+    rho = model.rho[:, None]
     orth = np.sqrt(1.0 - rho**2)
     rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
-    forced = model.input_curve(grid)[:, :, None]
+    forced = model.input_curve(grid)
     states = np.empty((cfg.n_paths, n_steps + 1, d))
-    states[:, 0, :] = forced[0, :, 0]
+    states[:, 0, :] = forced[0]
     hist = np.empty((d, n_steps, cfg.n_paths))  # D V + nu sqrt(V) dB / dt, per component and node
     clipped = 0
     floor = cfg.variance_floor
     drift = model.drift
     nu = model.nu[:, None]
-    v = np.repeat(forced[0], cfg.n_paths, axis=1)  # the state component-major, (d, n_paths)
+    v = np.repeat(forced[0][:, None], cfg.n_paths, axis=1)  # the state component-major, (d, n_paths)
     for n in range(1, n_steps + 1):
-        db = rho[:, None] * w1[:, n - 1].T + orth[:, None] * w2[:, n - 1].T
+        db = rho * w1[:, n - 1].T + orth * w2[:, n - 1].T
         hist[:, n - 1] = drift @ v + nu * np.sqrt(np.maximum(v, 0.0)) * db / dt
-        v = forced[n] + history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
+        v = forced[n][:, None] + history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
         clipped += int(np.count_nonzero(v < floor))
         np.maximum(v, floor, out=v)
         if not np.all(np.isfinite(v)):
@@ -199,7 +199,9 @@ def _psd_clip_2x2(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarra
     if clip.any():
         lo_c, hi_c = np.maximum(lo, floor), np.maximum(hi, floor)
         scale = np.divide(hi_c - lo_c, 2.0 * rad, out=np.zeros_like(rad), where=rad > 0.0)
-        a, b, c = (np.where(clip, new, old) for new, old in ((lo_c + scale * (a - lo), a), (scale * b, b), (lo_c + scale * (c - lo), c)))
+        a = np.where(clip, lo_c + scale * (a - lo), a)
+        b = np.where(clip, scale * b, b)
+        c = np.where(clip, lo_c + scale * (c - lo), c)
         mats = _sym2(a, b, c)
         lo, hi = lo_c, hi_c
     sq_lo, sq_hi = np.sqrt(lo), np.sqrt(hi)
@@ -263,7 +265,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     clipped = 0
     sigma, root = states[:, 0], roots[:, 0]
     for n in range(1, n_steps + 1):
-        sig_mt = (sigma.reshape(-1, d) @ M.T).reshape(p, d, d)  # Sigma M^T; M Sigma is its transpose
+        sig_mt = (sigma.reshape(-1, d) @ M.T).reshape(p, d, d)  # Sigma M^T; M Sigma is its transpose, Sigma being symmetric
         noise = ((root @ dws[:, n - 1]).reshape(-1, d) @ Q).reshape(p, d, d)
         z_t = nnt.T + sig_mt + sig_mt.transpose(0, 2, 1) + noise * (2.0 / dt)  # Z_j^T
         hist[:, n - 1] = z_t.transpose(1, 0, 2)
@@ -291,9 +293,10 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
 
 
 def _exposure(bundle: PathBundle, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pi_n' Sigma_n^(1/2) at the left nodes, (n_paths, n_steps, d), and the
-    assets' Brownian increments they multiply; pi_n sqrt(V_n^+) and W1 for
-    vector bundles."""
+    """Rows pi_n' Sigma_n^(1/2) at the left nodes and the asset increments they multiply.
+
+    Both are (n_paths, n_steps, d); vector bundles give pi_n sqrt(V_n^+) and W1.
+    """
     if bundle.roots is None:
         return pis * np.sqrt(np.maximum(bundle.states[:, :-1], 0.0)), bundle.increments["w1"]
     return (bundle.roots @ pis[:, :, None])[..., 0], bundle.asset_noise
