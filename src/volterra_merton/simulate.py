@@ -374,7 +374,7 @@ def simulate_bundle(model, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def _martingale_control(model, bundle: PathBundle) -> np.ndarray:
+def _martingale_control(bundle: PathBundle) -> np.ndarray:
     """A per-path functional with exactly zero mean (a discrete martingale).
 
     Used as a regression control variate in common-random-number strategy
@@ -400,7 +400,7 @@ def compare_strategies(
     a few standard errors certifies the ordering.
     """
     diff = utility_samples(model, better, bundle, x0) - utility_samples(model, worse, bundle, x0)
-    control = _martingale_control(model, bundle)
+    control = _martingale_control(bundle)
     if bundle.config.antithetic:
         diff = 0.5 * (diff[0::2] + diff[1::2])
         control = 0.5 * (control[0::2] + control[1::2])
