@@ -17,6 +17,14 @@ from volterra_merton.experiments import (
     run,
     sweep,
 )
+from volterra_merton.merton import strategy_general, strategy_wishart, value_general
+from volterra_merton.riccati import (
+    solve_riccati_matrix,
+    solve_riccati_vector,
+    vector_rhs_general,
+    wishart_rhs,
+)
+from volterra_merton.simulate import mc_utility, simulate_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -234,6 +242,67 @@ class TestRunPipelines:
         raw["numerics"] = {"horizon": 1.0, "n_steps": 300}
         with pytest.raises(RiccatiBlowUpError):
             run(config_from_dict(raw))
+
+
+def cell(x) -> str:
+    """One float cell of the CSV contract: 17 significant digits."""
+    return format(float(x), ".17g")
+
+
+def csv_text(header, rows) -> str:
+    return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
+
+
+def wishart_strategy(config):
+    path = solve_riccati_matrix(config.model.kernel, wishart_rhs(config.model), config.grid)
+    return strategy_wishart(config.model, path)
+
+
+class TestCsvText:
+    """Exact CSV text, rebuilt cell by cell from the library's own results."""
+
+    def test_strategy_csv(self, tmp_path):
+        config = load_config("bpt10_wishart").replaced(out_dir=tmp_path, n_steps=20)
+        run(config)
+        strat = wishart_strategy(config)
+        rows = [
+            [cell(t), *map(cell, strat.weights[j]), *map(cell, strat.hedging[j]), *map(cell, strat.myopic)]
+            for j, t in enumerate(config.grid.nodes)
+        ]
+        header = ["t", "pi_1", "pi_2", "hedge_1", "hedge_2", "myopic_1", "myopic_2"]
+        assert (tmp_path / "strategy.csv").read_text() == csv_text(header, rows)
+
+    def test_sweep_combined_csv(self, tmp_path):
+        # unsorted input with an integer value: points are ordered by value, an int is written as one
+        config = load_config("bpt10_horizon_study").replaced(out_dir=tmp_path, n_steps=10)
+        config = config.replaced(sweep_values=(2, 0.5, 1.0))
+        sweep(config)
+        rows = []
+        for value in (0.5, 1.0, 2):
+            strat = wishart_strategy(config.replaced(horizon=float(value)))
+            text = str(value) if isinstance(value, int) else cell(value)
+            for j, t in enumerate(strat.grid.nodes):
+                for name, series in (("pi", strat.weights), ("hedge", strat.hedging)):
+                    rows.extend(["horizon", text, cell(t), f"{name}_{i + 1}", cell(series[j, i])] for i in range(2))
+        header = ["sweep_param", "sweep_value", "t", "series", "value"]
+        assert (tmp_path / "regime-study_combined.csv").read_text() == csv_text(header, rows)
+
+    def test_mc_check_csv_with_large_seed(self, tmp_path):
+        seed = 2**100  # a float cell would write it as 1.2676506002282294e+30
+        raw = vector_config(tmp_path, kind="mc-check")
+        raw["numerics"] = {"horizon": 0.25, "n_steps": 20}
+        raw["simulation"] = {"n_paths": 8, "seed": seed, "antithetic": True}
+        config = config_from_dict(raw)
+        run(config)
+        model = config.model
+        rhs = vector_rhs_general(model)
+        path = solve_riccati_vector(model.kernel, rhs, config.grid)
+        analytic = value_general(model, path, config.x0, rhs=rhs).value
+        bundle = simulate_bundle(model, config.grid, config.sim)
+        est = mc_utility(model, strategy_general(model, path), config.sim, config.x0, bundle=bundle)
+        row = [cell(analytic), cell(est.mean), cell(est.stderr), cell(est.z_score(analytic)), "8", str(seed)]
+        header = ["analytic", "mc_mean", "mc_stderr", "z_score", "n_paths", "seed"]
+        assert (tmp_path / "mc-check.csv").read_text() == csv_text(header, [row])
 
 
 class TestSweeps:
