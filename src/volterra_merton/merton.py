@@ -146,8 +146,7 @@ def value_general(
     """Closed-form value x0^g/g exp(int_0^T gamma r + F(psi)(T-s) . v0(s) ds)."""
 
     def state_term(rev: np.ndarray) -> np.ndarray:
-        f = vector_rhs_general(model) if rhs is None else rhs
-        fvals = np.array([f(v) for v in rev])
+        fvals = (vector_rhs_general(model) if rhs is None else rhs)(rev)
         return np.einsum("jd,jd->j", fvals, model.input_curve(path.grid))
 
     return _value_report(model, path, x0, state_term)
@@ -183,8 +182,7 @@ def value_wishart(
     """
 
     def state_term(rev: np.ndarray) -> np.ndarray:
-        f = wishart_rhs(model) if rhs is None else rhs
-        fvals = np.array([f(v) for v in rev])
+        fvals = (wishart_rhs(model) if rhs is None else rhs)(rev)
         return np.einsum("jab,ba->j", fvals, model.sigma0) + np.einsum("jab,ba->j", rev, model.drift_constant)
 
     return _value_report(model, path, x0, state_term)

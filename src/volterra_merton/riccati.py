@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    BLOCK,
     HistorySums,
     StackedWeights,
     TimeGrid,
@@ -309,7 +308,7 @@ def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
 def _residual(vals: np.ndarray, weights: StackedWeights, rhs) -> float:
     """``fixed_point_residual`` of the path values, with the kernels' stacked weights."""
     n_steps = len(vals) - 1
-    fvals = rhs(vals) if n_steps > BLOCK else np.array([rhs(v) for v in vals])
+    fvals = rhs(vals)
     mid = 0.5 * (fvals[:-1] + fvals[1:])
     d = vals.shape[-1]
     cols = np.ascontiguousarray(mid.reshape(n_steps, -1, d).transpose(2, 0, 1))
