@@ -3,7 +3,8 @@
 Subcommands mirror the experiment kinds; the configuration file (or bundled
 preset name) supplies the model and numerics, and command-line flags override
 selected fields.  Exit codes: 0 success, 1 configuration error, 2 Riccati
-blow-up before the horizon, 3 Monte Carlo divergence.
+blow-up before the horizon or a non-finite Riccati step, 3 Monte Carlo
+divergence.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ def main(argv: list[str] | None = None) -> int:
     except RiccatiBlowUpError as exc:
         print(_error_record(2, "riccati-blowup", str(exc), t_max_estimate=exc.blowup.detected_at))
         return 2
+    except FloatingPointError as exc:
+        print(_error_record(2, "riccati-nonfinite", str(exc)))
+        return 2
     except SimulationError as exc:
         print(_error_record(3, "mc-divergence", str(exc), path_index=exc.path_index))
         return 3
@@ -92,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     record = json.loads(report.to_json())
     record["runtime_seconds"] = report.runtime_seconds
-    print(json.dumps(record, sort_keys=True, indent=2))
+    print(json.dumps(record, sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

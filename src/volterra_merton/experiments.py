@@ -79,6 +79,8 @@ _SWEEP_AXES = {
 # correlation-study regimes: factor on the off-diagonal entries of M and Q
 _REGIMES = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
 THREADS_ENV = "VOLTERRA_MERTON_THREADS"
+# strategy CSV series after t, one column per asset each
+_STRATEGY_SERIES = ("pi", "hedge", "myopic")
 
 
 class ConfigError(ValueError):
@@ -122,14 +124,18 @@ class ExperimentReport:
     runtime_seconds: float = 0.0
 
     def to_json(self) -> str:
-        """The report file's content; the wall-clock runtime is left out so reruns match."""
+        """The report file's content as strict JSON: a non-finite metric is null and named in
+        ``nonfinite_metrics``; the wall-clock runtime is left out so reruns match."""
+        nonfinite = sorted(k for k, v in self.metrics.items() if isinstance(v, float) and not math.isfinite(v))
         payload = {
             "kind": self.kind,
             "outputs": self.outputs,
-            "metrics": self.metrics,
+            "metrics": {key: None if key in nonfinite else value for key, value in self.metrics.items()},
             "config": json.loads(self.config_echo),
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        if nonfinite:
+            payload["nonfinite_metrics"] = nonfinite
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +471,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _fmt(x) -> str:
+    """One cell of a value whose type varies: text as given, an integer in full, a float at 17 digits."""
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
@@ -485,11 +492,10 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a CSV given by columns: a float array at 17 significant digits, anything else as its strings."""
+    cells = [list(map("{:.17g}".format, c.tolist())) if isinstance(c, np.ndarray) else c for c in columns]
+    _write_atomic(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _write_report(config: ExperimentConfig, report: ExperimentReport, stem: str) -> None:
@@ -529,31 +535,29 @@ def _value(config: ExperimentConfig, path, rhs):
     return value_general(config.model, path, config.x0, rhs=rhs)
 
 
-def _strategy_rows(grid: TimeGrid, strat: StrategyPath):
-    nodes = grid.nodes
-    for j in range(grid.n_steps + 1):
-        yield [nodes[j], *strat.weights[j], *strat.hedging[j], *np.broadcast_to(strat.myopic, strat.weights[j].shape)]
+def _series_names(prefixes, d: int) -> list[str]:
+    """Column names of per-asset series: ``<prefix>_1..<prefix>_d`` for each prefix in turn."""
+    return [f"{prefix}_{i + 1}" for prefix in prefixes for i in range(d)]
 
 
-def _strategy_header(d: int) -> list[str]:
-    return (
-        ["t"]
-        + [f"pi_{i + 1}" for i in range(d)]
-        + [f"hedge_{i + 1}" for i in range(d)]
-        + [f"myopic_{i + 1}" for i in range(d)]
-    )
+def _write_strategy(config: ExperimentConfig, stem: str, strat: StrategyPath, outputs: list[str], reference=None) -> None:
+    """Write ``<stem>.csv`` (t, then the ``_STRATEGY_SERIES``) and, if svg is asked for, ``<stem>.svg``.
 
-
-def _maybe_svg(config: ExperimentConfig, stem: str, strat: StrategyPath, outputs: list[str]) -> None:
-    if "svg" not in config.formats:
-        return
-    grid = config.grid
-    series = {}
-    for i in range(strat.d):
-        series[f"hedge_{i + 1}"] = (grid.nodes.tolist(), strat.hedging[:, i].tolist())
-    target = config.out_dir / f"{stem}.svg"
-    render_line_plot(str(target), series, title="hedging demand", xlabel="t", ylabel="weight")
-    outputs.append(str(target))
+    With a ``reference`` strategy the CSVs are ``<stem>_volterra.csv`` for ``strat`` and
+    ``<stem>_reference.csv``; the plot shows the hedging demand of ``strat``.
+    """
+    named = {stem: strat} if reference is None else {f"{stem}_volterra": strat, f"{stem}_reference": reference}
+    for name, written in named.items():
+        target = config.out_dir / f"{name}.csv"
+        data = np.hstack([written.weights, written.hedging, np.broadcast_to(written.myopic, written.weights.shape)])
+        _write_csv(target, ["t", *_series_names(_STRATEGY_SERIES, written.d)], [written.grid.nodes, *data.T])
+        outputs.append(str(target))
+    if "svg" in config.formats:
+        nodes = strat.grid.nodes.tolist()
+        series = {name: (nodes, h.tolist()) for name, h in zip(_series_names(["hedge"], strat.d), strat.hedging.T)}
+        target = config.out_dir / f"{stem}.svg"
+        render_line_plot(str(target), series, title="hedging demand", xlabel="t", ylabel="weight")
+        outputs.append(str(target))
 
 
 def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
@@ -587,7 +591,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         else:
             comp = [f"psi_{i + 1}" for i in range(vals.shape[1])]
         target = config.out_dir / f"{stem}.csv"
-        _write_csv(target, ["t"] + comp, ([grid.nodes[j], *vals[j]] for j in range(grid.n_steps + 1)))
+        _write_csv(target, ["t"] + comp, [grid.nodes, *vals.T])
         report.outputs.append(str(target))
         report.metrics["blowup_detected_at"] = path.blowup.detected_at if path.blowup else None
         if path.blowup is not None:
@@ -596,17 +600,15 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
 
     elif config.kind == "strategy":
         strat = _strategy(config, path)
-        target = config.out_dir / f"{stem}.csv"
-        _write_csv(target, _strategy_header(strat.d), _strategy_rows(grid, strat))
-        report.outputs.append(str(target))
-        _maybe_svg(config, stem, strat, report.outputs)
+        _write_strategy(config, stem, strat, report.outputs)
         report.metrics["max_hedging"] = float(strat.hedging.max())
         report.metrics["min_hedging"] = float(strat.hedging.min())
 
     elif config.kind == "value":
         rep = _value(config, path, rhs)
         target = config.out_dir / f"{stem}.csv"
-        _write_csv(target, ["T", "value", "certainty_equivalent"], [[config.horizon, rep.value, rep.certainty_equivalent]])
+        row = np.array([[config.horizon, rep.value, rep.certainty_equivalent]])
+        _write_csv(target, ["T", "value", "certainty_equivalent"], row.T)
         report.outputs.append(str(target))
         report.metrics["value"] = rep.value
         report.metrics["certainty_equivalent"] = rep.certainty_equivalent
@@ -618,11 +620,9 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         est = mc_utility(model, strat, config.sim, config.x0, bundle=bundle)
         z = est.z_score(rep.value)
         target = config.out_dir / f"{stem}.csv"
-        _write_csv(
-            target,
-            ["analytic", "mc_mean", "mc_stderr", "z_score", "n_paths", "seed"],
-            [[rep.value, est.mean, est.stderr, z, config.sim.n_paths, config.sim.seed]],
-        )
+        row = np.array([[rep.value, est.mean, est.stderr, z]])
+        counts = [[str(config.sim.n_paths)], [str(config.sim.seed)]]  # in full: a seed may exceed 17 digits
+        _write_csv(target, ["analytic", "mc_mean", "mc_stderr", "z_score", "n_paths", "seed"], [*row.T, *counts])
         report.outputs.append(str(target))
         report.metrics.update(
             analytic=rep.value, mc_mean=est.mean, mc_stderr=est.stderr, z_score=z,
@@ -643,12 +643,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         rel_hedge = float(
             np.max(np.abs(strat.hedging - ref_strat.hedging)) / max(np.max(np.abs(ref_strat.hedging)), 1e-300)
         )
-        t1 = config.out_dir / f"{stem}_volterra.csv"
-        t2 = config.out_dir / f"{stem}_reference.csv"
-        _write_csv(t1, _strategy_header(strat.d), _strategy_rows(grid, strat))
-        _write_csv(t2, _strategy_header(strat.d), _strategy_rows(grid, ref_strat))
-        report.outputs.extend([str(t1), str(t2)])
-        _maybe_svg(config, stem, strat, report.outputs)
+        _write_strategy(config, stem, strat, report.outputs, reference=ref_strat)
         report.metrics["rel_sup_diff_psi"] = rel_psi
         report.metrics["rel_sup_diff_hedging"] = rel_hedge
 
@@ -755,12 +750,9 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
             raise RiccatiBlowUpError(path.blowup)
         strat = _strategy(sub, path)
         outputs: list[str] = []
-        target = sub.out_dir / f"{stem}.csv"
-        _write_csv(target, _strategy_header(strat.d), _strategy_rows(sub.grid, strat))
-        outputs.append(str(target))
-        _maybe_svg(sub, stem, strat, outputs)
+        _write_strategy(sub, stem, strat, outputs)
         metrics = {"riccati_residual": path.residual, "max_hedging": float(strat.hedging.max())}
-        return idx, value, sub, strat, outputs, metrics
+        return idx, value, strat, outputs, metrics
 
     results = []
     with ThreadPoolExecutor(max_workers=_max_workers(len(points))) as pool:
@@ -771,20 +763,21 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
     else:
         results.sort(key=lambda item: item[0])
 
-    rows = []
-    for _, value, sub, strat, outputs, metrics in results:
+    # long format: per point node-major, then the weight and hedging series of each node
+    values, times, series, cells = [], [], [], []
+    for _, value, strat, outputs, metrics in results:
         report.outputs.extend(outputs)
         for key, metric in metrics.items():
             report.metrics[f"{key}[{_slug(value)}]"] = metric
-        nodes = sub.grid.nodes
-        d = strat.d
-        for j in range(sub.grid.n_steps + 1):
-            for i in range(d):
-                rows.append([axis, value, nodes[j], f"pi_{i + 1}", strat.weights[j, i]])
-            for i in range(d):
-                rows.append([axis, value, nodes[j], f"hedge_{i + 1}", strat.hedging[j, i]])
+        names = _series_names(_STRATEGY_SERIES[:2], strat.d)
+        data = np.hstack([strat.weights, strat.hedging])
+        values += [_fmt(value)] * data.size
+        times.append(np.repeat(strat.grid.nodes, len(names)))
+        series += names * len(data)
+        cells.append(data.ravel())
     combined = config.out_dir / f"{config.kind}_combined.csv"
-    _write_csv(combined, ["sweep_param", "sweep_value", "t", "series", "value"], rows)
+    columns = [[axis] * len(series), values, np.concatenate(times), series, np.concatenate(cells)]
+    _write_csv(combined, ["sweep_param", "sweep_value", "t", "series", "value"], columns)
     report.outputs.append(str(combined))
     _write_report(config, report, config.kind)
     report.runtime_seconds = time.time() - started

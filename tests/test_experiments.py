@@ -435,6 +435,39 @@ class TestCli:
         assert record["error"]["code"] == 2
         assert 0.0 < record["error"]["t_max_estimate"] < 1.0
 
+    def test_nonfinite_riccati_step_exit_code(self, tmp_path, capsys):
+        # nu**2 overflows, so the first corrector step is NaN while its predictor is finite
+        raw = vector_config(tmp_path, kind="mc-check", simulation={"n_paths": 8})
+        raw["model"]["nu"] = [1e200]
+        raw["numerics"] = {"horizon": 0.25, "n_steps": 20}
+        cfg = tmp_path / "nonfinite.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["mc-check", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["code"] == 2
+        assert record["error"]["kind"] == "riccati-nonfinite"
+        assert "Traceback" not in captured.err
+
+    def test_nonfinite_metric_is_strict_json_null(self, tmp_path, capsys):
+        # two antithetic paths over five steps give zero stderr and an infinite z-score
+        raw = vector_config(tmp_path, kind="mc-check", simulation={"n_paths": 2, "antithetic": True})
+        raw["numerics"] = {"horizon": 0.25, "n_steps": 5}
+        raw["output"]["formats"] = ["csv", "json"]
+        cfg = tmp_path / "mc.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["mc-check", "--config", str(cfg)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        stdout = capsys.readouterr().out
+        report = (tmp_path / "mc-check_report.json").read_text()
+        for payload in (json.loads(stdout, parse_constant=reject), json.loads(report, parse_constant=reject)):
+            assert payload["metrics"]["z_score"] is None
+            assert payload["nonfinite_metrics"] == ["z_score"]
+        assert (tmp_path / "mc-check.csv").read_text().splitlines()[1].split(",")[3] == "inf"
+
     def test_seed_override_changes_output(self, tmp_path, capsys):
         raw = vector_config(tmp_path, kind="mc-check")
         raw["numerics"] = {"horizon": 0.25, "n_steps": 50}

@@ -34,3 +34,22 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module(f"volterra_merton.{module}"), name)
     ]
     assert missing == []
+
+
+def test_tracer_install_round_trip():
+    # install() also swaps experiments.ThreadPoolExecutor for the traced sweep pool
+    import volterra_merton
+
+    spans = load_spans()
+    names = [(module, name) for module, attrs in spans.TARGETS.items() for name in attrs]
+    names.append(("experiments", "ThreadPoolExecutor"))
+    modules = {module: importlib.import_module(f"volterra_merton.{module}") for module, _ in names}
+    originals = {key: getattr(modules[key[0]], key[1]) for key in names}
+    tracer = spans.Tracer(volterra_merton)
+    tracer.install()
+    try:
+        patched = [key for key in names if getattr(modules[key[0]], key[1]) is not originals[key]]
+    finally:
+        tracer.uninstall()
+    assert patched == names
+    assert [key for key in names if getattr(modules[key[0]], key[1]) is not originals[key]] == []
