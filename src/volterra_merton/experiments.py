@@ -547,14 +547,16 @@ def _write_strategy(config: ExperimentConfig, stem: str, strat: StrategyPath, ou
     ``<stem>_reference.csv``; the plot shows the hedging demand of ``strat``.
     """
     named = {stem: strat} if reference is None else {f"{stem}_volterra": strat, f"{stem}_reference": reference}
+    d = strat.d
+    names = _series_names(_STRATEGY_SERIES, d)
     for name, written in named.items():
         target = config.out_dir / f"{name}.csv"
         data = np.hstack([written.weights, written.hedging, np.broadcast_to(written.myopic, written.weights.shape)])
-        _write_csv(target, ["t", *_series_names(_STRATEGY_SERIES, written.d)], [written.grid.nodes, *data.T])
+        _write_csv(target, ["t", *names], [written.grid.nodes, *data.T])
         outputs.append(str(target))
     if "svg" in config.formats:
         nodes = strat.grid.nodes.tolist()
-        series = {name: (nodes, h.tolist()) for name, h in zip(_series_names(["hedge"], strat.d), strat.hedging.T)}
+        series = {label: (nodes, h.tolist()) for label, h in zip(names[d : 2 * d], strat.hedging.T)}
         target = config.out_dir / f"{stem}.svg"
         render_line_plot(str(target), series, title="hedging demand", xlabel="t", ylabel="weight")
         outputs.append(str(target))
