@@ -565,8 +565,9 @@ def _write_strategy(config: ExperimentConfig, stem: str, strat: StrategyPath, ou
 def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
     """Execute one experiment and write its outputs.
 
-    Raises RiccatiBlowUpError / SimulationError for the documented nonzero
-    exit codes; sweeps are dispatched to ``sweep``.
+    Raises RiccatiBlowUpError, FloatingPointError (a non-finite Riccati step)
+    or SimulationError for the documented nonzero exit codes; sweeps are
+    dispatched to ``sweep``.
     """
     if config.kind in SWEEP_KINDS:
         return sweep(config)
