@@ -1,13 +1,19 @@
 """Kernel evaluation, Mittag-Leffler accuracy, convolution and resolvents."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
+import volterra_merton
 from volterra_merton.kernels import (
     BLOCK,
     HistorySums,
@@ -64,6 +70,57 @@ def ml_series_oracle(alpha: float, beta: float, z: float, n_terms: int = 200):
         # terms decay at least geometrically once alpha*k+beta >> |z|
         bound = tail / (1 - abs(zm) / (alpha * n_terms + beta))
         return float(total), float(bound)
+
+
+def ml_oracle(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) in mpmath, by routes the package does not take.
+
+    |z| <= 2, and every z at alpha = 1: the Taylor series at 60 digits plus
+    the digits its terms lose to cancellation.  Otherwise: a 30-digit
+    quadrature of the integral representation in chi = u^alpha (Gorenflo,
+    Loutchko & Luchko 2002), plus the residue term for z > 0, after reducing
+    beta > 1 by E(a,b)(z) = (E(a,b-a)(z) - 1/Gamma(b-a)) / z.  Values beyond
+    float64 come back as +-inf.
+    """
+    import mpmath as mp
+
+    if abs(z) <= 2.0 or alpha == 1.0:
+        ks = np.arange(4000)
+        logterm = ks * math.log(max(abs(z), 1e-300)) - gammaln(alpha * ks + beta)
+        lost = max(0, int(np.max(logterm) / math.log(10.0)))
+        n_terms = int(np.nonzero((ks > np.argmax(logterm)) & (logterm < -45 * math.log(10.0)))[0][0])
+        with mp.workdps(60 + lost):
+            a, b, zm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+            return float(mp.fsum(zm**k * mp.rgamma(a * k + b) for k in range(n_terms)))
+    with mp.workdps(30):
+        a, b, zm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        reductions = []
+        while b > 1:
+            reductions.append(b)
+            b -= a
+        sb, sba, ca = mp.sinpi(1 - b), mp.sinpi(1 - b + a), mp.cospi(a)
+        p, q = (1 - b) / a, 1 / a
+        residue = 0
+        if z > 0:
+            residue = zm**p * mp.exp(zm**q) / a
+            if residue > mp.mpf("1e310") * zm ** len(reductions):
+                return math.inf  # the integral part is a few units at most
+
+        def density(x):
+            logx = mp.log(x)
+            return mp.exp(p * logx - mp.exp(q * logx)) * (x * sb - zm * sba) / (x * x - 2 * x * zm * ca + zm * zm)
+
+        points = sorted({mp.mpf(0), mp.mpf(1), abs(zm * ca)}) + [mp.inf]
+        val = mp.quad(density, points) / (mp.pi * a) + residue
+        for b_orig in reversed(reductions):
+            val = (val - mp.rgamma(b_orig - a)) / zm
+        return float(val)
+
+
+ML_GRID = [(a, b) for a in (0.2, 0.3, 0.5, 0.7, 0.9, 0.99) for b in sorted({a, 1.0, 1.7})]
+ML_GRID += [(1.0, b) for b in (0.3, 0.9, 1.0, 1.7, 2.5)]
+# the quadrature oracle takes -50, -2.74 and 5 (where E_{0.2,b} overflows)
+ML_Z = (-50.0, -2.74, -2.0, -0.9, 0.0, 0.6, 1.8, 5.0)
 
 
 class TestKernelEval:
@@ -206,10 +263,38 @@ class TestMittagLeffler:
             mittag_leffler(0.5, 0.5, math.nan)
 
     def test_array_path_matches_scalar(self):
-        z = -np.linspace(0.0, 2.0, 17)
-        arr = mittag_leffler_array(0.6, 0.6, z)
-        ref = np.array([mittag_leffler(0.6, 0.6, float(v)) for v in z])
-        assert np.max(np.abs(arr - ref)) < 1e-13
+        # each element takes its own route: the second array straddles the
+        # Horner radius |z| = 1 on both signs
+        for z in (-np.linspace(0.0, 2.0, 17), np.linspace(-3.0, 3.0, 25)):
+            arr = mittag_leffler_array(0.6, 0.6, z)
+            ref = np.array([mittag_leffler(0.6, 0.6, float(v)) for v in z])
+            assert np.array_equal(arr, ref)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,z",
+        [(1.0, 0.3, -50.0), (1.0, 0.9, -50.0), (0.3, 0.3, 5.0), (0.2, 1.0, 3.0)],
+    )
+    def test_formerly_wrong_values(self, alpha, beta, z):
+        # once 4.762e5, -1.078e6, 1.146e-2 and -0.380: a float-argument mpmath
+        # series for alpha = 1, and a z < 0 integral taken at z > 0
+        assert mittag_leffler(alpha, beta, z) == pytest.approx(ml_oracle(alpha, beta, z), rel=1e-10)
+
+    @pytest.mark.parametrize("alpha,beta", ML_GRID)
+    def test_against_mpmath_oracle(self, alpha, beta):
+        got = mittag_leffler_array(alpha, beta, np.array(ML_Z))
+        for z, value in zip(ML_Z, got):
+            want = ml_oracle(alpha, beta, z)
+            if math.isinf(want):
+                assert value == want, f"E({alpha}, {beta})({z}) = {value!r}, expected {want}"
+            else:
+                assert abs(value - want) <= 1e-10 * abs(want), f"E({alpha}, {beta})({z}) = {value!r}, expected {want!r}"
+
+    def test_import_loads_neither_quadrature_nor_mpmath(self):
+        src = str(Path(volterra_merton.__file__).resolve().parents[1])
+        code = "import sys, volterra_merton; print([m for m in sys.modules if m == 'mpmath' or m.startswith('scipy.integrate')])"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSecondKindResolvent:
