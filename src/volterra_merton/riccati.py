@@ -186,8 +186,9 @@ def vector_rhs_general(model) -> VectorRiccatiRHS:
     theta = np.asarray(model.theta, dtype=float)
     nu = np.asarray(model.nu, dtype=float)
     rho = np.asarray(model.rho, dtype=float)
-    const = gamma / (2.0 * (1.0 - gamma)) * theta**2
-    quad = 0.5 * nu**2 * (1.0 + gamma * rho**2 / (1.0 - gamma))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient fails the first step
+        const = gamma / (2.0 * (1.0 - gamma)) * theta**2
+        quad = 0.5 * nu**2 * (1.0 + gamma * rho**2 / (1.0 - gamma))
     return VectorRiccatiRHS(const=const, linear=lambda_matrix(model), quad=quad)
 
 
@@ -226,6 +227,7 @@ def _columns(state: np.ndarray) -> np.ndarray:
     return state.reshape(-1, state.shape[-1]).T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loop reports non-finite steps itself
 def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tuple) -> RiccatiPath:
     """The PECE loop behind both solvers; ``shape`` is the state's, (d,) or (d, d)."""
     kernels = component_kernels(kernel, shape[-1])

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -442,7 +443,11 @@ class TestCli:
         raw["numerics"] = {"horizon": 0.25, "n_steps": 20}
         cfg = tmp_path / "nonfinite.yaml"
         cfg.write_text(yaml.safe_dump(raw))
-        assert cli_main(["mc-check", "--config", str(cfg)]) == 2
+        # pytest's own capture keeps RuntimeWarnings out of capsys
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["mc-check", "--config", str(cfg)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
         captured = capsys.readouterr()
         record = json.loads(captured.out)  # one document, nothing else
         assert record["error"]["code"] == 2
