@@ -458,7 +458,7 @@ def mittag_leffler_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
-    Routes, chosen from z alone:
+    Routes, chosen per element from alpha and z:
 
     - |z| <= 1: the Taylor series, summed by Horner;
     - alpha = 1: E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta);

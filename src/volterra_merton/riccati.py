@@ -172,8 +172,10 @@ def vector_rhs_degenerate(model) -> VectorRiccatiRHS:
     c = distortion_constant(gamma, float(rho[0]))
     theta = np.asarray(model.theta, dtype=float)
     nu = np.asarray(model.nu, dtype=float)
-    const = gamma / (2.0 * c * (1.0 - gamma)) * theta**2
-    return VectorRiccatiRHS(const=const, linear=lambda_matrix(model), quad=0.5 * nu**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient fails the first step
+        const = gamma / (2.0 * c * (1.0 - gamma)) * theta**2
+        quad = 0.5 * nu**2
+    return VectorRiccatiRHS(const=const, linear=lambda_matrix(model), quad=quad)
 
 
 def vector_rhs_general(model) -> VectorRiccatiRHS:
@@ -207,14 +209,15 @@ def wishart_rhs(model) -> MatrixRiccatiRHS:
     rho = np.asarray(model.rho, dtype=float).reshape(-1, 1)
     v = np.asarray(model.market_price, dtype=float).reshape(-1, 1)
     g = gamma / (1.0 - gamma)
-    linear = M + g * (Q.T @ rho) @ v.T
-    quadratic = Q.T @ Q + g * (Q.T @ rho) @ (rho.T @ Q)
-    constant = 0.5 * g * (v @ v.T)
-    return MatrixRiccatiRHS(
-        linear=linear,
-        quadratic=0.5 * (quadratic + quadratic.T),
-        constant=0.5 * (constant + constant.T),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient fails the first step
+        linear = M + g * (Q.T @ rho) @ v.T
+        quadratic = Q.T @ Q + g * (Q.T @ rho) @ (rho.T @ Q)
+        constant = 0.5 * g * (v @ v.T)
+        return MatrixRiccatiRHS(
+            linear=linear,
+            quadratic=0.5 * (quadratic + quadratic.T),
+            constant=0.5 * (constant + constant.T),
+        )
 
 
 def _symmetrized(state: np.ndarray, matrix: bool) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Riccati-Volterra right-hand sides, solvers, and diagnostics."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +224,24 @@ class TestVectorSolver:
         rhs = VectorRiccatiRHS(const=[np.nan], linear=[[0.0]], quad=[0.0])
         with pytest.raises(FloatingPointError):
             solve_riccati_vector(Kernel.constant(1.0), rhs, TimeGrid(1.0, 10))
+
+    @pytest.mark.parametrize("build", ["general", "degenerate", "wishart"])
+    def test_overflowing_coefficients_fail_without_warnings(self, build):
+        # nu or Q of 1e200 squares to inf: the first step is non-finite, and
+        # numpy warns about nothing on the way there
+        grid = TimeGrid(0.25, 20)
+        if build == "wishart":
+            model = make_wishart()
+            model = dataclasses.replace(model, vol_of_vol=1e200 * model.vol_of_vol)
+            make_rhs, solve = wishart_rhs, solve_riccati_matrix
+        else:
+            model = dataclasses.replace(make_degenerate_pair(), nu=[1e200, 0.25])
+            make_rhs = vector_rhs_general if build == "general" else vector_rhs_degenerate
+            solve = solve_riccati_vector
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError):
+                solve(model.kernel, make_rhs(model), grid)
 
     def test_mixed_kernels_per_component(self):
         rhs = VectorRiccatiRHS(const=[0.5, 0.4], linear=-np.eye(2), quad=[0.5, 0.5])
