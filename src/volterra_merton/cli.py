@@ -2,9 +2,9 @@
 
 Subcommands mirror the experiment kinds; the configuration file (or bundled
 preset name) supplies the model and numerics, and command-line flags override
-selected fields.  Exit codes: 0 success, 1 configuration error, 2 Riccati
-blow-up before the horizon or a non-finite Riccati step, 3 Monte Carlo
-divergence.
+selected fields.  Exit codes: 0 success, 1 configuration error (or any
+other failure, reported as kind ``internal``), 2 Riccati blow-up before the
+horizon or a non-finite Riccati step, 3 Monte Carlo divergence.
 """
 
 from __future__ import annotations
@@ -60,28 +60,31 @@ def _error_record(code: int, kind: str, message: str, **extra) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _config(args):
+    formats = None if args.format is None else [f.strip() for f in args.format.split(",") if f.strip()]
+    raw = with_overrides(read_config(args.config), {
+        "output.directory": args.out,
+        "simulation.seed": args.seed,
+        "numerics.n_steps": args.steps,
+        "output.formats": formats,
+    })
+    config = config_from_dict(raw)
+    allowed = _SUBCOMMAND_KINDS[args.command]
+    if config.kind not in allowed:
+        raise ConfigError(
+            [f"config kind {config.kind!r} cannot run under '{args.command}' "
+             f"(allowed: {', '.join(allowed)})"]
+        )
+    return config
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        formats = None if args.format is None else [f.strip() for f in args.format.split(",") if f.strip()]
-        raw = with_overrides(read_config(args.config), {
-            "output.directory": args.out,
-            "simulation.seed": args.seed,
-            "numerics.n_steps": args.steps,
-            "output.formats": formats,
-        })
-        config = config_from_dict(raw)
-        allowed = _SUBCOMMAND_KINDS[args.command]
-        if config.kind not in allowed:
-            raise ConfigError(
-                [f"config kind {config.kind!r} cannot run under '{args.command}' "
-                 f"(allowed: {', '.join(allowed)})"]
-            )
+        report = run(_config(args))
     except ConfigError as exc:
         print(_error_record(1, "config", str(exc), problems=exc.problems))
         return 1
-    try:
-        report = run(config)
     except RiccatiBlowUpError as exc:
         print(_error_record(2, "riccati-blowup", str(exc), t_max_estimate=exc.blowup.detected_at))
         return 2
@@ -91,8 +94,8 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as exc:
         print(_error_record(3, "mc-divergence", str(exc), path_index=exc.path_index))
         return 3
-    except ConfigError as exc:
-        print(_error_record(1, "config", str(exc), problems=exc.problems))
+    except Exception as exc:  # anything else still ends in one record, not a traceback
+        print(_error_record(1, "internal", f"{type(exc).__name__}: {exc}"))
         return 1
     record = json.loads(report.to_json())
     record["runtime_seconds"] = report.runtime_seconds

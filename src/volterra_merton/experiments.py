@@ -39,6 +39,7 @@ from .riccati import (
     DEFAULT_BLOWUP_THRESHOLD,
     MatrixRiccatiRHS,
     RiccatiBlowUpError,
+    solve_riccati_batch,
     solve_riccati_matrix,
     solve_riccati_vector,
     vector_rhs_general,
@@ -511,16 +512,15 @@ def _write_report(config: ExperimentConfig, report: ExperimentReport, stem: str)
 # ---------------------------------------------------------------------------
 
 
+def _rhs(model):
+    return wishart_rhs(model) if isinstance(model, WishartModel) else vector_rhs_general(model)
+
+
 def _solve(config: ExperimentConfig):
     model = config.model
-    grid = config.grid
-    if isinstance(model, WishartModel):
-        rhs = wishart_rhs(model)
-        path = solve_riccati_matrix(model.kernel, rhs, grid, config.blowup_threshold)
-    else:
-        rhs = vector_rhs_general(model)
-        path = solve_riccati_vector(model.kernel, rhs, grid, config.blowup_threshold)
-    return rhs, path
+    rhs = _rhs(model)
+    solve = solve_riccati_matrix if isinstance(model, WishartModel) else solve_riccati_vector
+    return rhs, solve(model.kernel, rhs, config.grid, config.blowup_threshold)
 
 
 def _strategy(config: ExperimentConfig, path) -> StrategyPath:
@@ -668,8 +668,8 @@ def _rk4_matrix_reference(rhs: MatrixRiccatiRHS, grid: TimeGrid):
         k2 = rhs(y + 0.5 * h * k1)
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[n + 1] = 0.5 * (y + y.T)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # exactly symmetric, as every k is
+        out[n + 1] = y
     return RiccatiPath(grid, out, None, 0.0)
 
 
@@ -731,8 +731,11 @@ def _max_workers(n_points: int) -> int:
 def sweep(config: ExperimentConfig) -> ExperimentReport:
     """Run every sweep point and assemble the combined long-format CSV.
 
-    Points execute on a thread pool capped by VOLTERRA_MERTON_THREADS; the
-    combined file is assembled in sweep-value order after all points finish.
+    The points share n_steps, so one batched Riccati solve serves them all.
+    Their strategies and files are then made on a thread pool capped by
+    VOLTERRA_MERTON_THREADS, and the combined file is assembled in sweep-value
+    order after all points finish.  A failing point raises its own error; with
+    several, the first in config order wins.
     """
     if config.kind not in SWEEP_KINDS:
         raise ConfigError([f"kind {config.kind} is not a sweep"])
@@ -742,15 +745,20 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
     axis = config.sweep_axis
     points = list(config.sweep_values)
     report = ExperimentReport(kind=config.kind, config_echo=config.echo)
+    subs = [_point_config(config, value) for value in points]
+    paths = solve_riccati_batch(
+        [sub.model.kernel for sub in subs],
+        [_rhs(sub.model) for sub in subs],
+        [sub.grid for sub in subs],
+        config.blowup_threshold,
+    )
 
     def run_point(idx_value):
-        """One pipeline: solve, strategy, per-point CSV (and SVG if asked)."""
+        """One point's strategy, per-point CSV (and SVG if asked)."""
         idx, value = idx_value
-        sub = _point_config(config, value)
+        sub = subs[idx]
         stem = f"{config.kind}_{axis}_{_slug(value)}"
-        rhs, path = _solve(sub)
-        if path.blowup is not None:
-            raise RiccatiBlowUpError(path.blowup)
+        path = paths[idx].require_global()
         strat = _strategy(sub, path)
         outputs: list[str] = []
         _write_strategy(sub, stem, strat, outputs)

@@ -9,11 +9,13 @@ matrix valued psi with the quadratic map of the Wishart case.  K is diagonal
 with one scalar kernel per component (vector case) or per column (matrix
 case).  Time stepping is predictor-corrector (PECE) product integration:
 left-rectangle predictor with exact cell integrals of K, one corrector sweep
-with the trapezoidal product weights.
+with the trapezoidal product weights.  One loop serves every solve: several
+problems of one shape and step count advance through it together.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
     "wishart_rhs",
     "solve_riccati_vector",
     "solve_riccati_matrix",
+    "solve_riccati_batch",
     "global_existence_diagonal",
     "fixed_point_residual",
 ]
@@ -50,8 +53,9 @@ DEFAULT_BLOWUP_THRESHOLD = 1e8
 class VectorRiccatiRHS:
     """Quadratic right-hand side F(psi) = const + psi @ linear + quad * psi**2.
 
-    psi is a row vector, or a stack of them along a leading time axis;
-    ``quad`` acts componentwise.
+    psi is a row vector, or a stack of them along leading axes; ``quad`` acts
+    componentwise.  The coefficients may carry a leading problem axis of their
+    own, one problem per row vector of psi (``solve_riccati_batch``).
     """
 
     const: np.ndarray
@@ -62,8 +66,7 @@ class VectorRiccatiRHS:
         const = np.atleast_1d(np.asarray(self.const, dtype=float))
         linear = np.atleast_2d(np.asarray(self.linear, dtype=float))
         quad = np.atleast_1d(np.asarray(self.quad, dtype=float))
-        d = const.shape[0]
-        if linear.shape != (d, d) or quad.shape != (d,):
+        if linear.shape != const.shape + const.shape[-1:] or quad.shape != const.shape:
             raise ValueError("inconsistent coefficient shapes")
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "linear", linear)
@@ -71,10 +74,15 @@ class VectorRiccatiRHS:
 
     @property
     def dim(self) -> int:
-        return self.const.shape[0]
+        return self.const.shape[-1]
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of one state psi."""
+        return (self.dim,)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        return self.const + psi @ self.linear + self.quad * psi**2
+        return self.const + np.matmul(psi[..., None, :], self.linear)[..., 0, :] + self.quad * psi**2
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,8 @@ class MatrixRiccatiRHS:
 
     ``quadratic`` (S) and ``constant`` (C) must be symmetric; f then maps
     symmetric matrices to symmetric matrices.  Evaluations are symmetrized to
-    kill floating-point asymmetry.  psi may carry a leading time axis.
+    kill floating-point asymmetry.  psi may carry leading axes, and the
+    coefficients a leading problem axis, one problem per matrix of psi.
     """
 
     linear: np.ndarray
@@ -94,24 +103,29 @@ class MatrixRiccatiRHS:
         lin = np.atleast_2d(np.asarray(self.linear, dtype=float))
         quad = np.atleast_2d(np.asarray(self.quadratic, dtype=float))
         const = np.atleast_2d(np.asarray(self.constant, dtype=float))
-        d = lin.shape[0]
+        d = lin.shape[-1]
         for name, m in (("linear", lin), ("quadratic", quad), ("constant", const)):
-            if m.shape != (d, d):
+            if m.shape != lin.shape[:-2] + (d, d):
                 raise ValueError(f"{name} must be {d}x{d}")
         for name, m in (("quadratic", quad), ("constant", const)):
-            if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
+            if not np.allclose(m, m.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
                 raise ValueError(f"{name} must be symmetric")
         object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "quadratic", 0.5 * (quad + quad.T))
-        object.__setattr__(self, "constant", 0.5 * (const + const.T))
+        object.__setattr__(self, "quadratic", _symmetrized(quad))
+        object.__setattr__(self, "constant", _symmetrized(const))
 
     @property
     def dim(self) -> int:
-        return self.linear.shape[0]
+        return self.linear.shape[-1]
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of one state psi."""
+        return (self.dim, self.dim)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        out = psi @ self.linear + self.linear.T @ psi + 2.0 * psi @ self.quadratic @ psi + self.constant
-        return _symmetrized(out, matrix=True)
+        lin = self.linear
+        return _symmetrized(psi @ lin + lin.swapaxes(-1, -2) @ psi + 2.0 * psi @ self.quadratic @ psi + self.constant)
 
 
 @dataclass(frozen=True)
@@ -138,23 +152,30 @@ class RiccatiPath:
     """Solution samples psi(t_j) with blow-up metadata and a quadrature residual.
 
     ``values`` has shape (n_steps+1, d) for the vector equation and
-    (n_steps+1, d, d) for the matrix one; nodes past a detected blow-up hold
-    the last finite value.
+    (n_steps+1, d, d) for the matrix one; nodes past a detected blow-up, or
+    past a non-finite step (``nonfinite_at``, set by ``solve_riccati_batch``
+    only), hold the last finite value.
     """
 
     grid: TimeGrid
     values: np.ndarray
     blowup: BlowUp | None
     residual: float
+    nonfinite_at: float | None = None
 
     @property
     def ok(self) -> bool:
-        return self.blowup is None
+        return self.blowup is None and self.nonfinite_at is None
+
+    def require_finite(self) -> "RiccatiPath":
+        if self.nonfinite_at is not None:
+            raise FloatingPointError(f"non-finite Riccati step at t = {self.nonfinite_at:.6g}")
+        return self
 
     def require_global(self) -> "RiccatiPath":
         if self.blowup is not None:
             raise RiccatiBlowUpError(self.blowup)
-        return self
+        return self.require_finite()
 
 
 def vector_rhs_degenerate(model) -> VectorRiccatiRHS:
@@ -220,50 +241,100 @@ def wishart_rhs(model) -> MatrixRiccatiRHS:
         )
 
 
-def _symmetrized(state: np.ndarray, matrix: bool) -> np.ndarray:
-    """Symmetric part of matrix states (over the last two axes); vectors pass through."""
-    return 0.5 * (state + state.swapaxes(-1, -2)) if matrix else state
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """Symmetric part of matrices (over the last two axes)."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _columns(state: np.ndarray) -> np.ndarray:
-    """One state as (d, width): entry i of a vector, or column i of a matrix, in row i."""
-    return state.reshape(-1, state.shape[-1]).T
+def _stacked(rhss: list):
+    """One right-hand side whose coefficients stack those of ``rhss`` along a leading problem axis."""
+    first = rhss[0]
+    if any(type(rhs) is not type(first) or rhs.shape != first.shape for rhs in rhss):
+        raise ValueError("batched right-hand sides must share their type and dimension")
+    return type(first)(*(np.stack([getattr(rhs, f.name) for rhs in rhss]) for f in dataclasses.fields(first)))
+
+
+def _failure(pred_norm: float, norm: float, threshold: float, grid: TimeGrid, n: int):
+    """What stops a problem at step n: its BlowUp, the time of a non-finite step, or None."""
+    if pred_norm > threshold or pred_norm == np.inf:
+        return BlowUp(detected_at=grid.nodes[n - 1], norm=float(pred_norm))
+    if np.isnan(norm):
+        # no blow-up in the predictor, so NaN here means bad inputs
+        return grid.nodes[n]
+    if norm > threshold or norm == np.inf:
+        return BlowUp(detected_at=grid.nodes[n - 1], norm=float(norm))
+    return None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the loop reports non-finite steps itself
-def _solve_pece(kernel, rhs, grid: TimeGrid, blowup_threshold: float, shape: tuple) -> RiccatiPath:
-    """The PECE loop behind both solvers; ``shape`` is the state's, (d,) or (d, d)."""
-    kernels = component_kernels(kernel, shape[-1])
-    weights = stack_weights([kernel_weights(k, grid) for k in kernels])
+def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_threshold: float) -> list[RiccatiPath]:
+    """The PECE loop behind every solver: problem p has ``kernels[p]``, ``rhss[p]`` and ``grids[p]``.
+
+    The problems share the state shape and n_steps and step together; row
+    p d + i of the weights and of the F(psi) history is component (or column)
+    i of problem p.  A problem that fails is frozen at its last finite node
+    and stops feeding its history rows; the others step on as if alone.
+    """
+    rhs = _stacked(rhss)
+    shape = rhs.shape
+    d, n_problems, n_steps = shape[-1], len(rhss), grids[0].n_steps
+    if any(grid.n_steps != n_steps for grid in grids):
+        raise ValueError("batched grids must share n_steps")
+    weights = stack_weights(
+        [kernel_weights(k, grid) for kernel, grid in zip(kernels, grids) for k in component_kernels(kernel, d)]
+    )
     matrix = len(shape) == 2
-    n_steps = grid.n_steps
-    psi = np.zeros((n_steps + 1,) + shape)
-    fvals = np.empty((shape[-1], n_steps + 1, psi[0].size // shape[-1]))  # F(psi), component-major
-    fvals[:, 0] = _columns(rhs(psi[0]))
-    predictor = HistorySums(weights.predictor_lags(), fvals)
-    corrector = HistorySums(weights.corrector_lags(), fvals)
-    newest = weights.corrector[:, 1]
-    blowup = None
+    states = (n_problems,) + shape
+    psi = np.zeros((n_problems, n_steps + 1) + shape)
+    # F(psi) component-major: row p d + i holds entry i of problem p's vector,
+    # or row i of its matrix, which is column i since F(psi) is symmetric
+    fvals = np.zeros((n_problems * d, n_steps + 1, psi[0, 0].size // d))
+    fvals[:, 0] = rhs(psi[:, 0]).reshape(len(fvals), -1)
+    predictor = HistorySums(weights.predictor_lags(), fvals, groups=n_problems)
+    corrector = HistorySums(weights.corrector_lags(), fvals, groups=n_problems)
+    # Steps run on the history's (P, d, width) layout.  It holds a matrix
+    # state transposed, which the symmetrization undoes bit for bit.
+    newest = weights.corrector[:, 1].reshape(n_problems, d, 1)
+    live = np.ones(n_problems, dtype=bool)
+    dead_rows = np.zeros(0, dtype=int)
+    failures = {}  # problem -> (step, BlowUp or time of the non-finite step)
     for n in range(1, n_steps + 1):
-        pred = _symmetrized(predictor(n).T.reshape(shape), matrix)
-        pred_norm = float(np.max(np.abs(pred)))
-        if pred_norm > blowup_threshold or np.isinf(pred_norm):
-            blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=pred_norm)
-            psi[n:] = psi[n - 1]
-            break
-        val = _symmetrized(corrector(n).T.reshape(shape) + newest * rhs(pred), matrix)
-        norm = float(np.max(np.abs(val)))
-        if np.isnan(norm):
-            # predictor was finite, so NaN here means bad inputs, not blow-up
-            raise FloatingPointError(f"non-finite Riccati step at t = {grid.nodes[n]:.6g}")
-        if norm > blowup_threshold or np.isinf(norm):
-            blowup = BlowUp(detected_at=grid.nodes[n - 1], norm=norm)
-            psi[n:] = psi[n - 1]
-            break
-        psi[n] = val
-        fvals[:, n] = _columns(rhs(val))
-    residual = np.nan if blowup is not None else _residual(psi, weights, rhs)
-    return RiccatiPath(grid, psi, blowup, residual)
+        pred = predictor(n).reshape(n_problems, d, -1)
+        if matrix:
+            pred = _symmetrized(pred)
+        val = corrector(n).reshape(pred.shape) + newest * rhs(pred.reshape(states)).reshape(pred.shape)
+        if matrix:
+            val = _symmetrized(val)
+        worst = np.maximum(abs(pred), abs(val)).max(axis=(1, 2))  # per problem; NaN stays NaN
+        if dead_rows.size:
+            worst[~live] = 0.0
+        if not worst.max() < blowup_threshold:
+            for p in np.flatnonzero(~(worst < blowup_threshold)):
+                failure = _failure(abs(pred[p]).max(), abs(val[p]).max(), blowup_threshold, grids[p], n)
+                if failure is not None:
+                    failures[p] = (n, failure)
+                    live[p] = False
+            if not live.any():
+                break
+            dead_rows = np.flatnonzero(np.repeat(~live, d))
+            fvals[dead_rows] = 0.0  # a failed problem stops feeding its rows
+        val = val.reshape(states)
+        psi[:, n] = val
+        fvals[:, n] = rhs(val).reshape(len(fvals), -1)
+        if dead_rows.size:
+            fvals[dead_rows, n] = 0.0
+    paths = []
+    for p, (grid, single) in enumerate(zip(grids, rhss)):
+        if p in failures:
+            step, failure = failures[p]
+            psi[p, step:] = psi[p, step - 1]
+            blowup = failure if isinstance(failure, BlowUp) else None
+            paths.append(RiccatiPath(grid, psi[p], blowup, np.nan, None if blowup else failure))
+        else:
+            rows = slice(p * d, (p + 1) * d)
+            own = StackedWeights(weights.cell[rows], weights.corrector[rows])
+            paths.append(RiccatiPath(grid, psi[p], None, _residual(psi[p], own, single)))
+    return paths
 
 
 def solve_riccati_vector(
@@ -275,9 +346,10 @@ def solve_riccati_vector(
     """PECE product-integration solve of the row-vector Riccati equation.
 
     On blow-up the returned path is truncated (values frozen at the last
-    finite node) and carries the estimated divergence time.
+    finite node) and carries the estimated divergence time; a non-finite
+    step raises FloatingPointError.
     """
-    return _solve_pece(kernel, rhs, grid, blowup_threshold, (rhs.dim,))
+    return _solve_pece([kernel], [rhs], [grid], blowup_threshold)[0].require_finite()
 
 
 def solve_riccati_matrix(
@@ -292,7 +364,24 @@ def solve_riccati_matrix(
     uses kernel K_i.  With equal component kernels symmetry is automatic;
     with distinct kernels each iterate is re-symmetrized.
     """
-    return _solve_pece(kernel, rhs, grid, blowup_threshold, (rhs.dim, rhs.dim))
+    return _solve_pece([kernel], [rhs], [grid], blowup_threshold)[0].require_finite()
+
+
+def solve_riccati_batch(
+    kernels: list,
+    rhss: list,
+    grids: list[TimeGrid],
+    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+) -> list[RiccatiPath]:
+    """Solve problem p = (``kernels[p]``, ``rhss[p]``, ``grids[p]``) for every p in one PECE loop.
+
+    The right-hand sides must share their type and dimension and the grids
+    their n_steps; horizons, kernels and coefficients may differ.  Path p
+    equals the lone solve of problem p bit for bit, except that a non-finite
+    step sets its ``nonfinite_at`` instead of raising (``require_global``
+    raises it), so that one bad problem leaves the others their results.
+    """
+    return _solve_pece(list(kernels), list(rhss), list(grids), blowup_threshold)
 
 
 def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
@@ -318,7 +407,7 @@ def _residual(vals: np.ndarray, weights: StackedWeights, rhs) -> float:
     d = vals.shape[-1]
     cols = np.ascontiguousarray(mid.reshape(n_steps, -1, d).transpose(2, 0, 1))
     sums = causal_sums(weights.predictor_lags(), cols).transpose(1, 2, 0).reshape(vals[1:].shape)
-    approx = _symmetrized(sums, matrix=vals.ndim == 3)
+    approx = _symmetrized(sums) if vals.ndim == 3 else sums
     return float(np.max(np.abs(vals[1:] - approx)))
 
 

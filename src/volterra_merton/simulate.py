@@ -114,8 +114,12 @@ def _normals(cfg: SimConfig, n_steps: int, per_step: int) -> np.ndarray:
     """
     n_streams = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     out = np.empty((cfg.n_paths, n_steps, per_step))
+    bits = np.random.Philox(key=cfg.seed)
+    gen = np.random.Generator(bits)
+    state = bits.state  # a fresh generator's: empty buffer, no cached half word
     for stream in range(n_streams):
-        gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=stream * 2**128))
+        state["state"]["counter"] = np.array([0, 0, stream, 0], dtype=np.uint64)  # stream * 2**128
+        bits.state = state
         draw = gen.standard_normal((n_steps, per_step))
         if cfg.antithetic:
             out[2 * stream] = draw

@@ -1,5 +1,6 @@
 """Config loading, experiment pipelines, CSV contracts, CLI exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import warnings
@@ -15,6 +16,7 @@ from volterra_merton.experiments import (
     available_presets,
     config_from_dict,
     load_config,
+    read_config,
     run,
     sweep,
 )
@@ -403,6 +405,20 @@ class TestSweeps:
                 seen.append(v)
         assert [float(v) for v in seen] == [0.55, 0.75, 0.95]
 
+    # Vol-of-vol scale 5 blows up at t = 0.67 of 200 steps; 1e200 makes Q^T Q
+    # overflow, so that point's very first step is non-finite.
+    @pytest.mark.parametrize("scales", [(0.5, 5.0), (5.0, 1e200)], ids=["blowup", "blowup-before-nonfinite"])
+    def test_failing_point_raises_first_failure_in_config_order(self, tmp_path, scales):
+        from volterra_merton.riccati import RiccatiBlowUpError
+
+        config = load_config("bpt10_volofvol_study").replaced(out_dir=tmp_path, n_steps=200, sweep_values=scales)
+        model = dataclasses.replace(config.model, vol_of_vol=5.0 * config.model.vol_of_vol)
+        want = solve_riccati_matrix(model.kernel, wishart_rhs(model), config.grid).blowup
+        assert want is not None and 0.5 < want.detected_at < 1.0
+        with pytest.raises(RiccatiBlowUpError) as caught:
+            sweep(config)
+        assert caught.value.blowup == want
+
 
 class TestCli:
     def test_strategy_roundtrip(self, tmp_path, capsys):
@@ -453,6 +469,33 @@ class TestCli:
         assert record["error"]["code"] == 2
         assert record["error"]["kind"] == "riccati-nonfinite"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("scales", [[0.5, 5.0], [5.0, 1e200]], ids=["blowup", "blowup-before-nonfinite"])
+    def test_sweep_failure_is_one_blowup_record(self, tmp_path, capsys, scales):
+        raw = read_config("bpt10_volofvol_study")
+        raw["numerics"]["n_steps"] = 200
+        raw["sweep"]["volofvol_scale"] = scales
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["kind"] == "riccati-blowup"
+        assert record["error"]["t_max_estimate"] == pytest.approx(0.67)
+        assert captured.err == ""
+
+    def test_unexpected_failure_is_one_internal_record(self, tmp_path, capsys, monkeypatch):
+        import volterra_merton.cli as cli
+
+        def broken(config):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "run", broken)
+        assert cli_main(["strategy", "--config", "bpt10_wishart", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"] == {"code": 1, "kind": "internal", "message": "RuntimeError: unexpected"}
+        assert captured.err == ""
 
     def test_nonfinite_metric_is_strict_json_null(self, tmp_path, capsys):
         # two antithetic paths over five steps give zero stderr and an infinite z-score

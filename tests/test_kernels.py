@@ -512,3 +512,19 @@ class TestHistorySums:
         got = [sums(n)[0, 0] for n in range(1, BLOCK + 2)]
         assert np.all(np.isfinite(got[: BLOCK - 1])) and np.all(np.isposinf(got[BLOCK - 1 :]))
         assert np.all(np.isposinf(causal_sums(weights, values)[0, BLOCK - 1 :, 0]))
+
+    def test_groups_close_blocks_as_if_alone(self):
+        # three problems of two rows each; the middle one overflows on the
+        # last node of the first block, so only it keeps that block open
+        rng = np.random.default_rng(11)
+        n_steps = 3 * BLOCK
+        lag = np.hstack([np.zeros((6, 1)), rng.uniform(0.5, 1.0, (6, n_steps)) / np.arange(1, n_steps + 1)])
+        head = rng.uniform(0.0, 0.1, (6, n_steps + 1))
+        weights = LagWeights(lag, head=head)
+        values = rng.normal(size=(6, n_steps + 1, 2))
+        values[2, BLOCK - 1, 1] = np.inf
+        grouped = HistorySums(weights, values, groups=3)
+        alone = [HistorySums(LagWeights(lag[rows], head=head[rows]), values[rows]) for rows in (slice(0, 2), slice(2, 4), slice(4, 6))]
+        for n in range(1, n_steps + 1):
+            np.testing.assert_array_equal(grouped(n), np.concatenate([sums(n) for sums in alone]))
+

@@ -17,6 +17,7 @@ from volterra_merton.riccati import (
     VectorRiccatiRHS,
     fixed_point_residual,
     global_existence_diagonal,
+    solve_riccati_batch,
     solve_riccati_matrix,
     solve_riccati_vector,
     vector_rhs_degenerate,
@@ -288,6 +289,117 @@ class TestMatrixSolver:
         path = solve_riccati_matrix(kernels, rhs, TimeGrid(1.0, 500))
         asym = np.max(np.abs(path.values - path.values.transpose(0, 2, 1)))
         assert asym <= 1e-12
+
+
+class TestBatchedSolves:
+    """One batched loop against lone solves of each problem, bit for bit."""
+
+    @staticmethod
+    def assert_lone_equal(kernels, rhss, grids, threshold=1e8):
+        paths = solve_riccati_batch(kernels, rhss, grids, threshold)
+        assert len(paths) == len(rhss)
+        for path, kernel, rhs, grid in zip(paths, kernels, rhss, grids):
+            solve = solve_riccati_matrix if isinstance(rhs, MatrixRiccatiRHS) else solve_riccati_vector
+            lone = solve(kernel, rhs, grid, threshold)
+            assert path.grid == grid
+            np.testing.assert_array_equal(path.values, lone.values)
+            assert path.blowup == lone.blowup
+            np.testing.assert_array_equal(path.residual, lone.residual)  # NaN after a blow-up
+        return paths
+
+    def test_vector_problems_with_distinct_alpha_horizon_and_coefficients(self):
+        rhss = [
+            VectorRiccatiRHS(const=[0.5, 0.4], linear=[[-1.0, 0.2], [0.1, -1.3]], quad=[0.5, 0.3]),
+            VectorRiccatiRHS(const=[0.2, 0.7], linear=[[-0.6, 0.0], [0.3, -0.9]], quad=[0.1, 0.4]),
+            VectorRiccatiRHS(const=[0.9, 0.1], linear=-np.eye(2), quad=[0.05, 0.6]),
+        ]
+        kernels = [
+            Kernel.fractional(1.0, 0.6),
+            [Kernel.fractional(1.0, 0.8), Kernel.exponential(1.5, 2.0)],
+            [Kernel.gamma(1.0, 0.7, 0.5), Kernel.constant(1.0)],
+        ]
+        grids = [TimeGrid(0.5, 1200), TimeGrid(1.0, 1200), TimeGrid(2.0, 1200)]  # 1200 > 2 BLOCK
+        paths = self.assert_lone_equal(kernels, rhss, grids)
+        assert all(path.ok for path in paths)
+
+    def test_matrix_problems_with_distinct_kernels_and_coefficients(self):
+        rhss = [wishart_rhs(make_wishart(gamma=g)) for g in (0.2, 0.35, 0.5)]
+        kernels = [
+            [Kernel.fractional(1.0, 0.95), Kernel.fractional(1.0, 0.55)],
+            Kernel.fractional(1.0, 0.75),
+            [Kernel.fractional(1.0, 0.6), Kernel.exponential(1.0, 1.0)],
+        ]
+        grids = [TimeGrid(1.0, 700), TimeGrid(0.5, 700), TimeGrid(2.0, 700)]
+        self.assert_lone_equal(kernels, rhss, grids)
+
+    def test_blowup_mid_grid_leaves_the_others_alone(self):
+        # psi' = 10 + 10 psi^2 diverges at t = pi/20, near node 1257 of 2000
+        # on [0, 0.25]: two blocks have closed by then, and the others go on
+        blowing = VectorRiccatiRHS(const=[10.0], linear=[[0.0]], quad=[10.0])
+        calm = VectorRiccatiRHS(const=[0.5], linear=[[-1.15]], quad=[0.3])
+        kernels = [Kernel.fractional(1.0, 0.6), Kernel.constant(1.0), Kernel.fractional(1.0, 0.8)]
+        grids = [TimeGrid(0.25, 2000)] * 3
+        paths = self.assert_lone_equal(kernels, [calm, blowing, calm], grids)
+        assert [path.ok for path in paths] == [True, False, True]
+        assert 1024 < paths[1].blowup.detected_at / grids[1].dt < 2000
+
+    def test_overflow_before_a_block_closes_leaves_the_others_alone(self):
+        # psi' = 1 + 1e10 psi under a threshold of 1e300: on this grid psi**2
+        # overflows at node 511, the last node of the first block, so F(psi)
+        # is not finite there and the next step is NaN.  That block stays
+        # open for this problem only.
+        wild = VectorRiccatiRHS(const=[1.0], linear=[[1e10]], quad=[0.0])
+        calm = VectorRiccatiRHS(const=[0.5], linear=[[-1.15]], quad=[0.3])
+        grids = [TimeGrid(4.719448997657518e-08, 600), TimeGrid(1.0, 600)]
+        kernels = [Kernel.constant(1.0), Kernel.fractional(1.0, 0.6)]
+        wild_path, calm_path = solve_riccati_batch(kernels, [wild, calm], grids, 1e300)
+        assert wild_path.nonfinite_at == grids[0].nodes[512]
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(wild(wild_path.values[511])))
+        with pytest.raises(FloatingPointError, match=f"t = {grids[0].nodes[512]:.6g}"):
+            solve_riccati_vector(kernels[0], wild, grids[0], 1e300)
+        lone = solve_riccati_vector(kernels[1], calm, grids[1], 1e300)
+        np.testing.assert_array_equal(calm_path.values, lone.values)
+        assert calm_path.residual == lone.residual
+
+    def test_nonfinite_problem_is_reported_not_raised(self):
+        bad = VectorRiccatiRHS(const=[np.nan], linear=[[0.0]], quad=[0.0])
+        good = VectorRiccatiRHS(const=[0.5], linear=[[-1.0]], quad=[0.5])
+        kernel, grid = Kernel.fractional(1.0, 0.7), TimeGrid(1.0, 600)
+        first, second = solve_riccati_batch([kernel, kernel], [bad, good], [grid, grid])
+        assert first.nonfinite_at == grid.nodes[1] and first.blowup is None and not first.ok
+        assert np.all(first.values == 0.0)
+        with pytest.raises(FloatingPointError, match="non-finite Riccati step at t = 0.00166667"):
+            first.require_global()
+        with pytest.raises(FloatingPointError, match="non-finite Riccati step at t = 0.00166667"):
+            solve_riccati_vector(kernel, bad, grid)
+        lone = solve_riccati_vector(kernel, good, grid)
+        np.testing.assert_array_equal(second.values, lone.values)
+        assert second.residual == lone.residual
+
+    def test_problems_must_share_shape_and_steps(self):
+        vec = VectorRiccatiRHS(const=[0.5], linear=[[-1.0]], quad=[0.5])
+        pair = VectorRiccatiRHS(const=[0.5, 0.5], linear=-np.eye(2), quad=[0.5, 0.5])
+        mat = MatrixRiccatiRHS(linear=[[-0.7]], quadratic=[[0.8]], constant=[[0.3]])
+        k = Kernel.constant(1.0)
+        with pytest.raises(ValueError, match="n_steps"):
+            solve_riccati_batch([k, k], [vec, vec], [TimeGrid(1.0, 10), TimeGrid(1.0, 20)])
+        for other in (pair, mat):
+            with pytest.raises(ValueError, match="type and dimension"):
+                solve_riccati_batch([k, k], [vec, other], [TimeGrid(1.0, 10)] * 2)
+
+    def test_stacked_coefficients_act_per_problem(self):
+        # psi @ linear alone would multiply every row vector by every problem's matrix
+        rng = np.random.default_rng(2)
+        const, linear, quad = rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2))
+        psi = rng.normal(size=(3, 2))
+        stacked = VectorRiccatiRHS(const=const, linear=linear, quad=quad)
+        want = [VectorRiccatiRHS(const=c, linear=m, quad=q)(x) for c, m, q, x in zip(const, linear, quad, psi)]
+        np.testing.assert_array_equal(stacked(psi), want)
+        sym = psi[:, :, None] * psi[:, None, :]
+        mstacked = MatrixRiccatiRHS(linear=linear, quadratic=sym, constant=sym)
+        mwant = [MatrixRiccatiRHS(linear=m, quadratic=s, constant=s)(s) for m, s in zip(linear, sym)]
+        np.testing.assert_array_equal(mstacked(sym), mwant)
 
 
 class TestDegenerateEquivalence:
