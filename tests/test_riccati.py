@@ -362,6 +362,22 @@ class TestBatchedSolves:
         np.testing.assert_array_equal(calm_path.values, lone.values)
         assert calm_path.residual == lone.residual
 
+    def test_infinite_f_on_a_block_end_is_a_blowup(self):
+        # psi' = 1 + 1e10 psi + 1e-300 psi**2: F(psi) overflows to +inf, with
+        # no NaN, at node 511, the last node of the first block.  The direct
+        # sums then give an infinite predictor, a blow-up at node 511.
+        wild = VectorRiccatiRHS(const=[1.0], linear=[[1e10]], quad=[1e-300])
+        calm = VectorRiccatiRHS(const=[0.5], linear=[[-1.15]], quad=[0.3])
+        grids = [TimeGrid(4.719448997657518e-08, 600), TimeGrid(1.0, 600)]
+        kernels = [Kernel.constant(1.0), Kernel.fractional(1.0, 0.6)]
+        lone = solve_riccati_vector(kernels[0], wild, grids[0], 1e300)
+        with np.errstate(all="ignore"):
+            f = wild(lone.values[511])
+        assert np.all(np.isposinf(f))
+        assert lone.blowup.detected_at == grids[0].nodes[511] and lone.blowup.norm == np.inf
+        assert np.all(lone.values[512:] == lone.values[511])
+        self.assert_lone_equal(kernels, [wild, calm], grids, 1e300)
+
     def test_nonfinite_problem_is_reported_not_raised(self):
         bad = VectorRiccatiRHS(const=[np.nan], linear=[[0.0]], quad=[0.0])
         good = VectorRiccatiRHS(const=[0.5], linear=[[-1.0]], quad=[0.5])
