@@ -227,7 +227,8 @@ def _build_model(section, problems: list[str]):
             elif "nnt_from_q" in section:
                 # drift constant N N^T = factor * Q^T Q; N is its symmetric root
                 factor = float(section["nnt_from_q"])
-                vals, vecs = np.linalg.eigh(factor * (Q.T @ Q))
+                with np.errstate(over="ignore", invalid="ignore"):  # validation reports a non-finite noise
+                    vals, vecs = np.linalg.eigh(factor * (Q.T @ Q))
                 noise = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
             else:
                 problems.append("wishart model needs 'noise' or 'nnt_from_q'")

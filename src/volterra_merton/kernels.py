@@ -306,22 +306,18 @@ class HistorySums:
     filling: s_n, shape (d, width), reads values[:, :n], and n must run 1, 2,
     ... in turn.  The open block of at most BLOCK nodes is summed with
     ``history_sum``; once it is full, one FFT adds its share to every later
-    node.  The rows fall into ``groups`` equal groups, independent problems
-    stacked together.  A group whose block holds a non-finite value keeps it
-    open, so that an overflow reaches its later sums as in the direct sum
-    rather than as NaN smeared by the FFT; the other groups close it as if
-    alone.
+    node.  Each row and column is transformed on its own, so a non-finite
+    value reaches only the later sums of its own row and column, where the
+    FFT may turn an overflow into NaN.
     """
 
-    def __init__(self, weights: LagWeights, values: np.ndarray, groups: int = 1):
+    def __init__(self, weights: LagWeights, values: np.ndarray):
         n_steps = weights.lag.shape[1] - 1
         self.weights = weights
         self.values = values
         self._rows = weights.lag[:, :0:-1].copy()  # lags N..1, so each row is a forward slice
         self._start = 0  # first node of the open block
         self._closed = None  # share of the closed blocks, per node
-        self._groups = groups
-        self._open = {}  # group -> first node of the block it keeps open
         if n_steps > BLOCK:
             self._size = sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True)
             self._spectrum = _lag_spectrum(weights, self._size)
@@ -330,49 +326,26 @@ class HistorySums:
     def __call__(self, n: int) -> np.ndarray:
         start = self._start
         if self._closed is not None and n - start == BLOCK:
-            self._close(start, n)
+            shares = _fft_sums(self.weights, self.values[:, start:n], start, self._spectrum, self._size)
+            self._closed[:, n:] += shares[:, n - start : self._closed.shape[1] - start]
             start = self._start = n
-        direct = self._direct(slice(None), start, n)
-        sums = direct if start == 0 else self._closed[:, n] + direct
-        for group, since in self._open.items():
-            size = len(self.values) // self._groups
-            rows = slice(group * size, (group + 1) * size)
-            sums[rows] = self._closed[rows, n] + self._direct(rows, since, n)
-        return sums
-
-    def _direct(self, rows: slice, start: int, n: int) -> np.ndarray:
-        """Sums of the given rows over nodes start..n-1."""
-        row = self._rows[rows, self._rows.shape[1] - n + start :]
+        row = self._rows[:, self._rows.shape[1] - n + start :]
         if start == 0 and self.weights.head is not None:
             row = row.copy()
-            row[:, 0] = self.weights.head[rows, n]
-        return history_sum(row, self.values[rows, start:n])
-
-    def _close(self, start: int, n: int) -> None:
-        """Add the share of the full block start..n-1 to every later node, for each group able to."""
-        block = self.values[:, start:n]
-        for group in np.flatnonzero(~np.isfinite(block).reshape(self._groups, -1).all(axis=1)):
-            self._open.setdefault(int(group), start)
-        if self._open:
-            shut = np.ones(self._groups, dtype=bool)
-            shut[list(self._open)] = False
-            if not shut.any():
-                return
-            # the open groups' share stays direct
-            block = np.where(np.repeat(shut, len(block) // self._groups)[:, None, None], block, 0.0)
-        shares = _fft_sums(self.weights, block, start, self._spectrum, self._size)
-        self._closed[:, n:] += shares[:, n - start : self._closed.shape[1] - start]
+            row[:, 0] = self.weights.head[:, n]
+        direct = history_sum(row, self.values[:, start:n])
+        return direct if start == 0 else self._closed[:, n] + direct
 
 
 def causal_sums(weights: LagWeights, values: np.ndarray) -> np.ndarray:
-    """s_n of ``HistorySums`` for n = 1..N at once, every value being known.
+    """s_n of ``HistorySums`` for n = 1..N at once, every value being known and finite.
 
-    Returns (d, N, width).  Grids of at most BLOCK steps, and values with a
-    non-finite entry, go through ``HistorySums``; other grids take one FFT
-    convolution over the whole array.
+    Returns (d, N, width).  Grids of at most BLOCK steps go through
+    ``HistorySums``; longer grids take one FFT convolution over the whole
+    array.
     """
     n_steps = weights.lag.shape[1] - 1
-    if n_steps <= BLOCK or not np.all(np.isfinite(values)):
+    if n_steps <= BLOCK:
         sums = HistorySums(weights, values)
         return np.stack([sums(n) for n in range(1, n_steps + 1)], axis=1)
     size = sp_fft.next_fast_len(values.shape[1] + n_steps, real=True)

@@ -131,7 +131,8 @@ def _value_report(model, path: RiccatiPath, x0: float, state_term) -> ValueRepor
     grid = path.grid
     gamma = model.gamma
     integrand = gamma * rate_on_grid(model.rate, grid) + state_term(_mirrored(path))
-    value = x0**gamma / gamma * float(np.exp(np.trapezoid(integrand, dx=grid.dt)))
+    with np.errstate(over="ignore"):  # an overflowing value is reported as a non-finite metric
+        value = x0**gamma / gamma * float(np.exp(np.trapezoid(integrand, dx=grid.dt)))
     return ValueReport(
         value=value,
         x0=x0,

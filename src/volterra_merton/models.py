@@ -165,7 +165,9 @@ def validate(model) -> list[str]:
             violations.extend(template.format(*idx) for idx in np.argwhere(bad))
     else:
         rho = model.rho
-        if float(rho @ rho) > 1.0 + 1e-12:
+        with np.errstate(over="ignore"):  # an overflow is a violation too
+            norm2 = float(rho @ rho)
+        if norm2 > 1.0 + 1e-12:
             violations.append("rho^T rho > 1")
         sigma0 = model.sigma0
         if not np.allclose(sigma0, sigma0.T, atol=1e-12, rtol=0.0):

@@ -254,12 +254,20 @@ def _stacked(rhss: list):
     return type(first)(*(np.stack([getattr(rhs, f.name) for rhs in rhss]) for f in dataclasses.fields(first)))
 
 
-def _failure(pred_norm: float, norm: float, threshold: float, grid: TimeGrid, n: int):
-    """What stops a problem at step n: its BlowUp, the time of a non-finite step, or None."""
+def _failure(fval: np.ndarray, pred_norm: float, norm: float, threshold: float, grid: TimeGrid, n: int):
+    """What stops a problem at step n: its BlowUp, the time of a non-finite step, or None.
+
+    ``fval`` is the problem's F(psi) at node n - 1.  Past node 0, where psi is
+    finite and below the threshold, a non-finite F(psi) has overflowed: a
+    blow-up, whatever the history sums made of it.  At node 0 it means
+    non-finite coefficients.
+    """
+    if not np.all(np.isfinite(fval)):
+        return BlowUp(detected_at=grid.nodes[n - 1], norm=np.inf) if n > 1 else grid.nodes[n]
     if pred_norm > threshold or pred_norm == np.inf:
         return BlowUp(detected_at=grid.nodes[n - 1], norm=float(pred_norm))
     if np.isnan(norm):
-        # no blow-up in the predictor, so NaN here means bad inputs
+        # F(psi) is finite and the predictor below the threshold, so NaN here means bad inputs
         return grid.nodes[n]
     if norm > threshold or norm == np.inf:
         return BlowUp(detected_at=grid.nodes[n - 1], norm=float(norm))
@@ -272,8 +280,9 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
 
     The problems share the state shape and n_steps and step together; row
     p d + i of the weights and of the F(psi) history is component (or column)
-    i of problem p.  A problem that fails is frozen at its last finite node
-    and stops feeding its history rows; the others step on as if alone.
+    i of problem p.  A problem that fails is frozen at its last finite node.
+    Its rows step on unchecked but reach no other problem's rows, since the
+    matrix products and the FFT work row by row.
     """
     rhs = _stacked(rhss)
     shape = rhs.shape
@@ -290,13 +299,12 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     # or row i of its matrix, which is column i since F(psi) is symmetric
     fvals = np.zeros((n_problems * d, n_steps + 1, psi[0, 0].size // d))
     fvals[:, 0] = rhs(psi[:, 0]).reshape(len(fvals), -1)
-    predictor = HistorySums(weights.predictor_lags(), fvals, groups=n_problems)
-    corrector = HistorySums(weights.corrector_lags(), fvals, groups=n_problems)
+    predictor = HistorySums(weights.predictor_lags(), fvals)
+    corrector = HistorySums(weights.corrector_lags(), fvals)
     # Steps run on the history's (P, d, width) layout.  It holds a matrix
     # state transposed, which the symmetrization undoes bit for bit.
     newest = weights.corrector[:, 1].reshape(n_problems, d, 1)
     live = np.ones(n_problems, dtype=bool)
-    dead_rows = np.zeros(0, dtype=int)
     failures = {}  # problem -> (step, BlowUp or time of the non-finite step)
     for n in range(1, n_steps + 1):
         pred = predictor(n).reshape(n_problems, d, -1)
@@ -306,23 +314,20 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
         if matrix:
             val = _symmetrized(val)
         worst = np.maximum(abs(pred), abs(val)).max(axis=(1, 2))  # per problem; NaN stays NaN
-        if dead_rows.size:
+        if failures:
             worst[~live] = 0.0
         if not worst.max() < blowup_threshold:
             for p in np.flatnonzero(~(worst < blowup_threshold)):
-                failure = _failure(abs(pred[p]).max(), abs(val[p]).max(), blowup_threshold, grids[p], n)
+                fval = fvals[p * d : (p + 1) * d, n - 1]
+                failure = _failure(fval, abs(pred[p]).max(), abs(val[p]).max(), blowup_threshold, grids[p], n)
                 if failure is not None:
                     failures[p] = (n, failure)
                     live[p] = False
             if not live.any():
                 break
-            dead_rows = np.flatnonzero(np.repeat(~live, d))
-            fvals[dead_rows] = 0.0  # a failed problem stops feeding its rows
         val = val.reshape(states)
         psi[:, n] = val
         fvals[:, n] = rhs(val).reshape(len(fvals), -1)
-        if dead_rows.size:
-            fvals[dead_rows, n] = 0.0
     paths = []
     for p, (grid, single) in enumerate(zip(grids, rhss)):
         if p in failures:
@@ -393,8 +398,8 @@ def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
     convolution, which is the fixed point the solver targets (exact no-op for
     equal component kernels).
     """
-    if path.blowup is not None:
-        raise ValueError("residual undefined for a blown-up path")
+    if not path.ok:
+        raise ValueError("residual undefined for a blown-up or non-finite path")
     kernels = component_kernels(kernel, path.values.shape[1])
     return _residual(path.values, stack_weights([kernel_weights(k, path.grid) for k in kernels]), rhs)
 

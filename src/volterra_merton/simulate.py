@@ -334,7 +334,8 @@ def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float
         raise TypeError(f"unsupported model type {type(model)!r}")
     vol, noise = _exposure(bundle, pis)
     log_growth = np.sum((rates[None, :] + drift - 0.5 * _row_dot(vol, vol)) * dt + _row_dot(vol, noise), axis=1)
-    return x0 * np.exp(log_growth)
+    with np.errstate(over="ignore"):  # an overflowing wealth is reported as a non-finite metric
+        return x0 * np.exp(log_growth)
 
 
 def _estimate(samples: np.ndarray, antithetic: bool) -> McEstimate:
@@ -342,8 +343,9 @@ def _estimate(samples: np.ndarray, antithetic: bool) -> McEstimate:
         paired = 0.5 * (samples[0::2] + samples[1::2])
         samples = paired
     n = samples.shape[0]
-    mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # infinite samples give non-finite metrics
+        mean = float(np.mean(samples))
+        stderr = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return McEstimate(mean=mean, stderr=stderr, n_paths=n)
 
 

@@ -1,17 +1,28 @@
 """Config loading, experiment pipelines, CSV contracts, CLI exit codes."""
 
+import contextlib
+import copy
 import dataclasses
 import importlib.util
+import io
 import json
+import math
+import os
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from volterra_merton.cli import _SUBCOMMAND_KINDS
 from volterra_merton.cli import main as cli_main
 from volterra_merton.experiments import (
+    THREADS_ENV,
     ConfigError,
     available_presets,
     config_from_dict,
@@ -55,6 +66,61 @@ def vector_config(tmp_path, **overrides):
     for key, value in overrides.items():
         raw[key] = value
     return raw
+
+
+def small_preset(name):
+    """A bundled preset's config on 20 steps and, for Monte Carlo, 8 paths."""
+    raw = read_config(name)
+    raw["numerics"]["n_steps"] = 20
+    if "simulation" in raw:
+        raw["simulation"]["n_paths"] = 8
+    return raw
+
+
+def strict_json(text):
+    """The one strict-JSON document in ``text``: NaN, Infinity or a second document raise."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def cli_probe(raw, kind):
+    """Run the CLI subcommand of ``kind`` on ``raw``, with a temporary output directory and the
+    sweep pool on one thread.
+
+    Returns the exit code, stdout, stderr and the messages of the RuntimeWarnings raised.
+    """
+    command = next(command for command, kinds in _SUBCOMMAND_KINDS.items() if kind in kinds)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {THREADS_ENV: "1"}):
+        raw = copy.deepcopy(raw)
+        raw["output"]["directory"] = tmp
+        cfg = Path(tmp) / "probe.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main([command, "--config", str(cfg)])
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out.getvalue(), err.getvalue(), runtime
+
+
+def leaf_paths(node, path=()):
+    """Key paths, list indices included, to every scalar of a config mapping."""
+    if isinstance(node, dict):
+        return [leaf for key, child in node.items() for leaf in leaf_paths(child, path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, child in enumerate(node) for leaf in leaf_paths(child, path + (i,))]
+    return [path]
+
+
+# Counts between 1e6 and 1e18 would really allocate, so none is listed.
+EDGE_VALUES = [0, -1, 2.5, 1e-300, 1e200, 1e300, math.nan, math.inf, "abc", "1e9", None, [], {}, True, [1.0], [[1.0]]]
+PRESET_LEAVES = [
+    (name, path) for name in available_presets() for path in leaf_paths(read_config(name)) if path[0] != "output"
+]
 
 
 class TestLoadConfig:
@@ -505,16 +571,34 @@ class TestCli:
         cfg = tmp_path / "mc.yaml"
         cfg.write_text(yaml.safe_dump(raw))
         assert cli_main(["mc-check", "--config", str(cfg)]) == 0
-
-        def reject(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
         stdout = capsys.readouterr().out
         report = (tmp_path / "mc-check_report.json").read_text()
-        for payload in (json.loads(stdout, parse_constant=reject), json.loads(report, parse_constant=reject)):
+        for payload in (strict_json(stdout), strict_json(report)):
             assert payload["metrics"]["z_score"] is None
             assert payload["nonfinite_metrics"] == ["z_score"]
         assert (tmp_path / "mc-check.csv").read_text().splitlines()[1].split(",")[3] == "inf"
+
+    @pytest.mark.parametrize(
+        "preset, field, value, nonfinite",
+        [
+            ("bpt10_wishart", "vol_of_vol", [[1e200, 0.0], [0.0, 0.3]], None),
+            ("bpt10_wishart", "rho", [1e200, 0.0], None),
+            ("degenerate_pair_2d", "v0", [0.04, 1e300], ["certainty_equivalent", "value"]),
+            ("rough_heston_1d", "rate", 1e9, ["analytic", "mc_mean", "mc_stderr", "z_score"]),
+        ],
+        ids=["noise-from-q", "rho-norm", "value", "wealth-and-stderr"],
+    )
+    def test_overflow_prints_nothing_on_stderr(self, preset, field, value, nonfinite):
+        raw = small_preset(preset)
+        raw["model"][field] = value
+        code, out, err, runtime = cli_probe(raw, raw["kind"])
+        record = strict_json(out)
+        assert (err, runtime) == ("", [])
+        if nonfinite is None:
+            assert code == 1 and record["error"]["kind"] == "config"
+        else:
+            assert code == 0 and record["nonfinite_metrics"] == nonfinite
+            assert all(record["metrics"][name] is None for name in nonfinite)
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         raw = vector_config(tmp_path, kind="mc-check")
@@ -608,6 +692,20 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["error"]["problems"] == ["'output' must be a mapping"]
         assert not (tmp_path / "D").exists()
+
+    @given(leaf=st.sampled_from(PRESET_LEAVES), value=st.sampled_from(EDGE_VALUES))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_any_edge_value_in_a_preset_leaf_is_one_record(self, leaf, value):
+        name, path = leaf
+        raw = small_preset(name)
+        kind, node = raw["kind"], raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(value)
+        code, out, err, runtime = cli_probe(raw, kind)
+        assert code in (0, 1, 2, 3)
+        strict_json(out)
+        assert (err, runtime) == ("", [])
 
 
 def test_reproduce_figures_reports_show_overrides(tmp_path, capsys):

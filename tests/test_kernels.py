@@ -503,28 +503,3 @@ class TestHistorySums:
         np.testing.assert_allclose(streamed, want, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(causal_sums(weights, columns), want, rtol=0.0, atol=1e-13)
 
-    def test_overflow_in_a_closing_block_stays_infinite(self):
-        n_steps = 2 * BLOCK
-        weights = LagWeights(np.hstack([[[0.0]], np.full((1, n_steps), 1e-3)]))
-        values = np.ones((1, n_steps + 1, 1))
-        values[0, BLOCK - 1] = np.inf  # the last node of the first block
-        sums = HistorySums(weights, values)
-        got = [sums(n)[0, 0] for n in range(1, BLOCK + 2)]
-        assert np.all(np.isfinite(got[: BLOCK - 1])) and np.all(np.isposinf(got[BLOCK - 1 :]))
-        assert np.all(np.isposinf(causal_sums(weights, values)[0, BLOCK - 1 :, 0]))
-
-    def test_groups_close_blocks_as_if_alone(self):
-        # three problems of two rows each; the middle one overflows on the
-        # last node of the first block, so only it keeps that block open
-        rng = np.random.default_rng(11)
-        n_steps = 3 * BLOCK
-        lag = np.hstack([np.zeros((6, 1)), rng.uniform(0.5, 1.0, (6, n_steps)) / np.arange(1, n_steps + 1)])
-        head = rng.uniform(0.0, 0.1, (6, n_steps + 1))
-        weights = LagWeights(lag, head=head)
-        values = rng.normal(size=(6, n_steps + 1, 2))
-        values[2, BLOCK - 1, 1] = np.inf
-        grouped = HistorySums(weights, values, groups=3)
-        alone = [HistorySums(LagWeights(lag[rows], head=head[rows]), values[rows]) for rows in (slice(0, 2), slice(2, 4), slice(4, 6))]
-        for n in range(1, n_steps + 1):
-            np.testing.assert_array_equal(grouped(n), np.concatenate([sums(n) for sums in alone]))
-

@@ -346,21 +346,17 @@ class TestBatchedSolves:
     def test_overflow_before_a_block_closes_leaves_the_others_alone(self):
         # psi' = 1 + 1e10 psi under a threshold of 1e300: on this grid psi**2
         # overflows at node 511, the last node of the first block, so F(psi)
-        # is not finite there and the next step is NaN.  That block stays
-        # open for this problem only.
+        # is 0 * inf = NaN there, a blow-up at node 511.
         wild = VectorRiccatiRHS(const=[1.0], linear=[[1e10]], quad=[0.0])
         calm = VectorRiccatiRHS(const=[0.5], linear=[[-1.15]], quad=[0.3])
         grids = [TimeGrid(4.719448997657518e-08, 600), TimeGrid(1.0, 600)]
         kernels = [Kernel.constant(1.0), Kernel.fractional(1.0, 0.6)]
-        wild_path, calm_path = solve_riccati_batch(kernels, [wild, calm], grids, 1e300)
-        assert wild_path.nonfinite_at == grids[0].nodes[512]
+        wild_path, calm_path = self.assert_lone_equal(kernels, [wild, calm], grids, 1e300)
+        assert wild_path.blowup.detected_at == grids[0].nodes[511] and wild_path.blowup.norm == np.inf
+        assert wild_path.nonfinite_at is None
         with np.errstate(all="ignore"):
-            assert not np.all(np.isfinite(wild(wild_path.values[511])))
-        with pytest.raises(FloatingPointError, match=f"t = {grids[0].nodes[512]:.6g}"):
-            solve_riccati_vector(kernels[0], wild, grids[0], 1e300)
-        lone = solve_riccati_vector(kernels[1], calm, grids[1], 1e300)
-        np.testing.assert_array_equal(calm_path.values, lone.values)
-        assert calm_path.residual == lone.residual
+            assert np.all(np.isnan(wild(wild_path.values[511])))
+        assert calm_path.ok
 
     def test_infinite_f_on_a_block_end_is_a_blowup(self):
         # psi' = 1 + 1e10 psi + 1e-300 psi**2: F(psi) overflows to +inf, with
@@ -482,6 +478,15 @@ class TestFixedPointResidual:
         path = solve_riccati_vector(k, rhs, TimeGrid(1.0, 2000))
         bad = RiccatiPath(path.grid, path.values * 1.1, None, np.nan)
         assert fixed_point_residual(bad, [k], rhs) > 10.0 * path.residual
+
+    def test_failed_paths_refused(self):
+        # an infinite constant makes F(psi) non-finite at node 0: a non-finite step
+        bad = VectorRiccatiRHS(const=[np.inf], linear=[[0.0]], quad=[0.0])
+        k, grid = Kernel.fractional(1.0, 0.7), TimeGrid(1.0, 600)
+        (path,) = solve_riccati_batch([k], [bad], [grid])
+        assert path.nonfinite_at == grid.nodes[1] and path.blowup is None
+        with pytest.raises(ValueError, match="residual undefined"):
+            fixed_point_residual(path, k, bad)
 
 
 # ---------------------------------------------------------------------------
