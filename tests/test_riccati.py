@@ -374,6 +374,23 @@ class TestBatchedSolves:
         assert np.all(lone.values[512:] == lone.values[511])
         self.assert_lone_equal(kernels, [wild, calm], grids, 1e300)
 
+    def test_every_problem_failing_early(self):
+        # all three problems blow up inside the first block of 2000 steps
+        rhss = [
+            VectorRiccatiRHS(const=[1.0], linear=[[60.0]], quad=[0.0]),
+            VectorRiccatiRHS(const=[1.0], linear=[[30.0]], quad=[0.0]),
+            VectorRiccatiRHS(const=[10.0], linear=[[0.0]], quad=[10.0]),
+        ]
+        kernels = [Kernel.constant(1.0), Kernel.fractional(1.0, 0.7), Kernel.fractional(1.0, 0.8)]
+        grids = [TimeGrid(1.0, 2000)] * 3
+        paths = self.assert_lone_equal(kernels, rhss, grids, 1e3)
+        pins = [(366, 1006.2884995129069), (155, 1030.934392214049), (132, 4480.185002607228)]
+        for path, (node, norm) in zip(paths, pins):
+            assert path.blowup.detected_at == grids[0].nodes[node]
+            assert path.blowup.norm == pytest.approx(norm, rel=1e-12, abs=0.0)
+            assert path.nonfinite_at is None
+            assert np.all(path.values[node + 1 :] == path.values[node])
+
     def test_nonfinite_problem_is_reported_not_raised(self):
         bad = VectorRiccatiRHS(const=[np.nan], linear=[[0.0]], quad=[0.0])
         good = VectorRiccatiRHS(const=[0.5], linear=[[-1.0]], quad=[0.5])
@@ -412,6 +429,35 @@ class TestBatchedSolves:
         mstacked = MatrixRiccatiRHS(linear=linear, quadratic=sym, constant=sym)
         mwant = [MatrixRiccatiRHS(linear=m, quadratic=s, constant=s)(s) for m, s in zip(linear, sym)]
         np.testing.assert_array_equal(mstacked(sym), mwant)
+
+
+class TestBlowUpNodes:
+    """A threshold crossed first at a given node, inside and at the ends of the history blocks."""
+
+    RHS = VectorRiccatiRHS(const=[1.0], linear=[[1.0]], quad=[0.0])  # psi = e^t - 1
+    GRID = TimeGrid(3.0, 1500)
+
+    @pytest.mark.parametrize(
+        "node, norm",
+        [
+            (100, 0.2214025955505647),  # first block
+            (512, 1.7843078602826525),  # closes the first block
+            (1024, 6.752370260831767),  # closes the second block
+            (1280, 11.935795271522842),  # middle of the third block
+            (1500, 19.08549681236228),  # last node
+        ],
+    )
+    def test_detected_at_the_first_node_over_the_threshold(self, node, norm):
+        kernel = Kernel.constant(1.0)
+        free = solve_riccati_vector(kernel, self.RHS, self.GRID, 1e300)
+        # just below psi at the node, and above it at every earlier node
+        path = solve_riccati_vector(kernel, self.RHS, self.GRID, free.values[node, 0] * (1.0 - 1e-12))
+        assert path.blowup.detected_at == self.GRID.nodes[node - 1]
+        assert path.blowup.norm == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert path.blowup.norm == free.values[node, 0]
+        assert path.nonfinite_at is None
+        np.testing.assert_array_equal(path.values[:node], free.values[:node])
+        assert np.all(path.values[node:] == path.values[node - 1])
 
 
 class TestDegenerateEquivalence:
