@@ -220,13 +220,13 @@ class StackedWeights:
     corrector: np.ndarray
 
     def predictor_lags(self) -> LagWeights:
-        """Left-rectangle weights: lag L weighs cell[L-1], node 0 included."""
-        lag = np.zeros((len(self.cell), self.cell.shape[1] + 1))
-        lag[:, 1:] = self.cell
-        return LagWeights(lag)
+        """Left-rectangle weights, one stage: lag L weighs cell[L-1], node 0 included."""
+        lag = np.zeros((len(self.cell), 1, self.cell.shape[1] + 1))
+        lag[:, 0, 1:] = self.cell
+        return LagWeights(lag, lag)
 
     def corrector_lags(self) -> LagWeights:
-        """Trapezoidal weights a_{k,n} of the nodes before n, by lag.
+        """Trapezoidal weights a_{k,n} of the nodes before n, by lag, one stage.
 
         Lag L weighs cell[L-1] - corrector[L] + corrector[L+1]; node 0 weighs
         cell[n-1] - corrector[n].  Together with corrector[1] on node n they
@@ -234,11 +234,16 @@ class StackedWeights:
         against K, the corrector stage of the fractional Adams scheme.
         """
         cell, corr = self.cell, self.corrector
-        head = np.zeros((len(cell), cell.shape[1] + 1))
-        head[:, 1:] = cell - corr[:, 1:]
+        head = np.zeros((len(cell), 1, cell.shape[1] + 1))
+        head[:, 0, 1:] = cell - corr[:, 1:]
         lag = head.copy()
-        lag[:, 1:-1] += corr[:, 2:]  # lag N is node 0's at node N, never read
+        lag[:, 0, 1:-1] += corr[:, 2:]  # lag N is node 0's at node N, never read
         return LagWeights(lag, head)
+
+    def pece_lags(self) -> LagWeights:
+        """The predictor's and the corrector's weights as stages 0 and 1 of one history."""
+        pred, corr = self.predictor_lags(), self.corrector_lags()
+        return LagWeights(np.concatenate([pred.lag, corr.lag], axis=1), np.concatenate([pred.head, corr.head], axis=1))
 
 
 def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
@@ -268,88 +273,84 @@ BLOCK = 512
 
 @dataclass(frozen=True)
 class LagWeights:
-    """History weights that depend on the lag L = n - k only, one row per component.
+    """History weights that depend on the lag L = n - k only, per component and stage.
 
-    Column L of ``lag`` (column 0 is zero) weights node k = n - L in the sum at
-    node n.  Where ``head`` is given, its column n weights node 0 instead.
+    ``lag`` and ``head`` have shape (d, stages, N + 1).  Column L of ``lag``
+    (column 0 is zero) weights node k = n - L >= 1 in the sum at node n, and
+    column n of ``head`` weights node 0.  Each stage is one set of weights
+    over the same values, such as the predictor and the corrector of a PECE
+    step.
     """
 
     lag: np.ndarray
-    head: np.ndarray | None = None
+    head: np.ndarray
 
 
 def _lag_spectrum(weights: LagWeights, size: int) -> np.ndarray:
-    return sp_fft.rfft(weights.lag, size, axis=1)[..., None]
+    return sp_fft.rfft(weights.lag, size, axis=2)[..., None]
 
 
-def _fft_sums(weights: LagWeights, block: np.ndarray, start: int, spectrum: np.ndarray, size: int) -> np.ndarray:
+def _fft_sums(block: np.ndarray, spectrum: np.ndarray, size: int) -> np.ndarray:
     """Share of the block (nodes start, start + 1, ...) in the sums at nodes start + j, j < size.
 
-    One FFT convolution along the time axis; ``size`` must cover the block
-    plus every lag read, so that nothing wraps around onto the nodes read.
+    ``block`` is (d, nodes, width) and the result (d, stages, size, width):
+    one transform of the block, times every stage's spectrum.  ``size`` must
+    cover the block plus every lag read, so that nothing wraps around onto
+    the nodes read.
     """
-    head = weights.head if start == 0 else None
-    if head is not None:
-        first = block[:, 0]
-        block = block.copy()
-        block[:, 0] = 0.0
-    out = sp_fft.irfft(sp_fft.rfft(block, size, axis=1) * spectrum, size, axis=1)
-    if head is not None:
-        out[:, 1 : head.shape[1]] += head[:, 1:, None] * first[:, None]
-    return out
+    return sp_fft.irfft(sp_fft.rfft(block, size, axis=1)[:, None] * spectrum, size, axis=2)
 
 
 class HistorySums:
-    """Running sums s_n = sum over k < n of the lag weights times values[:, k].
+    """Running sums s_n = sum over k < n of the lag weights times values[:, k], every stage at once.
 
     ``values`` is component-major, (d, nodes, width), and may still be
-    filling: s_n, shape (d, width), reads values[:, :n], and n must run 1, 2,
-    ... in turn.  The open block of at most BLOCK nodes is summed with
-    ``history_sum``; once it is full, one FFT adds its share to every later
-    node.  Each row and column is transformed on its own, so a non-finite
-    value reaches only the later sums of its own row and column, where the
-    FFT may turn an overflow into NaN.
+    filling: s_n, shape (d, stages, width), reads values[:, :n], and n must
+    run 1, 2, ... in turn.  Node 0 must be known when the sums are built; its
+    share of every sum is taken then.  The open block, from node 1 or the
+    last multiple of BLOCK, is summed by one matrix product for all stages.
+    On grids longer than BLOCK, each multiple of BLOCK closes the open block:
+    one FFT of it adds its share to every later node.  Each row and column is
+    transformed on its own, so a non-finite value reaches only the later sums
+    of its own row and column, where the FFT may turn an overflow into NaN.
     """
 
     def __init__(self, weights: LagWeights, values: np.ndarray):
-        n_steps = weights.lag.shape[1] - 1
-        self.weights = weights
+        n_steps = weights.lag.shape[2] - 1
         self.values = values
-        self._rows = weights.lag[:, :0:-1].copy()  # lags N..1, so each row is a forward slice
-        self._start = 0  # first node of the open block
-        self._closed = None  # share of the closed blocks, per node
+        self._rows = weights.lag[:, :, :0:-1].copy()  # lags N..1, so each row is a forward slice
+        self._start = 1  # first node of the open block
+        # share of the closed nodes in the sums at node n, (N + 1, d, stages, width)
+        self._closed = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None] * values[:, None, 0]
+        self._spectrum = None
         if n_steps > BLOCK:
             self._size = sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True)
             self._spectrum = _lag_spectrum(weights, self._size)
-            self._closed = np.zeros((len(values), n_steps + 1, values.shape[2]))
 
     def __call__(self, n: int) -> np.ndarray:
         start = self._start
-        if self._closed is not None and n - start == BLOCK:
-            shares = _fft_sums(self.weights, self.values[:, start:n], start, self._spectrum, self._size)
-            self._closed[:, n:] += shares[:, n - start : self._closed.shape[1] - start]
+        if n % BLOCK == 0 and self._spectrum is not None:
+            shares = _fft_sums(self.values[:, start:n], self._spectrum, self._size)
+            self._closed[n:] += np.moveaxis(shares[:, :, n - start : len(self._closed) - start], 2, 0)
             start = self._start = n
-        row = self._rows[:, self._rows.shape[1] - n + start :]
-        if start == 0 and self.weights.head is not None:
-            row = row.copy()
-            row[:, 0] = self.weights.head[:, n]
-        direct = history_sum(row, self.values[:, start:n])
-        return direct if start == 0 else self._closed[:, n] + direct
+        row = self._rows[:, :, self._rows.shape[2] - n + start :]
+        return self._closed[n] + np.matmul(row, self.values[:, start:n])
 
 
 def causal_sums(weights: LagWeights, values: np.ndarray) -> np.ndarray:
     """s_n of ``HistorySums`` for n = 1..N at once, every value being known and finite.
 
-    Returns (d, N, width).  Grids of at most BLOCK steps go through
-    ``HistorySums``; longer grids take one FFT convolution over the whole
-    array.
+    Returns (d, stages, N, width).  Grids of at most BLOCK steps go through
+    ``HistorySums``; longer grids take node 0's share as ``HistorySums``
+    does and one FFT convolution over the other nodes.
     """
-    n_steps = weights.lag.shape[1] - 1
+    n_steps = weights.lag.shape[2] - 1
     if n_steps <= BLOCK:
         sums = HistorySums(weights, values)
-        return np.stack([sums(n) for n in range(1, n_steps + 1)], axis=1)
+        return np.stack([sums(n) for n in range(1, n_steps + 1)], axis=2)
     size = sp_fft.next_fast_len(values.shape[1] + n_steps, real=True)
-    return _fft_sums(weights, values, 0, _lag_spectrum(weights, size), size)[:, 1 : n_steps + 1]
+    shares = _fft_sums(values[:, 1:], _lag_spectrum(weights, size), size)[:, :, :n_steps]
+    return weights.head[:, :, 1:, None] * values[:, None, :1] + shares
 
 
 def component_kernels(kernel: Kernel | Sequence[Kernel], d: int) -> list[Kernel]:

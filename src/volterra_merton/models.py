@@ -226,7 +226,7 @@ def expected_variance_curve(
     lhs = np.eye(d) - np.diag(weights.corrector[:, 1]) @ B
     history = HistorySums(weights.corrector_lags(), gvals)
     for n in range(1, n_steps + 1):
-        sol = np.linalg.solve(lhs, forced[n] + history(n)[:, 0])
+        sol = np.linalg.solve(lhs, forced[n] + history(n)[:, 0, 0])
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("expected-variance iteration diverged")
         xi[n] = sol

@@ -10,7 +10,10 @@ with one scalar kernel per component (vector case) or per column (matrix
 case).  Time stepping is predictor-corrector (PECE) product integration:
 left-rectangle predictor with exact cell integrals of K, one corrector sweep
 with the trapezoidal product weights.  One loop serves every solve: several
-problems of one shape and step count advance through it together.
+problems of one shape and step count advance through it together.  Each
+step reads the history of F(psi) once for both stages, and the blow-up
+threshold is checked once per BLOCK steps over the nodes since the last
+check.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    BLOCK,
     HistorySums,
     StackedWeights,
     TimeGrid,
@@ -280,9 +284,14 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
 
     The problems share the state shape and n_steps and step together; row
     p d + i of the weights and of the F(psi) history is component (or column)
-    i of problem p.  A problem that fails is frozen at its last finite node.
-    Its rows step on unchecked but reach no other problem's rows, since the
-    matrix products and the FFT work row by row.
+    i of problem p.  One ``HistorySums`` gives the predictor and the corrector
+    sums of every step.  Every predictor and corrector value is kept, and the
+    nodes since the last check are checked once per BLOCK steps and at the
+    last step.  A problem fails at its first node that is not below the
+    threshold and is frozen at the node before; the loop stops at the check
+    that finds every problem failed.  A failed problem's rows step on
+    unchecked but reach no other problem's rows, since the matrix products
+    and the FFT work row by row.
     """
     rhs = _stacked(rhss)
     shape = rhs.shape
@@ -295,39 +304,36 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     matrix = len(shape) == 2
     states = (n_problems,) + shape
     psi = np.zeros((n_problems, n_steps + 1) + shape)
+    preds = np.zeros_like(psi)
     # F(psi) component-major: row p d + i holds entry i of problem p's vector,
-    # or row i of its matrix, which is column i since F(psi) is symmetric
+    # or row i of its matrix, which is column i since F(psi) is symmetric;
+    # fpsi views it in the shape of psi
     fvals = np.zeros((n_problems * d, n_steps + 1, psi[0, 0].size // d))
-    fvals[:, 0] = rhs(psi[:, 0]).reshape(len(fvals), -1)
-    predictor = HistorySums(weights.predictor_lags(), fvals)
-    corrector = HistorySums(weights.corrector_lags(), fvals)
-    # Steps run on the history's (P, d, width) layout.  It holds a matrix
-    # state transposed, which the symmetrization undoes bit for bit.
-    newest = weights.corrector[:, 1].reshape(n_problems, d, 1)
+    fpsi = np.moveaxis(fvals.reshape((n_problems, d, n_steps + 1) + shape[1:]), 2, 1)
+    fpsi[:, 0] = rhs(psi[:, 0])
+    history = HistorySums(weights.pece_lags(), fvals)
+    # The sums come in the history's layout, which holds a matrix state
+    # transposed; the symmetrization undoes that bit for bit.
+    newest = weights.corrector[:, 1].reshape((n_problems, d) + (1,) * (len(shape) - 1))
     live = np.ones(n_problems, dtype=bool)
     failures = {}  # problem -> (step, BlowUp or time of the non-finite step)
+    checked = 0  # last node checked
     for n in range(1, n_steps + 1):
-        pred = predictor(n).reshape(n_problems, d, -1)
+        sums = history(n)
+        pred = sums[:, 0].reshape(states)
         if matrix:
             pred = _symmetrized(pred)
-        val = corrector(n).reshape(pred.shape) + newest * rhs(pred.reshape(states)).reshape(pred.shape)
+        val = sums[:, 1].reshape(states) + newest * rhs(pred)
         if matrix:
             val = _symmetrized(val)
-        worst = np.maximum(abs(pred), abs(val)).max(axis=(1, 2))  # per problem; NaN stays NaN
-        if failures:
-            worst[~live] = 0.0
-        if not worst.max() < blowup_threshold:
-            for p in np.flatnonzero(~(worst < blowup_threshold)):
-                fval = fvals[p * d : (p + 1) * d, n - 1]
-                failure = _failure(fval, abs(pred[p]).max(), abs(val[p]).max(), blowup_threshold, grids[p], n)
-                if failure is not None:
-                    failures[p] = (n, failure)
-                    live[p] = False
+        preds[:, n] = pred
+        psi[:, n] = val
+        fpsi[:, n] = rhs(val)
+        if n % BLOCK == 0 or n == n_steps:
+            _check(psi, preds, fpsi, checked, n, blowup_threshold, grids, live, failures)
+            checked = n
             if not live.any():
                 break
-        val = val.reshape(states)
-        psi[:, n] = val
-        fvals[:, n] = rhs(val).reshape(len(fvals), -1)
     paths = []
     for p, (grid, single) in enumerate(zip(grids, rhss)):
         if p in failures:
@@ -340,6 +346,27 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
             own = StackedWeights(weights.cell[rows], weights.corrector[rows])
             paths.append(RiccatiPath(grid, psi[p], None, _residual(psi[p], own, single)))
     return paths
+
+
+def _check(psi, preds, fpsi, checked, n, threshold, grids, live, failures) -> None:
+    """Find each live problem's first failed node among checked + 1, ..., n.
+
+    The test per node is the one a step would make: the larger of |predictor|
+    and |corrector| not below the threshold, then ``_failure``.  A problem
+    that fails goes into ``failures`` with its node and is marked not live.
+    """
+    span = slice(checked + 1, n + 1)
+    axes = tuple(range(2, psi.ndim))
+    worst = np.maximum(abs(preds[:, span]), abs(psi[:, span])).max(axis=axes)  # (P, nodes); NaN stays NaN
+    worst[~live] = 0.0
+    for p, j in zip(*np.nonzero(~(worst < threshold))):
+        if not live[p]:
+            continue  # failed at an earlier node of this span
+        m = checked + 1 + j
+        failure = _failure(fpsi[p, m - 1], abs(preds[p, m]).max(), abs(psi[p, m]).max(), threshold, grids[p], m)
+        if failure is not None:
+            failures[p] = (m, failure)
+            live[p] = False
 
 
 def solve_riccati_vector(
@@ -411,7 +438,7 @@ def _residual(vals: np.ndarray, weights: StackedWeights, rhs) -> float:
     mid = 0.5 * (fvals[:-1] + fvals[1:])
     d = vals.shape[-1]
     cols = np.ascontiguousarray(mid.reshape(n_steps, -1, d).transpose(2, 0, 1))
-    sums = causal_sums(weights.predictor_lags(), cols).transpose(1, 2, 0).reshape(vals[1:].shape)
+    sums = causal_sums(weights.predictor_lags(), cols)[:, 0].transpose(1, 2, 0).reshape(vals[1:].shape)
     approx = _symmetrized(sums) if vals.ndim == 3 else sums
     return float(np.max(np.abs(vals[1:] - approx)))
 

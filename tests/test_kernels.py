@@ -477,29 +477,44 @@ class TestFractionalDegeneracy:
 
 
 class TestHistorySums:
-    """Blocked running sums against the sums over all past nodes."""
+    """Blocked running sums of two stages against the sums over all past nodes."""
 
     @staticmethod
     def direct(lag, head, values, n):
         """Time-first reference: lag (N + 1, d), values (nodes, ..., d)."""
         row = lag[n:0:-1].copy()
-        if head is not None:
-            row[0] = head[n]
+        row[0] = head[n]
         return np.einsum("ji,j...i->...i", row, values[:n])
 
     @pytest.mark.parametrize("shape", [(2,), (3, 2)])
     def test_streamed_and_one_shot_sums_match_direct(self, shape):
         rng = np.random.default_rng(5)
         n_steps = 2 * BLOCK + 300
-        lag = np.vstack([np.zeros((1, 2)), rng.uniform(0.5, 1.0, (n_steps, 2)) / np.arange(1, n_steps + 1)[:, None]])
-        head = rng.uniform(0.0, 0.1, (n_steps + 1, 2))
-        weights = LagWeights(np.ascontiguousarray(lag.T), head=np.ascontiguousarray(head.T))
+        decay = np.arange(1, n_steps + 1)[:, None]
+        lags = [np.vstack([np.zeros((1, 2)), rng.uniform(0.5, 1.0, (n_steps, 2)) / decay]) for _ in range(2)]
+        # stage 0 weighs node 0 by its lag, as the predictor does; stage 1 by a head of its own
+        heads = [lags[0], rng.uniform(0.0, 0.1, (n_steps + 1, 2))]
+        weights = LagWeights(np.stack([w.T for w in lags], axis=1), np.stack([w.T for w in heads], axis=1))
         values = rng.normal(size=(n_steps + 1,) + shape)
         columns = np.ascontiguousarray(values.reshape(n_steps + 1, -1, 2).transpose(2, 0, 1))  # (d, nodes, width)
         sums = HistorySums(weights, columns)
-        streamed = np.stack([sums(n) for n in range(1, n_steps + 1)], axis=1)
-        want = np.array([self.direct(lag, head, values, n) for n in range(1, n_steps + 1)])
-        want = want.reshape(n_steps, -1, 2).transpose(2, 0, 1)
-        np.testing.assert_allclose(streamed, want, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(causal_sums(weights, columns), want, rtol=0.0, atol=1e-13)
+        streamed = np.stack([sums(n) for n in range(1, n_steps + 1)], axis=2)
+        for stage, (lag, head) in enumerate(zip(lags, heads)):
+            want = np.array([self.direct(lag, head, values, n) for n in range(1, n_steps + 1)])
+            want = want.reshape(n_steps, -1, 2).transpose(2, 0, 1)
+            np.testing.assert_allclose(streamed[:, stage], want, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(causal_sums(weights, columns)[:, stage], want, rtol=0.0, atol=1e-13)
 
+    def test_short_grid_takes_node_0_up_front(self):
+        # no block closes on BLOCK steps; node 0 is in the sums from the start
+        rng = np.random.default_rng(6)
+        lag = np.zeros((1, 1, BLOCK + 1))
+        lag[..., 1:] = rng.uniform(size=BLOCK)
+        head = rng.uniform(size=(1, 1, BLOCK + 1))
+        values = rng.normal(size=(1, BLOCK + 1, 3))
+        sums = HistorySums(LagWeights(lag, head), values)
+        np.testing.assert_array_equal(sums(1), head[:, :, 1, None] * values[:, None, 0])
+        for n in range(2, BLOCK + 1):
+            got = sums(n)
+        want = head[0, 0, BLOCK] * values[0, 0] + lag[0, 0, BLOCK - 1 : 0 : -1] @ values[0, 1:BLOCK]
+        np.testing.assert_allclose(got[0, 0], want, rtol=0.0, atol=1e-12)
