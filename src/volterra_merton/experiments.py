@@ -80,6 +80,9 @@ _SWEEP_AXES = {
 # correlation-study regimes: factor on the off-diagonal entries of M and Q
 _REGIMES = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
 THREADS_ENV = "VOLTERRA_MERTON_THREADS"
+# A run whose largest array would take more bytes than this is refused as a
+# config error before anything is allocated.
+MAX_ARRAY_BYTES = 2**30
 # strategy CSV series after t, one column per asset each
 _STRATEGY_SERIES = ("pi", "hedge", "myopic")
 
@@ -124,13 +127,16 @@ class ExperimentReport:
     metrics: dict = field(default_factory=dict)
     runtime_seconds: float = 0.0
 
-    def to_json(self) -> str:
-        """The report file's content as strict JSON: a non-finite metric is null and named in
-        ``nonfinite_metrics``; the wall-clock runtime is left out so reruns match."""
+    def to_json(self, out_dir: Path | None = None) -> str:
+        """The report as strict JSON: a non-finite metric is null and named in ``nonfinite_metrics``;
+        the wall-clock runtime is left out so reruns match.  With ``out_dir``, as the report file
+        holds them, the outputs are named relative to it, so that the file does not depend on
+        where the run wrote."""
         nonfinite = sorted(k for k, v in self.metrics.items() if isinstance(v, float) and not math.isfinite(v))
+        outputs = self.outputs if out_dir is None else [str(Path(p).relative_to(out_dir)) for p in self.outputs]
         payload = {
             "kind": self.kind,
-            "outputs": self.outputs,
+            "outputs": outputs,
             "metrics": {key: None if key in nonfinite else value for key, value in self.metrics.items()},
             "config": json.loads(self.config_echo),
         }
@@ -394,15 +400,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     seed = _number(sim_section, "seed", 42, problems, "simulation.", integer=True)
     psd_floor = _number(sim_section, "psd_floor", 0.0, problems, "simulation.")
     variance_floor = _number(sim_section, "variance_floor", 0.0, problems, "simulation.")
+    antithetic = sim_section.get("antithetic", False)
+    if not isinstance(antithetic, bool):
+        problems.append(f"simulation.antithetic must be true or false (got {antithetic!r})")
+        antithetic = None
     sim = SimConfig(n_paths=1)
-    if None not in (n_paths, seed, psd_floor, variance_floor):
+    if None not in (n_paths, seed, psd_floor, variance_floor, antithetic):
         try:
             sim = SimConfig(
                 n_paths=n_paths,
                 seed=seed,
                 psd_floor=psd_floor,
                 variance_floor=variance_floor,
-                antithetic=bool(sim_section.get("antithetic", False)),
+                antithetic=antithetic,
             )
         except ValueError as exc:
             problems.append(f"simulation section: {exc}")
@@ -449,6 +459,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     elif sweep_section:
         problems.append(f"kind {kind} does not take a sweep section")
 
+    if not problems and model is not None:
+        points = len(sweep_values) if sweep_values else 1
+        if _largest_array_bytes(kind, model, n_steps, n_paths, points) > MAX_ARRAY_BYTES:
+            problems.append(
+                f"run too large: its largest array would exceed {MAX_ARRAY_BYTES // 2**20} MiB "
+                "(numerics.n_steps, simulation.n_paths on mc-check and the sweep points set its size)"
+            )
     if problems or model is None:
         raise ConfigError(problems or ["invalid model"])
     return ExperimentConfig(
@@ -465,6 +482,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sweep_values=sweep_values,
         echo=_canonical_echo(raw),
     )
+
+
+def _largest_array_bytes(kind: str, model, n_steps: int, n_paths: int, points: int) -> int:
+    """Bytes of a run's largest array, in exact integers so that any count can be weighed.
+
+    That is the Riccati history of every sweep point, two stages of one state
+    per node, or on mc-check the normal draws of every path and step if they
+    are larger.
+    """
+    d = model.d
+    wishart = isinstance(model, WishartModel)
+    state = d * d if wishart else d
+    largest = 2 * points * (n_steps + 1) * state
+    if kind == "mc-check":
+        largest = max(largest, n_paths * n_steps * (state + d if wishart else 2 * d))
+    return 8 * largest
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +537,7 @@ def _write_report(config: ExperimentConfig, report: ExperimentReport, stem: str)
     """Write ``<stem>_report.json`` when json output is requested."""
     if "json" in config.formats:
         target = config.out_dir / f"{stem}_report.json"
-        _write_atomic(target, report.to_json() + "\n")
+        _write_atomic(target, report.to_json(config.out_dir) + "\n")
         report.outputs.append(str(target))
 
 

@@ -162,6 +162,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="gamma"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("name", available_presets())
+    def test_presets_fit_the_work_budget(self, name):
+        load_config(name)
+
+    @pytest.mark.parametrize(
+        "name, section, key, count",
+        [
+            ("rough_heston_1d", "simulation", "n_paths", 1e200),
+            ("rough_heston_1d", "simulation", "n_paths", 10**7),  # 80 GB of draws
+            ("rough_heston_1d", "numerics", "n_steps", 1e200),
+            ("bpt10_wishart", "numerics", "n_steps", 1e300),
+            ("bpt10_alpha_sweep", "numerics", "n_steps", 10**8),  # three points of 2 x 4 entries per node
+        ],
+    )
+    def test_oversized_counts_are_refused_before_allocation(self, name, section, key, count):
+        # config_from_dict allocates no path or history array, so the refusal allocates nothing
+        raw = read_config(name)
+        raw[section][key] = count
+        with pytest.raises(ConfigError, match="run too large"):
+            config_from_dict(raw)
+
     def test_all_violations_reported_at_once(self, tmp_path):
         raw = vector_config(tmp_path)
         raw["model"]["gamma"] = 1.5
@@ -295,13 +316,23 @@ class TestRunPipelines:
         raw["numerics"] = {"horizon": 0.25, "n_steps": 60}
         raw["simulation"] = {"n_paths": 500, "seed": 7, "antithetic": True}
         raw["output"]["formats"] = ["csv", "json"]
-        # both runs write into one directory: the JSON report lists absolute output paths
+        # both runs write into one directory, so every file is compared by name
         snapshots = []
         for _ in range(2):
             run(config_from_dict(raw))
             snapshots.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
         assert sorted(snapshots[0]) == ["mc-check.csv", "mc-check_report.json"]
         assert snapshots[0] == snapshots[1]
+
+    def test_report_does_not_depend_on_the_output_directory(self, tmp_path):
+        config = load_config("bpt10_alpha_sweep").replaced(n_steps=40, formats=("csv", "json"))
+        reports = []
+        for name in ("first", "second"):
+            report = sweep(config.replaced(out_dir=tmp_path / name))
+            assert report.outputs[-1] == str(tmp_path / name / "sweep-alpha_report.json")
+            reports.append((tmp_path / name / "sweep-alpha_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert "sweep-alpha_combined.csv" in json.loads(reports[0])["outputs"]
 
     def test_blowup_raises_for_strategy(self, tmp_path):
         from volterra_merton.riccati import RiccatiBlowUpError
@@ -652,6 +683,11 @@ class TestCli:
             pytest.param("strategy", ("output", "formats"), "5", "output.formats", id="formats-number"),
             pytest.param("strategy", ("output", "directory"), "5", "output.directory", id="directory-number"),
             pytest.param("mc-check", ("model", "v0", 0), ".nan", "v0", id="mc-check-v0-nan"),
+            pytest.param("mc-check", ("simulation", "antithetic"), "abc", "antithetic", id="antithetic-text"),
+            pytest.param("mc-check", ("simulation", "antithetic"), ".nan", "antithetic", id="antithetic-nan"),
+            pytest.param("mc-check", ("simulation", "antithetic"), "2", "antithetic", id="antithetic-2"),
+            pytest.param("mc-check", ("simulation", "n_paths"), "1.0e+200", "too large", id="n-paths-1e200"),
+            pytest.param("strategy", ("numerics", "n_steps"), "1.0e+200", "too large", id="n-steps-1e200"),
         ],
     )
     def test_bad_field_is_one_config_record(self, tmp_path, capsys, command, field, text, needle):
