@@ -265,9 +265,10 @@ def history_sum(row: np.ndarray, hist: np.ndarray) -> np.ndarray:
     return np.matmul(row[:, None, :], hist)[:, 0]
 
 
-# Sums over at most BLOCK past nodes are taken directly.  On longer grids each
-# closed block of BLOCK nodes reaches every later node through one FFT
-# convolution; a grid of at most BLOCK steps closes no block.
+# Sums over the nodes since the last multiple of BLOCK are taken directly.  On
+# longer grids each multiple of BLOCK closes the block before it, which reaches
+# every later node through one FFT convolution; a grid of at most BLOCK steps
+# closes no block.  The solver checks blow-up at the same multiples.
 BLOCK = 512
 
 
