@@ -1,5 +1,7 @@
 """Monte Carlo engine: determinism, scheme reductions, moment oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,6 +18,7 @@ from volterra_merton.riccati import (
 )
 from volterra_merton.simulate import (
     SimConfig,
+    SimulationError,
     _psd_clip,
     compare_strategies,
     martingale_diagnostic,
@@ -118,6 +121,25 @@ class TestWishartScheme:
         np.testing.assert_allclose(bundle.states, states, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(bundle.roots, roots[:, :-1], rtol=1e-10, atol=1e-13)
 
+    def test_three_assets_clip_by_eigh(self):
+        # d = 3 takes the batched eigh clip; three distinct kernels and a
+        # positive floor that does clip
+        m = WishartModel(
+            mean_reversion=[[-1.0, 0.2, 0.0], [0.1, -1.3, 0.3], [0.0, -0.2, -0.8]],
+            vol_of_vol=[[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.5]],
+            noise=[[0.2, 0.0, 0.0], [0.05, 0.15, 0.0], [0.0, 0.05, 0.25]],
+            rho=[-0.3, -0.2, 0.1], market_price=[1.0, 0.8, 0.6],
+            sigma0=[[0.06, 0.01, 0.0], [0.01, 0.05, 0.01], [0.0, 0.01, 0.04]],
+            gamma=0.3, kernel=[Kernel.fractional(1.0, a) for a in (0.95, 0.75, 0.6)],
+        )
+        grid = TimeGrid(0.5, 40)
+        cfg = SimConfig(n_paths=24, seed=11, psd_floor=0.01)
+        bundle = simulate_wishart(m, grid, cfg)
+        assert bundle.psd_violation_count > 0
+        states, roots = wishart_two_sum_reference(m, grid, cfg, bundle.increments["w_sigma"])
+        np.testing.assert_allclose(bundle.states, states, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(bundle.roots, roots[:, :-1], rtol=1e-10, atol=1e-13)
+
 
 def vector_left_point_reference(model: VectorModel, grid: TimeGrid, cfg: SimConfig, w1: np.ndarray, w2: np.ndarray):
     """Left-point Euler scheme for the vector model with time-first direct history sums.
@@ -158,6 +180,67 @@ class TestVectorScheme:
         assert clips > 0
         assert bundle.psd_violation_count == clips
         np.testing.assert_allclose(bundle.states, states, rtol=1e-10, atol=1e-13)
+
+
+def first_nonfinite(run_path, n_paths: int) -> tuple[int, int, int]:
+    """The first node at which a lone per-path run turns non-finite, and the lowest path that does.
+
+    ``run_path(i)`` returns path i's states (n_nodes, ...) from a reference
+    run of that path alone.  Also returns the number of paths that stay
+    finite throughout.
+    """
+    first = []
+    for i in range(n_paths):
+        states = run_path(i)
+        bad = ~np.isfinite(states.reshape(states.shape[0], -1)).all(axis=1)
+        first.append(int(np.argmax(bad)) if bad.any() else None)
+    step = min(s for s in first if s is not None)
+    return step, first.index(step), first.count(None)
+
+
+class TestDivergence:
+    # A vol-of-vol of 1e250 splits the paths on the sign of their first
+    # volatility increment: a rise makes the second step overflow far past
+    # the float range, a fall is clipped to 0 and stays there.
+
+    def test_vector_path_index_matches_per_path_reference(self):
+        m = VectorModel(theta=[1.0, 0.8], nu=[0.3, 1e250], drift=[[-1.0, 0.1], [0.2, -1.2]],
+                        rho=[-0.5, -0.3], v0=[0.04, 0.06], gamma=0.5,
+                        kernel=[Kernel.fractional(1.0, 0.9), Kernel.fractional(1.0, 0.6)])
+        grid = TimeGrid(0.25, 20)
+        cfg = SimConfig(n_paths=16, seed=11)
+        # the draws depend on the seed, the grid and d only
+        calm = simulate_vector(dataclasses.replace(m, nu=np.array([0.3, 0.3])), grid, cfg).increments
+        one = dataclasses.replace(cfg, n_paths=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, path, finite = first_nonfinite(
+                lambda i: vector_left_point_reference(m, grid, one, calm["w1"][i : i + 1], calm["w2"][i : i + 1])[0][0],
+                cfg.n_paths,
+            )
+            assert finite > 0 and path > 0
+            with pytest.raises(SimulationError, match=f"at step {step}$") as caught:
+                simulate_vector(m, grid, cfg)
+        assert caught.value.path_index == path
+
+    def test_wishart_path_index_matches_per_path_reference(self):
+        # the first component stays at 0, so each state is diag(0, s) and the
+        # sign of dW[1, 1] at step 0 alone decides the path
+        m = WishartModel(mean_reversion=[[-1.0, 0.0], [0.0, -1.2]], vol_of_vol=[[0.0, 0.0], [0.0, 1e250]],
+                         noise=[[0.0, 0.0], [0.0, 0.2]], rho=[-0.3, -0.5], market_price=[1.0, 1.0],
+                         sigma0=[[0.0, 0.0], [0.0, 0.05]], gamma=0.5,
+                         kernel=[Kernel.fractional(1.0, 0.9), Kernel.fractional(1.0, 0.6)])
+        grid = TimeGrid(0.25, 20)
+        cfg = SimConfig(n_paths=16, seed=11)
+        dws = simulate_wishart(dataclasses.replace(m, vol_of_vol=np.zeros((2, 2))), grid, cfg).increments["w_sigma"]
+        one = dataclasses.replace(cfg, n_paths=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, path, finite = first_nonfinite(
+                lambda i: wishart_two_sum_reference(m, grid, one, dws[i : i + 1])[0][0], cfg.n_paths
+            )
+            assert finite > 0 and path > 0
+            with pytest.raises(SimulationError, match=f"at step {step}$") as caught:
+                simulate_wishart(m, grid, cfg)
+        assert caught.value.path_index == path
 
 
 class TestDeterministicLimits:
