@@ -2,9 +2,10 @@
 
 Subcommands mirror the experiment kinds; the configuration file (or bundled
 preset name) supplies the model and numerics, and command-line flags override
-selected fields.  Exit codes: 0 success, 1 configuration error (or any
-other failure, reported as kind ``internal``), 2 Riccati blow-up before the
-horizon or a non-finite Riccati step, 3 Monte Carlo divergence.
+selected fields.  Exit codes: 0 success, 1 configuration error, a bad
+command line included (or any other failure, reported as kind
+``internal``), 2 Riccati blow-up before the horizon or a non-finite Riccati
+step, 3 Monte Carlo divergence.
 """
 
 from __future__ import annotations
@@ -34,8 +35,19 @@ _SUBCOMMAND_KINDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad command line is a configuration error, not usage text and exit 2.
+
+    Subcommand parsers are made with the same class, so theirs is too;
+    ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message: str):
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="volterra-merton",
         description="Optimal investment in multivariate Volterra volatility models",
         epilog=f"bundled presets: {', '.join(available_presets())}",
@@ -79,9 +91,8 @@ def _config(args):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        report = run(_config(args))
+        report = run(_config(_parser().parse_args(argv)))
     except ConfigError as exc:
         print(_error_record(1, "config", str(exc), problems=exc.problems))
         return 1

@@ -133,44 +133,50 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     """Left-point Euler convolution scheme for the square-root Volterra process.
 
     V(t_n) = v0(t_n) + sum_{j<n} w[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt),
-    with w the exact kernel cell integrals and dB built step by step from the
-    retained (W1, W2) increments through the leverage correlation.  The
-    history is kept component-major, (d, n_steps, n_paths), so that each
-    node's sum is one BLAS product.  Components are clipped at variance_floor
-    after each update (clip count recorded).
+    with w the exact kernel cell integrals and dB = rho W1 + sqrt(1 - rho^2) W2
+    built once from the retained (W1, W2) increments, time-major
+    (n_steps, d, n_paths).  The history is kept component-major,
+    (d, n_steps, n_paths), so that each node's sum is one BLAS product, and
+    the states time-major, so that each step reads and writes contiguous
+    length-n_paths rows; they are put path-major once, at the end.
+    Components are clipped at variance_floor after each update (clip count
+    recorded).
     """
     d = model.d
+    p = cfg.n_paths
     n_steps = grid.n_steps
     dt = grid.dt
     sq_dt = np.sqrt(dt)
     raw = _normals(cfg, n_steps, 2 * d)
     w1 = raw[:, :, :d] * sq_dt
     w2 = raw[:, :, d:] * sq_dt
+    del raw
     rho = model.rho[:, None]
-    orth = np.sqrt(1.0 - rho**2)
+    db = w1.transpose(1, 2, 0) * rho
+    db += np.sqrt(1.0 - rho**2) * w2.transpose(1, 2, 0)
     rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
     forced = model.input_curve(grid)
-    states = np.empty((cfg.n_paths, n_steps + 1, d))
-    states[:, 0, :] = forced[0]
-    hist = np.empty((d, n_steps, cfg.n_paths))  # D V + nu sqrt(V) dB / dt, per component and node
+    states = np.empty((n_steps + 1, d, p))
+    states[0] = forced[0][:, None]
+    hist = np.empty((d, n_steps, p))  # D V + nu sqrt(V) dB / dt, per component and node
     clipped = 0
     floor = cfg.variance_floor
     drift = model.drift
     nu = model.nu[:, None]
-    v = np.repeat(forced[0][:, None], cfg.n_paths, axis=1)  # the state component-major, (d, n_paths)
+    v = states[0]
     for n in range(1, n_steps + 1):
-        db = rho * w1[:, n - 1].T + orth * w2[:, n - 1].T
-        hist[:, n - 1] = drift @ v + nu * np.sqrt(np.maximum(v, 0.0)) * db / dt
-        v = forced[n][:, None] + history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
+        hist[:, n - 1] = drift @ v + nu * np.sqrt(np.maximum(v, 0.0)) * db[n - 1] / dt
+        sums = history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
+        v = np.add(forced[n][:, None], sums, out=states[n])
         clipped += int(np.count_nonzero(v < floor))
         np.maximum(v, floor, out=v)
         if not np.all(np.isfinite(v)):
             bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
             raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
-        states[:, n, :] = v.T
+    del db, hist
     return PathBundle(
         grid=grid,
-        states=states,
+        states=np.ascontiguousarray(states.transpose(2, 0, 1)),
         increments={"w1": w1, "w2": w2},
         psd_violation_count=clipped,
         config=cfg,
@@ -186,33 +192,34 @@ def _sym2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psd_clip_2x2(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_psd_clip`` by closed forms for a batch of symmetric 2x2 matrices S.
+def _clip_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, floor: float):
+    """``_psd_clip`` by closed forms for the symmetric 2x2 matrices [[a, b], [b, c]].
 
-    The eigenvalues are m -+ r with m = (a + c)/2, r = hypot((a - c)/2, b).  A
-    clipped S is rebuilt from its spectral projectors, lo P_lo + hi P_hi with
+    Takes and returns entry rows: the clipped (a, b, c), the root's entries
+    and the count of eigenvalues below the floor.  The eigenvalues are
+    m -+ r with m = (a + c)/2, r = hypot((a - c)/2, b).  A clipped S is
+    rebuilt from its spectral projectors, lo P_lo + hi P_hi with
     P_hi = (S - lo I)/(2r) (S = m I when r = 0), and the root of a PSD S with
     eigenvalues l1, l2 is (S + sqrt(l1 l2) I)/(sqrt(l1) + sqrt(l2)), or 0.
+    Rows with no eigenvalue below the floor are returned as given.
     """
-    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
     mid = 0.5 * (a + c)
     rad = np.hypot(0.5 * (a - c), b)
     lo, hi = mid - rad, mid + rad
-    n_below = int(np.count_nonzero(lo < floor)) + int(np.count_nonzero(hi < floor))
     clip = lo < floor
-    if clip.any():
+    n_below = int(np.count_nonzero(clip)) + int(np.count_nonzero(hi < floor))
+    if n_below:
         lo_c, hi_c = np.maximum(lo, floor), np.maximum(hi, floor)
         scale = np.divide(hi_c - lo_c, 2.0 * rad, out=np.zeros_like(rad), where=rad > 0.0)
         a = np.where(clip, lo_c + scale * (a - lo), a)
         b = np.where(clip, scale * b, b)
         c = np.where(clip, lo_c + scale * (c - lo), c)
-        mats = _sym2(a, b, c)
         lo, hi = lo_c, hi_c
     sq_lo, sq_hi = np.sqrt(lo), np.sqrt(hi)
     denom = sq_lo + sq_hi
     inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
     shift = sq_lo * sq_hi
-    return mats, _sym2((a + shift) * inv, b * inv, (c + shift) * inv), n_below
+    return (a, b, c), ((a + shift) * inv, b * inv, (c + shift) * inv), n_below
 
 
 def _psd_clip(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -222,7 +229,8 @@ def _psd_clip(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, i
     batches use closed forms, others a batched ``eigh``.
     """
     if mats.shape[-1] == 2:
-        return _psd_clip_2x2(mats, floor)
+        clipped, root, n_below = _clip_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1], floor)
+        return (_sym2(*clipped) if n_below else mats), _sym2(*root), n_below
     vals, vecs = np.linalg.eigh(mats)
     below = vals < floor
     vals = np.maximum(vals, floor)
@@ -240,14 +248,20 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     drift_j = N N^T + M Sigma_j + Sigma_j M^T and noise_j = Sigma_j^(1/2) dW_j Q / dt,
     column i weighted by the cell integrals of K_i.  As sym(A^T) = sym(A), this
     equals the scheme's row-weighted drift + noise plus the transposed
-    row-weighted noise, for distinct kernels too.  The history holds Z_j
-    component-major, column i of every path's Z_j in row i of a
-    (d, n_steps, n_paths * d) buffer, so that each node's sum is one BLAS
-    product; the step algebra is matrix products too.  Eigenvalues are
-    clipped at psd_floor (count recorded): for d = 2 by closed forms, else
-    by a batched ``eigh``; a state with no eigenvalue below the floor is kept
-    as computed.  The roots of the states are kept in the bundle, with the
-    assets' increments, for wealth and diagnostics.
+    row-weighted noise, for distinct kernels too.
+
+    The step works component-major: Sigma, its root, the noise and Z_j^T are
+    (d, d, n_paths) arrays, the increments are read time-major
+    (n_steps, d, d, n_paths), and each entry of a product is d
+    multiply-adds of length-n_paths rows.  The history holds Z_j^T as
+    (d, n_steps, d, n_paths), row i of every path's Z_j^T under component
+    i, so that each node's sum is one BLAS product.  Eigenvalues are clipped
+    at psd_floor (count recorded): for d = 2 by closed forms on the entry
+    rows, else by a batched ``eigh`` over the states put path-major; a state
+    with no eigenvalue below the floor is kept as computed.  The states and
+    their roots are put path-major once, at the end; the roots at the left
+    nodes are kept in the bundle, with the assets' increments, for wealth
+    and diagnostics.
     """
     d = model.d
     p = cfg.n_paths
@@ -257,42 +271,56 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     raw = _normals(cfg, n_steps, d * d + d)
     dws = raw[:, :, : d * d].reshape(p, n_steps, d, d) * sq_dt
     dbs = raw[:, :, d * d :] * sq_dt
+    del raw
+    dws_t = np.ascontiguousarray(dws.transpose(1, 2, 3, 0))  # dW_j time-major, (n_steps, d, d, n_paths)
     rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
-    nnt = model.drift_constant
+    nnt_t = model.drift_constant.T[:, :, None]
+    sigma0 = model.sigma0[:, :, None]
     M = model.mean_reversion
-    Q = model.vol_of_vol
-    states = np.empty((p, n_steps + 1, d, d))
-    states[:, 0] = model.sigma0
-    roots = np.empty((p, n_steps + 1, d, d))  # Sigma^(1/2) at every node
-    roots[:, 0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1]
-    hist = np.empty((d, n_steps, p, d))  # hist[i, j, path, a] = Z_j[path, a, i]
+    q_t = model.vol_of_vol.T
+    states = np.empty((n_steps + 1, d, d, p))
+    states[0] = sigma0
+    roots = np.empty((n_steps + 1, d, d, p))  # Sigma^(1/2) at every node
+    roots[0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1][0][:, :, None]
+    hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
-    sigma, root = states[:, 0], roots[:, 0]
     for n in range(1, n_steps + 1):
-        sig_mt = (sigma.reshape(-1, d) @ M.T).reshape(p, d, d)  # Sigma M^T; M Sigma is its transpose, Sigma being symmetric
-        noise = ((root @ dws[:, n - 1]).reshape(-1, d) @ Q).reshape(p, d, d)
-        z_t = nnt.T + sig_mt + sig_mt.transpose(0, 2, 1) + noise * (2.0 / dt)  # Z_j^T
-        hist[:, n - 1] = z_t.transpose(1, 0, 2)
-        sums = history_sum(rows[:, n_steps - n :], hist[:, :n].reshape(d, n, p * d)).reshape(d, p, d)
-        sigma = model.sigma0 + sums.transpose(1, 2, 0)
-        sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+        sig_mt = M @ states[n - 1]  # entry (a, b) is row a of Sigma dotted with row b of M
+        noise = q_t @ np.einsum("acp,cbp->abp", roots[n - 1], dws_t[n - 1])  # (Sigma^(1/2) dW) Q
+        z_t = hist[:, n - 1]
+        np.add(nnt_t, sig_mt, out=z_t)
+        z_t += sig_mt.transpose(1, 0, 2)
+        z_t += noise * (2.0 / dt)
+        sums = history_sum(rows[:, n_steps - n :], hist[:, :n].reshape(d, n, d * p)).reshape(d, d, p)
+        sigma = sigma0 + sums.transpose(1, 0, 2)
+        sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n])
         if not np.all(np.isfinite(sigma)):
-            bad = int(np.nonzero(~np.isfinite(sigma).reshape(p, -1).all(axis=1))[0][0])
+            bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
             raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
-        sigma, root, n_below = _psd_clip(sigma, cfg.psd_floor)
+        if d == 2:
+            (a, b, c), (ra, rb, rc), n_below = _clip_2x2(sigma[0, 0], sigma[0, 1], sigma[1, 1], cfg.psd_floor)
+            if n_below:
+                sigma[0, 0], sigma[0, 1], sigma[1, 0], sigma[1, 1] = a, b, b, c
+            roots[n, 0, 0], roots[n, 0, 1], roots[n, 1, 0], roots[n, 1, 1] = ra, rb, rb, rc
+        else:
+            mats, root, n_below = _psd_clip(sigma.transpose(2, 0, 1), cfg.psd_floor)
+            sigma[...] = mats.transpose(1, 2, 0)
+            roots[n] = root.transpose(1, 2, 0)
         clipped += n_below
-        states[:, n] = sigma
-        roots[:, n] = root
+    del hist, dws_t
+    states = np.ascontiguousarray(states.transpose(3, 0, 1, 2))
+    roots = np.ascontiguousarray(roots[:-1].transpose(3, 0, 1, 2))
     rho = model.rho
-    orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
+    asset_noise = dws @ rho
+    asset_noise += np.sqrt(max(0.0, 1.0 - rho @ rho)) * dbs
     return PathBundle(
         grid=grid,
         states=states,
         increments={"w_sigma": dws, "b": dbs},
         psd_violation_count=clipped,
         config=cfg,
-        roots=roots[:, :-1],
-        asset_noise=orth * dbs + dws @ rho,
+        roots=roots,
+        asset_noise=asset_noise,
     )
 
 
@@ -300,10 +328,17 @@ def _exposure(bundle: PathBundle, pis: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Rows pi_n' Sigma_n^(1/2) at the left nodes and the asset increments they multiply.
 
     Both are (n_paths, n_steps, d); vector bundles give pi_n sqrt(V_n^+) and W1.
+    Entry a of a matrix bundle's row is summed over b of Sigma^(1/2)[a, b] pi[b],
+    one elementwise product of (n_paths, n_steps) planes per b; Sigma^(1/2) is
+    symmetric, so this is pi' Sigma^(1/2).
     """
     if bundle.roots is None:
         return pis * np.sqrt(np.maximum(bundle.states[:, :-1], 0.0)), bundle.increments["w1"]
-    return (bundle.roots @ pis[:, :, None])[..., 0], bundle.asset_noise
+    roots = bundle.roots
+    vol = roots[..., 0] * pis[:, None, 0]
+    for b in range(1, roots.shape[-1]):
+        vol += roots[..., b] * pis[:, None, b]
+    return vol, bundle.asset_noise
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

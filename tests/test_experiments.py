@@ -532,6 +532,29 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["error"]["code"] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--config", "bl13_recovery", "--steps", "abc"],
+            ["solve", "--config", "bl13_recovery", "--bogus", "1"],
+            ["solve"],
+        ],
+        ids=["bad-int", "unknown-flag", "no-config"],
+    )
+    def test_bad_command_line_is_one_config_record(self, capsys, argv):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["code"] == 1
+        assert record["error"]["kind"] == "config"
+        assert captured.err == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli_main(["solve", "--help"])
+        assert caught.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_kind_subcommand_mismatch(self, tmp_path, capsys):
         assert cli_main(["value", "--config", "bpt10_wishart", "--out", str(tmp_path)]) == 1
         record = json.loads(capsys.readouterr().out)
