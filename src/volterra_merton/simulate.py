@@ -173,7 +173,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
         if not np.all(np.isfinite(v)):
             bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
             raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
-    del db, hist
+    del db, hist  # before the path-major copy, so that it does not raise the peak
     return PathBundle(
         grid=grid,
         states=np.ascontiguousarray(states.transpose(2, 0, 1)),
@@ -307,7 +307,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
             sigma[...] = mats.transpose(1, 2, 0)
             roots[n] = root.transpose(1, 2, 0)
         clipped += n_below
-    del hist, dws_t
+    del hist, dws_t  # before the path-major copies, so that they do not raise the peak
     states = np.ascontiguousarray(states.transpose(3, 0, 1, 2))
     roots = np.ascontiguousarray(roots[:-1].transpose(3, 0, 1, 2))
     rho = model.rho
