@@ -152,7 +152,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     w2 = raw[:, :, d:] * sq_dt
     del raw
     rho = model.rho[:, None]
-    db = w1.transpose(1, 2, 0) * rho
+    db = np.multiply(w1.transpose(1, 2, 0), rho, out=np.empty((n_steps, d, p)))  # laid out time-major
     db += np.sqrt(1.0 - rho**2) * w2.transpose(1, 2, 0)
     rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
     forced = model.input_curve(grid)
