@@ -311,8 +311,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     states = np.ascontiguousarray(states.transpose(3, 0, 1, 2))
     roots = np.ascontiguousarray(roots[:-1].transpose(3, 0, 1, 2))
     rho = model.rho
-    asset_noise = dws @ rho
-    asset_noise += np.sqrt(max(0.0, 1.0 - rho @ rho)) * dbs
+    orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
     return PathBundle(
         grid=grid,
         states=states,
@@ -320,7 +319,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
         psd_violation_count=clipped,
         config=cfg,
         roots=roots,
-        asset_noise=asset_noise,
+        asset_noise=orth * dbs + dws @ rho,
     )
 
 
