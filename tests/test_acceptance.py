@@ -200,6 +200,23 @@ def test_criterion_08_convergence_order():
                      f"(theoretical 1+alpha = 1.6)")
 
 
+@pytest.mark.parametrize("kernel", [Kernel.fractional(1.0, 0.6), Kernel.gamma(1.0, 1.0, 0.6)],
+                         ids=["fractional", "gamma"])
+def test_criterion_08_matrix_convergence_order(kernel):
+    # criterion 8 for the matrix solver on the BPT10 Wishart coefficients:
+    # the largest entry error at the terminal time against an 8000-step
+    # reference
+    rhs = wishart_rhs(make_wishart())
+    steps = [500, 1000, 2000]
+    reference = solve_riccati_matrix(kernel, rhs, TimeGrid(1.0, 8000)).values[-1]
+    errors = [np.max(np.abs(solve_riccati_matrix(kernel, rhs, TimeGrid(1.0, n)).values[-1] - reference))
+              for n in steps]
+    order = float(-np.polyfit(np.log2(steps), np.log2(errors), 1)[0])
+    assert order >= 1.3, f"empirical order {order:.2f} < 1.3"
+    _report(8, True, f"matrix, {kernel.family}: errors {['%.2e' % e for e in errors]} -> empirical order "
+                     f"{order:.2f} (theoretical 1+alpha = 1.6)")
+
+
 def test_criterion_09_martingale_diagnostic():
     model = make_wishart(gamma=0.2, alpha=0.75)
     grid = TimeGrid(0.25, 200)

@@ -161,6 +161,27 @@ class TestWishartRHS:
         with pytest.raises(ValueError):
             MatrixRiccatiRHS(linear=np.eye(2), quadratic=[[1.0, 0.3], [0.0, 1.0]], constant=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exactly_symmetric_on_symmetric_stacks(self, d):
+        rng = np.random.default_rng(5)
+        n_problems = 4
+        linear = rng.normal(size=(n_problems, d, d))
+        root = rng.normal(size=(n_problems, d, d))
+        quadratic = root @ root.swapaxes(-1, -2)
+        constant = root + root.swapaxes(-1, -2)
+        psi = rng.normal(size=(6, n_problems, d, d))
+        psi = psi + psi.swapaxes(-1, -2)
+        stacked = MatrixRiccatiRHS(linear=linear, quadratic=quadratic, constant=constant)
+        lone = MatrixRiccatiRHS(linear=linear[0], quadratic=quadratic[0], constant=constant[0])
+        for rhs, x in ((stacked, psi), (lone, psi[:, 0])):
+            got = rhs(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, got.swapaxes(-1, -2))
+            # psi A + A^T psi + 2 psi S psi + C, symmetrized, as it was first written
+            lin, quad = rhs.linear, rhs.quadratic
+            want = x @ lin + lin.swapaxes(-1, -2) @ x + 2.0 * x @ quad @ x + rhs.constant
+            np.testing.assert_allclose(got, 0.5 * (want + want.swapaxes(-1, -2)), rtol=1e-13, atol=0.0)
+
 
 class TestVectorSolver:
     def test_zero_rhs_gives_zero(self):
@@ -289,6 +310,36 @@ class TestMatrixSolver:
         path = solve_riccati_matrix(kernels, rhs, TimeGrid(1.0, 500))
         asym = np.max(np.abs(path.values - path.values.transpose(0, 2, 1)))
         assert asym <= 1e-12
+
+    # 1300 steps cross the block closes at nodes 512 and 1024
+    @pytest.mark.parametrize("kernel", [Kernel.fractional(1.0, 0.6), Kernel.gamma(1.0, 1.0, 0.6)])
+    def test_equal_kernels_exactly_symmetric(self, wishart_bpt10, kernel):
+        rhs = wishart_rhs(wishart_bpt10)
+        rng = np.random.default_rng(8)
+        root = 0.3 * rng.normal(size=(3, 3))
+        three = MatrixRiccatiRHS(linear=-np.eye(3) + 0.2 * rng.normal(size=(3, 3)), quadratic=root @ root.T,
+                                 constant=0.5 * np.eye(3) + 0.1 * (root + root.T))
+        grids = [TimeGrid(1.0, 1300), TimeGrid(0.5, 1300)]
+        paths = [
+            solve_riccati_matrix(kernel, rhs, grids[0]),
+            solve_riccati_matrix(kernel, three, grids[1]),
+            *solve_riccati_batch([kernel, [kernel] * 2], [rhs, wishart_rhs(make_wishart(gamma=0.4))], grids),
+        ]
+        for path in paths:
+            assert path.ok
+            assert np.array_equal(path.values, path.values.swapaxes(-1, -2))
+
+    def test_distinct_kernels_exactly_symmetric(self, wishart_bpt10):
+        rhs = wishart_rhs(wishart_bpt10)
+        kernels = [Kernel.fractional(1.0, 0.95), Kernel.fractional(1.0, 0.55)]
+        grid = TimeGrid(1.0, 1300)
+        paths = [
+            solve_riccati_matrix(kernels, rhs, grid),
+            *solve_riccati_batch([kernels, Kernel.fractional(1.0, 0.7)], [rhs, rhs], [grid, grid]),
+        ]
+        for path in paths:
+            assert path.ok
+            assert np.array_equal(path.values, path.values.swapaxes(-1, -2))
 
 
 class TestBatchedSolves:
