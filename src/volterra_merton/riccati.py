@@ -5,11 +5,13 @@ Solves fixed-point equations of convolution type,
     psi(t) = int_0^t F(psi)(t - s) K(s) ds,
 
 for row-vector valued psi with componentwise-quadratic F and for symmetric
-matrix valued psi with the quadratic map of the Wishart case.  K is diagonal
-with one scalar kernel per component (vector case) or per column (matrix
-case).  Time stepping is predictor-corrector (PECE) product integration:
-left-rectangle predictor with exact cell integrals of K, one corrector sweep
-with the trapezoidal product weights.  One loop serves every solve: several
+matrix valued psi with the quadratic map of the Wishart case, which is
+evaluated exactly symmetric.  K is diagonal with one scalar kernel per
+component (vector case) or per column (matrix case); a matrix iterate is
+symmetrized only when its column kernels differ.  Time stepping is
+predictor-corrector (PECE) product integration: left-rectangle predictor
+with exact cell integrals of K, one corrector sweep with the trapezoidal
+product weights.  One loop serves every solve: several
 problems of one shape and step count advance through it together.  Each
 step reads the history of F(psi) once for both stages, and the blow-up
 threshold is checked once per BLOCK steps over the nodes since the last
@@ -93,10 +95,12 @@ class VectorRiccatiRHS:
 class MatrixRiccatiRHS:
     """Matrix right-hand side f(psi) = psi A + A^T psi + 2 psi S psi + C.
 
-    ``quadratic`` (S) and ``constant`` (C) must be symmetric; f then maps
-    symmetric matrices to symmetric matrices.  Evaluations are symmetrized to
-    kill floating-point asymmetry.  psi may carry leading axes, and the
-    coefficients a leading problem axis, one problem per matrix of psi.
+    ``quadratic`` (S) and ``constant`` (C) must be symmetric, and so must
+    psi: f is evaluated as X + X^T + C with X = psi (A + S psi), which equals
+    the formula above on symmetric psi and is exactly symmetric by
+    construction, with no floating-point asymmetry.  psi may carry leading
+    axes, and the coefficients a leading problem axis, one problem per
+    matrix of psi.
     """
 
     linear: np.ndarray
@@ -128,8 +132,8 @@ class MatrixRiccatiRHS:
         return (self.dim, self.dim)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        lin = self.linear
-        return _symmetrized(psi @ lin + lin.swapaxes(-1, -2) @ psi + 2.0 * psi @ self.quadratic @ psi + self.constant)
+        x = psi @ (self.linear + self.quadratic @ psi)
+        return x + x.swapaxes(-1, -2) + self.constant
 
 
 @dataclass(frozen=True)
@@ -301,19 +305,22 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     weights = stack_weights(
         [kernel_weights(k, grid) for kernel, grid in zip(kernels, grids) for k in component_kernels(kernel, d)]
     )
-    matrix = len(shape) == 2
     states = (n_problems,) + shape
     psi = np.zeros((n_problems, n_steps + 1) + shape)
     preds = np.zeros_like(psi)
     # F(psi) component-major: row p d + i holds entry i of problem p's vector,
-    # or row i of its matrix, which is column i since F(psi) is symmetric;
-    # fpsi views it in the shape of psi
+    # or row i of its matrix, which is column i since F(psi) is exactly
+    # symmetric; fpsi views it in the shape of psi
     fvals = np.zeros((n_problems * d, n_steps + 1, psi[0, 0].size // d))
     fpsi = np.moveaxis(fvals.reshape((n_problems, d, n_steps + 1) + shape[1:]), 2, 1)
     fpsi[:, 0] = rhs(psi[:, 0])
     history = HistorySums(weights.pece_lags(), fvals)
     # The sums come in the history's layout, which holds a matrix state
-    # transposed; the symmetrization undoes that bit for bit.
+    # transposed.  With equal column kernels, F(psi) is exactly symmetric and
+    # entries (i, j) and (j, i) sum the same series with the same weights, so
+    # every iterate is exactly symmetric as it stands.  Distinct column
+    # kernels are symmetrized, which undoes the transposition bit for bit.
+    symmetrize = len(shape) == 2 and any(len(set(component_kernels(kernel, d))) > 1 for kernel in kernels)
     newest = weights.corrector[:, 1].reshape((n_problems, d) + (1,) * (len(shape) - 1))
     live = np.ones(n_problems, dtype=bool)
     failures = {}  # problem -> (step, BlowUp or time of the non-finite step)
@@ -321,10 +328,10 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     for n in range(1, n_steps + 1):
         sums = history(n)
         pred = sums[:, 0].reshape(states)
-        if matrix:
+        if symmetrize:
             pred = _symmetrized(pred)
         val = sums[:, 1].reshape(states) + newest * rhs(pred)
-        if matrix:
+        if symmetrize:
             val = _symmetrized(val)
         preds[:, n] = pred
         psi[:, n] = val
