@@ -210,7 +210,7 @@ def expected_variance_curve(
     for the physical-measure mean.  The linear Volterra equation is stepped
     implicitly with the trapezoidal product weights, which is equivalent to
     the resolvent-integral representation but avoids sampling the singular
-    resolvent.
+    resolvent.  The implicit step's matrix I - diag(c_1) B is inverted once.
     """
     B = lambda_matrix(model) if drift_matrix is None else np.asarray(drift_matrix, dtype=float)
     d = model.d
@@ -223,10 +223,10 @@ def expected_variance_curve(
     xi[0] = forced[0]
     gvals = np.empty((d, n_steps + 1, 1))  # g = B xi, component i convolved with K_i
     gvals[:, 0, 0] = B @ xi[0]
-    lhs = np.eye(d) - np.diag(weights.corrector[:, 1]) @ B
+    implicit = np.linalg.inv(np.eye(d) - np.diag(weights.corrector[:, 1]) @ B)
     history = HistorySums(weights.corrector_lags(), gvals)
     for n in range(1, n_steps + 1):
-        sol = np.linalg.solve(lhs, forced[n] + history(n)[:, 0, 0])
+        sol = implicit @ (forced[n] + history(n)[:, 0, 0])
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("expected-variance iteration diverged")
         xi[n] = sol
