@@ -164,15 +164,16 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     drift = model.drift
     nu = model.nu[:, None]
     v = states[0]
-    for n in range(1, n_steps + 1):
-        hist[:, n - 1] = drift @ v + nu * np.sqrt(np.maximum(v, 0.0)) * db[n - 1] / dt
-        sums = history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
-        v = np.add(forced[n][:, None], sums, out=states[n])
-        clipped += int(np.count_nonzero(v < floor))
-        np.maximum(v, floor, out=v)
-        if not np.all(np.isfinite(v)):
-            bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
-            raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
+        for n in range(1, n_steps + 1):
+            hist[:, n - 1] = drift @ v + nu * np.sqrt(np.maximum(v, 0.0)) * db[n - 1] / dt
+            sums = history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
+            v = np.add(forced[n][:, None], sums, out=states[n])
+            clipped += int(np.count_nonzero(v < floor))
+            np.maximum(v, floor, out=v)
+            if not np.all(np.isfinite(v)):
+                bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
+                raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
     del db, hist  # before the path-major copy, so that it does not raise the peak
     return PathBundle(
         grid=grid,
@@ -284,29 +285,30 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     roots[0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1][0][:, :, None]
     hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
-    for n in range(1, n_steps + 1):
-        sig_mt = M @ states[n - 1]  # entry (a, b) is row a of Sigma dotted with row b of M
-        noise = q_t @ np.einsum("acp,cbp->abp", roots[n - 1], dws_t[n - 1])  # (Sigma^(1/2) dW) Q
-        z_t = hist[:, n - 1]
-        np.add(nnt_t, sig_mt, out=z_t)
-        z_t += sig_mt.transpose(1, 0, 2)
-        z_t += noise * (2.0 / dt)
-        sums = history_sum(rows[:, n_steps - n :], hist[:, :n].reshape(d, n, d * p)).reshape(d, d, p)
-        sigma = sigma0 + sums.transpose(1, 0, 2)
-        sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n])
-        if not np.all(np.isfinite(sigma)):
-            bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
-            raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
-        if d == 2:
-            (a, b, c), (ra, rb, rc), n_below = _clip_2x2(sigma[0, 0], sigma[0, 1], sigma[1, 1], cfg.psd_floor)
-            if n_below:
-                sigma[0, 0], sigma[0, 1], sigma[1, 0], sigma[1, 1] = a, b, b, c
-            roots[n, 0, 0], roots[n, 0, 1], roots[n, 1, 0], roots[n, 1, 1] = ra, rb, rb, rc
-        else:
-            mats, root, n_below = _psd_clip(sigma.transpose(2, 0, 1), cfg.psd_floor)
-            sigma[...] = mats.transpose(1, 2, 0)
-            roots[n] = root.transpose(1, 2, 0)
-        clipped += n_below
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
+        for n in range(1, n_steps + 1):
+            sig_mt = M @ states[n - 1]  # entry (a, b) is row a of Sigma dotted with row b of M
+            noise = q_t @ np.einsum("acp,cbp->abp", roots[n - 1], dws_t[n - 1])  # (Sigma^(1/2) dW) Q
+            z_t = hist[:, n - 1]
+            np.add(nnt_t, sig_mt, out=z_t)
+            z_t += sig_mt.transpose(1, 0, 2)
+            z_t += noise * (2.0 / dt)
+            sums = history_sum(rows[:, n_steps - n :], hist[:, :n].reshape(d, n, d * p)).reshape(d, d, p)
+            sigma = sigma0 + sums.transpose(1, 0, 2)
+            sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n])
+            if not np.all(np.isfinite(sigma)):
+                bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
+                raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
+            if d == 2:
+                (a, b, c), (ra, rb, rc), n_below = _clip_2x2(sigma[0, 0], sigma[0, 1], sigma[1, 1], cfg.psd_floor)
+                if n_below:
+                    sigma[0, 0], sigma[0, 1], sigma[1, 0], sigma[1, 1] = a, b, b, c
+                roots[n, 0, 0], roots[n, 0, 1], roots[n, 1, 0], roots[n, 1, 1] = ra, rb, rb, rc
+            else:
+                mats, root, n_below = _psd_clip(sigma.transpose(2, 0, 1), cfg.psd_floor)
+                sigma[...] = mats.transpose(1, 2, 0)
+                roots[n] = root.transpose(1, 2, 0)
+            clipped += n_below
     del hist, dws_t  # before the path-major copies, so that they do not raise the peak
     states = np.ascontiguousarray(states.transpose(3, 0, 1, 2))
     roots = np.ascontiguousarray(roots[:-1].transpose(3, 0, 1, 2))

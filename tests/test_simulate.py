@@ -217,9 +217,9 @@ class TestDivergence:
                 lambda i: vector_left_point_reference(m, grid, one, calm["w1"][i : i + 1], calm["w2"][i : i + 1])[0][0],
                 cfg.n_paths,
             )
-            assert finite > 0 and path > 0
-            with pytest.raises(SimulationError, match=f"at step {step}$") as caught:
-                simulate_vector(m, grid, cfg)
+        assert finite > 0 and path > 0
+        with pytest.raises(SimulationError, match=f"at step {step}$") as caught:
+            simulate_vector(m, grid, cfg)
         assert caught.value.path_index == path
 
     def test_wishart_path_index_matches_per_path_reference(self):
@@ -237,9 +237,9 @@ class TestDivergence:
             step, path, finite = first_nonfinite(
                 lambda i: wishart_two_sum_reference(m, grid, one, dws[i : i + 1])[0][0], cfg.n_paths
             )
-            assert finite > 0 and path > 0
-            with pytest.raises(SimulationError, match=f"at step {step}$") as caught:
-                simulate_wishart(m, grid, cfg)
+        assert finite > 0 and path > 0
+        with pytest.raises(SimulationError, match=f"at step {step}$") as caught:
+            simulate_wishart(m, grid, cfg)
         assert caught.value.path_index == path
 
 
