@@ -7,15 +7,14 @@ Solves fixed-point equations of convolution type,
 for row-vector valued psi with componentwise-quadratic F and for symmetric
 matrix valued psi with the quadratic map of the Wishart case, which is
 evaluated exactly symmetric.  K is diagonal with one scalar kernel per
-component (vector case) or per column (matrix case); a matrix iterate is
-symmetrized only when its column kernels differ.  Time stepping is
+component (vector case) or per column (matrix case); a matrix iterate needs
+symmetrizing only when its column kernels differ.  Time stepping is
 predictor-corrector (PECE) product integration: left-rectangle predictor
 with exact cell integrals of K, one corrector sweep with the trapezoidal
-product weights.  One loop serves every solve: several
-problems of one shape and step count advance through it together.  Each
-step reads the history of F(psi) once for both stages, and the blow-up
-threshold is checked once per BLOCK steps over the nodes since the last
-check.
+product weights.  One loop serves every solve: several problems of one shape
+and step count advance through it together.  Each step reads the history of
+F(psi) once for both stages, and the blow-up threshold is checked once per
+BLOCK steps over the nodes since the last check.
 """
 
 from __future__ import annotations
