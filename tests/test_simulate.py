@@ -109,17 +109,25 @@ def wishart_two_sum_reference(model: WishartModel, grid: TimeGrid, cfg: SimConfi
 
 
 class TestWishartScheme:
-    def test_distinct_kernels_match_two_sum_reference(self):
+    @staticmethod
+    def check_distinct_kernels(n_steps: int, n_paths: int) -> None:
         # distinct component kernels: the row-weighted and the transposed
         # stochastic sums use different kernels per entry, the case where the
         # scheme's layout of the history matters
         m = make_wishart(alphas=(0.95, 0.6))
-        grid = TimeGrid(0.5, 40)
-        cfg = SimConfig(n_paths=32, seed=7)
+        grid = TimeGrid(0.5, n_steps)
+        cfg = SimConfig(n_paths=n_paths, seed=7)
         bundle = simulate_wishart(m, grid, cfg)
         states, roots = wishart_two_sum_reference(m, grid, cfg, bundle.increments["w_sigma"])
         np.testing.assert_allclose(bundle.states, states, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(bundle.roots, roots[:, :-1], rtol=1e-10, atol=1e-13)
+
+    def test_distinct_kernels_match_two_sum_reference(self):
+        self.check_distinct_kernels(40, 32)
+
+    def test_distinct_kernels_match_two_sum_reference_across_block_closes(self):
+        # 1100 steps cross the history's FFT block closes at nodes 512 and 1024
+        self.check_distinct_kernels(1100, 8)
 
     def test_three_assets_clip_by_eigh(self):
         # d = 3 takes the batched eigh clip; three distinct kernels and a
@@ -167,19 +175,27 @@ def vector_left_point_reference(model: VectorModel, grid: TimeGrid, cfg: SimConf
 
 
 class TestVectorScheme:
-    def test_distinct_kernels_match_direct_reference(self):
+    @staticmethod
+    def check_distinct_kernels(n_steps: int, n_paths: int) -> None:
         # two components with distinct kernels and a cross drift, so a
         # component or lag misassignment in the history shows; the floor clips
         m = VectorModel(theta=[1.0, 0.8], nu=[0.5, 0.4], drift=[[-1.0, 0.3], [0.2, -1.2]],
                         rho=[-0.6, -0.3], v0=[0.04, 0.06], b0=[0.02, 0.01], gamma=0.5,
                         kernel=[Kernel.fractional(1.0, 0.95), Kernel.fractional(1.0, 0.6)])
-        grid = TimeGrid(0.5, 60)
-        cfg = SimConfig(n_paths=32, seed=3, variance_floor=0.01)
+        grid = TimeGrid(0.5, n_steps)
+        cfg = SimConfig(n_paths=n_paths, seed=3, variance_floor=0.01)
         bundle = simulate_vector(m, grid, cfg)
         states, clips = vector_left_point_reference(m, grid, cfg, bundle.increments["w1"], bundle.increments["w2"])
         assert clips > 0
         assert bundle.psd_violation_count == clips
         np.testing.assert_allclose(bundle.states, states, rtol=1e-10, atol=1e-13)
+
+    def test_distinct_kernels_match_direct_reference(self):
+        self.check_distinct_kernels(60, 32)
+
+    def test_distinct_kernels_match_direct_reference_across_block_closes(self):
+        # 1100 steps cross the history's FFT block closes at nodes 512 and 1024
+        self.check_distinct_kernels(1100, 8)
 
 
 def first_nonfinite(run_path, n_paths: int) -> tuple[int, int, int]:
