@@ -254,17 +254,6 @@ def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
     )
 
 
-def history_sum(row: np.ndarray, hist: np.ndarray) -> np.ndarray:
-    """Sum over past nodes j of row[i, j] * hist[i, j, :], shape (d, width).
-
-    Components come first and time second: component i of the state is
-    convolved with K_i, and the last axis (paths, matrix rows) passes through.
-    The sum is one batched matrix product of each (1, n) row against its
-    (n, width) history, which BLAS takes.
-    """
-    return np.matmul(row[:, None, :], hist)[:, 0]
-
-
 # Sums over the nodes since the last multiple of BLOCK are taken directly.  On
 # longer grids each multiple of BLOCK closes the block before it, which reaches
 # every later node through one FFT convolution; a grid of at most BLOCK steps
@@ -305,11 +294,12 @@ def _fft_sums(block: np.ndarray, spectrum: np.ndarray, size: int) -> np.ndarray:
 class HistorySums:
     """Running sums s_n = sum over k < n of the lag weights times values[:, k], every stage at once.
 
-    ``values`` is component-major, (d, nodes, width), and may still be
-    filling: s_n, shape (d, stages, width), reads values[:, :n], and n must
-    run 1, 2, ... in turn.  Node 0 must be known when the sums are built; its
-    share of every sum is taken then.  The open block, from node 1 or the
-    last multiple of BLOCK, is summed by one matrix product for all stages.
+    ``values`` is component-major, (d, nodes, width), the last axis (paths,
+    matrix rows) passing through, and may still be filling: s_n, shape
+    (d, stages, width), reads values[:, :n], and n must run 1, 2, ... in
+    turn.  Node 0 must be known when the sums are built; its share of every
+    sum is taken then.  The open block, from node 1 or the last multiple of
+    BLOCK, is summed by one batched matrix product for all stages.
     On grids longer than BLOCK, each multiple of BLOCK closes the open block:
     one FFT of it adds its share to every later node.  Each row and column is
     transformed on its own, so a non-finite value reaches only the later sums

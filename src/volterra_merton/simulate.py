@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeGrid, history_sum, kernel_weights, stack_weights
+from .kernels import HistorySums, TimeGrid, kernel_weights, stack_weights
 from .merton import StrategyPath
 from .models import VectorModel, WishartModel, rate_on_grid
 
@@ -135,10 +135,11 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     V(t_n) = v0(t_n) + sum_{j<n} w[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt),
     with w the exact kernel cell integrals and dB = rho W1 + sqrt(1 - rho^2) W2
     built once from the retained (W1, W2) increments, time-major
-    (n_steps, d, n_paths).  The history is kept component-major,
-    (d, n_steps, n_paths), so that each node's sum is one BLAS product, and
-    the states time-major, so that each step reads and writes contiguous
-    length-n_paths rows; they are put path-major once, at the end.
+    (n_steps, d, n_paths).  The history is component-major,
+    (d, n_steps, n_paths), and ``HistorySums`` sums it with the weights of
+    ``predictor_lags()``; node 0 is written before the loop.  The states are
+    time-major, so that each step reads and writes contiguous length-n_paths
+    rows; they are put path-major once, at the end.
     Components are clipped at variance_floor after each update (clip count
     recorded).
     """
@@ -154,7 +155,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     rho = model.rho[:, None]
     db = np.multiply(w1.transpose(1, 2, 0), rho, out=np.empty((n_steps, d, p)))  # laid out time-major
     db += np.sqrt(1.0 - rho**2) * w2.transpose(1, 2, 0)
-    rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
+    lags = stack_weights([kernel_weights(k, grid) for k in model.kernel]).predictor_lags()
     forced = model.input_curve(grid)
     states = np.empty((n_steps + 1, d, p))
     states[0] = forced[0][:, None]
@@ -163,18 +164,21 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     floor = cfg.variance_floor
     drift = model.drift
     nu = model.nu[:, None]
-    v = states[0]
+    def write_node(j: int) -> None:  # hist[:, j] from the state at node j
+        hist[:, j] = drift @ states[j] + nu * np.sqrt(np.maximum(states[j], 0.0)) * db[j] / dt
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
+        write_node(0)
+        history = HistorySums(lags, hist)
         for n in range(1, n_steps + 1):
-            hist[:, n - 1] = drift @ v + nu * np.sqrt(np.maximum(v, 0.0)) * db[n - 1] / dt
-            sums = history_sum(rows[:, n_steps - n :], hist[:, :n])  # rows weigh nodes 0..n-1
-            v = np.add(forced[n][:, None], sums, out=states[n])
+            if n > 1:
+                write_node(n - 1)
+            v = np.add(forced[n][:, None], history(n)[:, 0], out=states[n])
             clipped += int(np.count_nonzero(v < floor))
             np.maximum(v, floor, out=v)
             if not np.all(np.isfinite(v)):
                 bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
                 raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
-    del db, hist  # before the path-major copy, so that it does not raise the peak
+    del db, hist, history  # before the path-major copy, so that it does not raise the peak
     return PathBundle(
         grid=grid,
         states=np.ascontiguousarray(states.transpose(2, 0, 1)),
@@ -256,13 +260,13 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     (n_steps, d, d, n_paths), and each entry of a product is d
     multiply-adds of length-n_paths rows.  The history holds Z_j^T as
     (d, n_steps, d, n_paths), row i of every path's Z_j^T under component
-    i, so that each node's sum is one BLAS product.  Eigenvalues are clipped
-    at psd_floor (count recorded): for d = 2 by closed forms on the entry
-    rows, else by a batched ``eigh`` over the states put path-major; a state
-    with no eigenvalue below the floor is kept as computed.  The states and
-    their roots are put path-major once, at the end; the roots at the left
-    nodes are kept in the bundle, with the assets' increments, for wealth
-    and diagnostics.
+    i, and ``HistorySums`` sums it as in ``simulate_vector``.  Eigenvalues
+    are clipped at psd_floor (count recorded): for d = 2 by closed forms on
+    the entry rows, else by a batched ``eigh`` over the states put
+    path-major; a state with no eigenvalue below the floor is kept as
+    computed.  The states and their roots are put path-major once, at the
+    end; the roots at the left nodes are kept in the bundle, with the
+    assets' increments, for wealth and diagnostics.
     """
     d = model.d
     p = cfg.n_paths
@@ -274,7 +278,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     dbs = raw[:, :, d * d :] * sq_dt
     del raw
     dws_t = np.ascontiguousarray(dws.transpose(1, 2, 3, 0))  # dW_j time-major, (n_steps, d, d, n_paths)
-    rows = stack_weights([kernel_weights(k, grid) for k in model.kernel]).cell[:, ::-1].copy()
+    lags = stack_weights([kernel_weights(k, grid) for k in model.kernel]).predictor_lags()
     nnt_t = model.drift_constant.T[:, :, None]
     sigma0 = model.sigma0[:, :, None]
     M = model.mean_reversion
@@ -285,16 +289,20 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     roots[0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1][0][:, :, None]
     hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
+    def write_node(j: int) -> None:  # hist[:, j] from the state at node j
+        sig_mt = M @ states[j]  # entry (a, b) is row a of Sigma dotted with row b of M
+        noise = q_t @ np.einsum("acp,cbp->abp", roots[j], dws_t[j])  # (Sigma^(1/2) dW) Q
+        z_t = hist[:, j]
+        np.add(nnt_t, sig_mt, out=z_t)
+        z_t += sig_mt.transpose(1, 0, 2)
+        z_t += noise * (2.0 / dt)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
+        write_node(0)
+        history = HistorySums(lags, hist.reshape(d, n_steps, d * p))
         for n in range(1, n_steps + 1):
-            sig_mt = M @ states[n - 1]  # entry (a, b) is row a of Sigma dotted with row b of M
-            noise = q_t @ np.einsum("acp,cbp->abp", roots[n - 1], dws_t[n - 1])  # (Sigma^(1/2) dW) Q
-            z_t = hist[:, n - 1]
-            np.add(nnt_t, sig_mt, out=z_t)
-            z_t += sig_mt.transpose(1, 0, 2)
-            z_t += noise * (2.0 / dt)
-            sums = history_sum(rows[:, n_steps - n :], hist[:, :n].reshape(d, n, d * p)).reshape(d, d, p)
-            sigma = sigma0 + sums.transpose(1, 0, 2)
+            if n > 1:
+                write_node(n - 1)
+            sigma = sigma0 + history(n)[:, 0].reshape(d, d, p).transpose(1, 0, 2)
             sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n])
             if not np.all(np.isfinite(sigma)):
                 bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
@@ -309,7 +317,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
                 sigma[...] = mats.transpose(1, 2, 0)
                 roots[n] = root.transpose(1, 2, 0)
             clipped += n_below
-    del hist, dws_t  # before the path-major copies, so that they do not raise the peak
+    del hist, dws_t, history  # before the path-major copies, so that they do not raise the peak
     states = np.ascontiguousarray(states.transpose(3, 0, 1, 2))
     roots = np.ascontiguousarray(roots[:-1].transpose(3, 0, 1, 2))
     rho = model.rho
