@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from scipy import fft as sp_fft
 
-from .kernels import Kernel, TimeGrid
+from .kernels import BLOCK, Kernel, TimeGrid
 from .merton import (
     StrategyPath,
     strategy_general,
@@ -489,15 +490,23 @@ def _largest_array_bytes(kind: str, model, n_steps: int, n_paths: int, points: i
 
     That is the Riccati history of every sweep point, two stages of one state
     per node, or on mc-check the normal draws of every path and step if they
-    are larger.
+    are larger.  On grids longer than ``BLOCK`` the history sums also build a
+    complex FFT buffer, 16 bytes for each of size // 2 + 1 frequencies, with
+    size = next_fast_len(N + 1 + BLOCK), and each stage and state entry they
+    sum: two stages of every sweep point's state in the solver, and on
+    mc-check one stage of every path's state in the simulator.
     """
     d = model.d
     wishart = isinstance(model, WishartModel)
     state = d * d if wishart else d
-    largest = 2 * points * (n_steps + 1) * state
+    freqs = 0
+    if BLOCK < n_steps <= MAX_ARRAY_BYTES:  # a longer grid's history is over the budget by itself
+        freqs = sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True) // 2 + 1
+    largest = max(8 * 2 * points * (n_steps + 1) * state, 16 * 2 * points * state * freqs)
     if kind == "mc-check":
-        largest = max(largest, n_paths * n_steps * (state + d if wishart else 2 * d))
-    return 8 * largest
+        draws = 8 * n_paths * n_steps * (state + d if wishart else 2 * d)
+        largest = max(largest, draws, 16 * n_paths * state * freqs)
+    return largest
 
 
 # ---------------------------------------------------------------------------

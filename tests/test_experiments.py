@@ -167,19 +167,24 @@ class TestLoadConfig:
         load_config(name)
 
     @pytest.mark.parametrize(
-        "name, section, key, count",
+        "name, counts",
         [
-            ("rough_heston_1d", "simulation", "n_paths", 1e200),
-            ("rough_heston_1d", "simulation", "n_paths", 10**7),  # 80 GB of draws
-            ("rough_heston_1d", "numerics", "n_steps", 1e200),
-            ("bpt10_wishart", "numerics", "n_steps", 1e300),
-            ("bpt10_alpha_sweep", "numerics", "n_steps", 10**8),  # three points of 2 x 4 entries per node
+            ("rough_heston_1d", [("simulation", "n_paths", 1e200)]),
+            ("rough_heston_1d", [("simulation", "n_paths", 10**7)]),  # 80 GB of draws
+            ("rough_heston_1d", [("numerics", "n_steps", 1e200)]),
+            ("bpt10_wishart", [("numerics", "n_steps", 1e300)]),
+            ("bpt10_alpha_sweep", [("numerics", "n_steps", 10**8)]),  # three points of 2 x 4 entries per node
+            # 1.05e9 bytes of draws fit, but one step past BLOCK the history's
+            # FFT buffer is 16 x 541 x 128 000 = 1.11e9 bytes
+            ("rough_heston_1d", [("numerics", "n_steps", 513), ("simulation", "n_paths", 128_000)]),
         ],
+        ids=lambda v: "-".join(f"{s}-{k}-{c}" for s, k, c in v) if isinstance(v, list) else None,
     )
-    def test_oversized_counts_are_refused_before_allocation(self, name, section, key, count):
+    def test_oversized_counts_are_refused_before_allocation(self, name, counts):
         # config_from_dict allocates no path or history array, so the refusal allocates nothing
         raw = read_config(name)
-        raw[section][key] = count
+        for section, key, count in counts:
+            raw[section][key] = count
         with pytest.raises(ConfigError, match="run too large"):
             config_from_dict(raw)
 
