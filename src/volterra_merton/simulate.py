@@ -164,6 +164,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     floor = cfg.variance_floor
     drift = model.drift
     nu = model.nu[:, None]
+
     def write_node(j: int) -> None:  # hist[:, j] from the state at node j
         hist[:, j] = drift @ states[j] + nu * np.sqrt(np.maximum(states[j], 0.0)) * db[j] / dt
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
@@ -289,11 +290,11 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     roots[0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1][0][:, :, None]
     hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
+
     def write_node(j: int) -> None:  # hist[:, j] from the state at node j
         sig_mt = M @ states[j]  # entry (a, b) is row a of Sigma dotted with row b of M
         noise = q_t @ np.einsum("acp,cbp->abp", roots[j], dws_t[j])  # (Sigma^(1/2) dW) Q
-        z_t = hist[:, j]
-        np.add(nnt_t, sig_mt, out=z_t)
+        z_t = np.add(nnt_t, sig_mt, out=hist[:, j])
         z_t += sig_mt.transpose(1, 0, 2)
         z_t += noise * (2.0 / dt)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
