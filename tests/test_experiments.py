@@ -462,6 +462,24 @@ class TestSweeps:
         for regime in ("positive", "zero", "negative"):
             assert (tmp_path / f"correlation-study_correlation_{regime}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, sweep_section",
+        [("correlation-study", {"correlation": ["positive"]}), ("volofvol-study", {"volofvol_scale": [1.0]})],
+    )
+    def test_wishart_only_study_refuses_a_vector_model(self, tmp_path, kind, sweep_section):
+        raw = vector_config(tmp_path, kind=kind, sweep=sweep_section)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.problems == [f"{kind} requires a wishart model"]
+
+    def test_alpha_sweep_on_an_exponential_kernel_is_refused(self, tmp_path):
+        # the exponential family has no alpha, so every point would be the same
+        raw = vector_config(tmp_path, kind="sweep-alpha", sweep={"alpha": [0.6, 1.0]})
+        raw["model"]["kernel"] = {"family": "exponential", "c": 1.0, "lam": 1.0}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert [p.split(":")[0] for p in err.value.problems] == ["sweep.alpha 0.6"]
+
     def test_empty_sweep_list_is_config_error(self, tmp_path):
         raw = vector_config(tmp_path, kind="sweep-alpha")
         raw["sweep"] = {"alpha": []}
@@ -716,6 +734,7 @@ class TestCli:
             pytest.param("mc-check", ("simulation", "antithetic"), "2", "antithetic", id="antithetic-2"),
             pytest.param("mc-check", ("simulation", "n_paths"), "1.0e+200", "too large", id="n-paths-1e200"),
             pytest.param("strategy", ("numerics", "n_steps"), "1.0e+200", "too large", id="n-steps-1e200"),
+            pytest.param("strategy", ("model", "kernel", "lam"), "2.0", "lam", id="fractional-lam"),
         ],
     )
     def test_bad_field_is_one_config_record(self, tmp_path, capsys, command, field, text, needle):
@@ -735,6 +754,31 @@ class TestCli:
         assert record["error"]["code"] == 1
         assert any(needle in problem for problem in record["error"]["problems"])
         assert captured.err == ""
+
+    def test_negative_nnt_from_q_is_one_config_record(self):
+        raw = small_preset("bpt10_wishart")
+        raw["model"]["nnt_from_q"] = -10.0
+        code, out, err, runtime = cli_probe(raw, raw["kind"])
+        record = strict_json(out)
+        assert (code, err, runtime) == (1, "", [])
+        assert record["error"]["kind"] == "config"
+        assert any("nnt_from_q" in problem for problem in record["error"]["problems"])
+
+    def test_vector_bl13_recovery_is_one_config_record(self, tmp_path, capsys):
+        # this model's Riccati solution blows up before the horizon, so only a
+        # check made at load can keep the run from reporting a blow-up instead
+        raw = vector_config(tmp_path / "out", kind="bl13-recovery")
+        raw["model"].update(theta=[5.0], nu=[3.0], drift=[[2.0]], rho=[0.9], gamma=0.9)
+        raw["numerics"] = {"horizon": 5.0, "n_steps": 200}
+        cfg = tmp_path / "bl13.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["strategy", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["problems"] == ["bl13-recovery requires a wishart model"]
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
 
     def test_report_config_shows_overrides(self, tmp_path, capsys):
         out = tmp_path / "D"

@@ -156,6 +156,15 @@ class TestKernelEval:
             Kernel.fractional(1.0, 1.3)
         with pytest.raises(ValueError):
             Kernel.exponential(1.0, -0.5)
+        # constant and exponential kernels have alpha = 1, constant and fractional ones lam = 0
+        for family, alpha, lam, field in [
+            ("constant", 0.6, 0.0, "alpha"),
+            ("exponential", 0.6, 1.0, "alpha"),
+            ("constant", 1.0, 2.0, "lam"),
+            ("fractional", 0.6, 2.0, "lam"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                Kernel(family, 1.0, alpha=alpha, lam=lam)
 
 
 class TestKernelWeights:
