@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy import fft as sp_fft
 
-from .kernels import BLOCK, Kernel, TimeGrid
+from .kernels import Kernel, TimeGrid, block_fft_size
 from .merton import (
     StrategyPath,
     strategy_general,
@@ -35,11 +34,12 @@ from .merton import (
     value_general,
     value_wishart,
 )
-from .models import VectorModel, WishartModel, validate
+from .models import VectorModel, WishartModel, lambda_condition_number, validate
 from .riccati import (
     DEFAULT_BLOWUP_THRESHOLD,
     MatrixRiccatiRHS,
     RiccatiBlowUpError,
+    RiccatiPath,
     solve_riccati_batch,
     solve_riccati_matrix,
     solve_riccati_vector,
@@ -80,6 +80,8 @@ _SWEEP_AXES = {
 }
 # correlation-study regimes: factor on the off-diagonal entries of M and Q
 _REGIMES = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
+# kinds whose pipeline reads the matrix fields of a wishart model
+_WISHART_KINDS = ("bl13-recovery", "correlation-study", "volofvol-study")
 THREADS_ENV = "VOLTERRA_MERTON_THREADS"
 # A run whose largest array would take more bytes than this is refused as a
 # config error before anything is allocated.
@@ -234,6 +236,9 @@ def _build_model(section, problems: list[str]):
             elif "nnt_from_q" in section:
                 # drift constant N N^T = factor * Q^T Q; N is its symmetric root
                 factor = float(section["nnt_from_q"])
+                if not factor >= 0.0:
+                    problems.append(f"model.nnt_from_q must be nonnegative (got {section['nnt_from_q']!r})")
+                    return None
                 with np.errstate(over="ignore", invalid="ignore"):  # validation reports a non-finite noise
                     vals, vecs = np.linalg.eigh(factor * (Q.T @ Q))
                 noise = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
@@ -351,29 +356,39 @@ def with_overrides(raw: dict, overrides: dict) -> dict:
     return raw
 
 
-def _check_sweep_values(axis: str, values: list, model, problems: list[str]) -> None:
-    """Report every sweep value that no sweep point could be built from."""
+def _sweep_point(model, horizon, axis: str, value):
+    """The model and horizon of the sweep point at ``value``, or ValueError with the reason.
+
+    ``value`` is as the config gives it, read with ``float`` on a numeric axis.
+    A correlation regime scales the off-diagonal entries of M and Q: 'zero'
+    drops them, 'negative' flips them, 'positive' keeps them.  The model must
+    suit the axis: a wishart model on the correlation and vol-of-vol axes.
+    """
     if axis == "correlation":
-        problems.extend(
-            f"sweep.correlation values must be positive|zero|negative (got {value!r})"
-            for value in values
-            if str(value) not in _REGIMES
-        )
-        return
-    for value in values:
-        number = _number({axis: value}, axis, None, problems, "sweep.")
-        if number is None:
-            continue
-        if axis == "alpha" and model is not None:
-            try:
-                for k in model.kernel:
-                    Kernel(k.family, k.c, alpha=number, lam=k.lam)
-            except ValueError as exc:
-                problems.append(f"sweep.alpha {value!r}: {exc}")
-        elif axis == "horizon" and number <= 0:
-            problems.append(f"sweep.horizon values must be positive (got {value!r})")
-        elif axis == "gamma" and not 0.0 < number < 1.0:
-            problems.append(f"sweep.gamma values must lie in (0, 1) (got {value!r})")
+        if str(value) not in _REGIMES:
+            raise ValueError("a regime is positive, zero or negative")
+        factor = _REGIMES[str(value)]
+
+        def off_scaled(mat):
+            diag = np.diag(np.diag(mat))
+            return diag + factor * (mat - diag)
+
+        return dataclasses.replace(
+            model, mean_reversion=off_scaled(model.mean_reversion), vol_of_vol=off_scaled(model.vol_of_vol)
+        ), horizon
+    number = float(value)
+    if axis == "horizon":
+        if not number > 0:
+            raise ValueError("a horizon must be positive")
+        return model, number
+    if axis == "alpha":
+        kernels = [Kernel(k.family, k.c, alpha=number, lam=k.lam) for k in model.kernel]
+        return dataclasses.replace(model, kernel=kernels), horizon
+    if axis == "gamma":
+        if not 0.0 < number < 1.0:
+            raise ValueError("risk aversion gamma must lie in (0, 1)")
+        return dataclasses.replace(model, gamma=number), horizon
+    return dataclasses.replace(model, vol_of_vol=number * model.vol_of_vol), horizon  # volofvol_scale
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -384,6 +399,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"kind must be one of {', '.join(SINGLE_KINDS + SWEEP_KINDS)} (got {kind!r})"
         )
     model = _build_model(raw.get("model"), problems)
+    if kind in _WISHART_KINDS and isinstance(model, VectorModel):
+        problems.append(f"{kind} requires a wishart model")
+        model = None  # so that no sweep point is built from it
 
     numerics = _section(raw, "numerics", problems)
     horizon = _number(numerics, "horizon", 1.0, problems, "numerics.")
@@ -449,14 +467,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 problems.append(f"exactly one swept parameter allowed, got {keys}")
             else:
                 sweep_axis = keys[0]
+                values = sweep_section[sweep_axis]
                 if sweep_axis != expected:
                     problems.append(f"kind {kind} sweeps '{expected}', not '{sweep_axis}'")
-                values = sweep_section[sweep_axis]
-                if not isinstance(values, list) or not values:
+                elif not isinstance(values, list) or not values:
                     problems.append("sweep values must be a nonempty list")
                 else:
                     sweep_values = tuple(values)
-                    _check_sweep_values(sweep_axis, values, model, problems)
+                    numeric = sweep_axis != "correlation"
+                    for value in values:
+                        if numeric and _number({sweep_axis: value}, sweep_axis, None, problems, "sweep.") is None:
+                            continue
+                        try:
+                            if model is not None:
+                                _sweep_point(model, horizon, sweep_axis, value)
+                        except ValueError as exc:
+                            problems.append(f"sweep.{sweep_axis} {value!r}: {exc}")
     elif sweep_section:
         problems.append(f"kind {kind} does not take a sweep section")
 
@@ -490,18 +516,18 @@ def _largest_array_bytes(kind: str, model, n_steps: int, n_paths: int, points: i
 
     That is the Riccati history of every sweep point, two stages of one state
     per node, or on mc-check the normal draws of every path and step if they
-    are larger.  On grids longer than ``BLOCK`` the history sums also build a
+    are larger.  On grids whose history sums close blocks they also build a
     complex FFT buffer, 16 bytes for each of size // 2 + 1 frequencies, with
-    size = next_fast_len(N + 1 + BLOCK), and each stage and state entry they
-    sum: two stages of every sweep point's state in the solver, and on
-    mc-check one stage of every path's state in the simulator.
+    size = ``block_fft_size(N)``, and each stage and state entry they sum: two
+    stages of every sweep point's state in the solver, and on mc-check one
+    stage of every path's state in the simulator.
     """
     d = model.d
     wishart = isinstance(model, WishartModel)
     state = d * d if wishart else d
-    freqs = 0
-    if BLOCK < n_steps <= MAX_ARRAY_BYTES:  # a longer grid's history is over the budget by itself
-        freqs = sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True) // 2 + 1
+    # a grid longer than MAX_ARRAY_BYTES steps is over the budget by its history alone
+    size = block_fft_size(n_steps) if n_steps <= MAX_ARRAY_BYTES else 0
+    freqs = size // 2 + 1 if size else 0
     largest = max(8 * 2 * points * (n_steps + 1) * state, 16 * 2 * points * state * freqs)
     if kind == "mc-check":
         draws = 8 * n_paths * n_steps * (state + d if wishart else 2 * d)
@@ -622,8 +648,6 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
     rhs, path = _solve(config)
     report.metrics["riccati_residual"] = path.residual
     if not isinstance(model, WishartModel):
-        from .models import lambda_condition_number
-
         report.metrics["lambda_condition_number"] = lambda_condition_number(model)
     if path.blowup is not None and config.kind != "solve":
         raise RiccatiBlowUpError(path.blowup)
@@ -678,8 +702,6 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
     elif config.kind == "bl13-recovery":
         # smooth-kernel limit vs a Runge-Kutta solve of the classical matrix
         # Riccati ODE (the Bauerle-Li Wishart benchmark)
-        if not isinstance(model, WishartModel):
-            raise ConfigError(["bl13-recovery requires a wishart model"])
         strat = _strategy(config, path)
         ref_path = _rk4_matrix_reference(rhs, grid)
         ref_strat = strategy_wishart(model, ref_path)
@@ -699,8 +721,6 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
 
 
 def _rk4_matrix_reference(rhs: MatrixRiccatiRHS, grid: TimeGrid):
-    from .riccati import RiccatiPath
-
     h = grid.dt
     d = rhs.dim
     y = np.zeros((d, d))
@@ -723,40 +743,8 @@ def _rk4_matrix_reference(rhs: MatrixRiccatiRHS, grid: TimeGrid):
 
 def _point_config(config: ExperimentConfig, value) -> ExperimentConfig:
     """Sub-config for one sweep point, with kind rewritten to 'strategy'."""
-    model = config.model
-    axis = config.sweep_axis
-    if axis == "alpha":
-        kernels = [Kernel(k.family, k.c, alpha=float(value), lam=k.lam) for k in model.kernel]
-        model = dataclasses.replace(model, kernel=kernels)
-    elif axis == "horizon":
-        return config.replaced(kind="strategy", horizon=float(value), sweep_axis=None, sweep_values=None)
-    elif axis == "gamma":
-        model = dataclasses.replace(model, gamma=float(value))
-    elif axis == "volofvol_scale":
-        if not isinstance(model, WishartModel):
-            raise ConfigError(["volofvol-study requires a wishart model"])
-        model = dataclasses.replace(model, vol_of_vol=float(value) * model.vol_of_vol)
-    elif axis == "correlation":
-        if not isinstance(model, WishartModel):
-            raise ConfigError(["correlation-study requires a wishart model"])
-        # asset-correlation regime: sign of the off-diagonal entries of M and Q
-        # ('zero' drops them, 'negative' flips them, 'positive' keeps them)
-        regime = str(value)
-        if regime not in _REGIMES:
-            raise ConfigError([f"correlation values must be positive|zero|negative, got {regime!r}"])
-        factor = _REGIMES[regime]
-        def off_scaled(mat):
-            out = np.array(mat, dtype=float, copy=True)
-            diag = np.diag(np.diag(out))
-            return diag + factor * (out - diag)
-        model = dataclasses.replace(
-            model,
-            mean_reversion=off_scaled(model.mean_reversion),
-            vol_of_vol=off_scaled(model.vol_of_vol),
-        )
-    else:
-        raise ConfigError([f"unknown sweep axis {axis!r}"])
-    return config.replaced(kind="strategy", model=model, sweep_axis=None, sweep_values=None)
+    model, horizon = _sweep_point(config.model, config.horizon, config.sweep_axis, value)
+    return config.replaced(kind="strategy", model=model, horizon=horizon, sweep_axis=None, sweep_values=None)
 
 
 def _max_workers(n_points: int) -> int:

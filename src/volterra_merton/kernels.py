@@ -64,6 +64,10 @@ class Kernel:
             raise ValueError("fractional order alpha must lie in (0, 1]")
         if self.family in ("exponential", "gamma") and self.lam < 0.0:
             raise ValueError("decay rate lam must be nonnegative")
+        if self.family in ("constant", "exponential") and self.alpha != 1.0:
+            raise ValueError(f"a {self.family} kernel takes no alpha (it must be 1)")
+        if self.family in ("constant", "fractional") and self.lam != 0.0:
+            raise ValueError(f"a {self.family} kernel takes no decay rate lam (it must be 0)")
 
     @classmethod
     def constant(cls, c: float) -> "Kernel":
@@ -261,6 +265,15 @@ def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
 BLOCK = 512
 
 
+def block_fft_size(n_steps: int) -> int:
+    """FFT length of the block closes of ``HistorySums`` on a grid of n_steps steps; 0 if it closes none.
+
+    It covers the N + 1 nodes and one block more, so that no block's share
+    wraps around onto a node read.
+    """
+    return sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True) if n_steps > BLOCK else 0
+
+
 @dataclass(frozen=True)
 class LagWeights:
     """History weights that depend on the lag L = n - k only, per component and stage.
@@ -313,10 +326,8 @@ class HistorySums:
         self._start = 1  # first node of the open block
         # share of the closed nodes in the sums at node n, (N + 1, d, stages, width)
         self._closed = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None] * values[:, None, 0]
-        self._spectrum = None
-        if n_steps > BLOCK:
-            self._size = sp_fft.next_fast_len(n_steps + 1 + BLOCK, real=True)
-            self._spectrum = _lag_spectrum(weights, self._size)
+        self._size = block_fft_size(n_steps)
+        self._spectrum = _lag_spectrum(weights, self._size) if self._size else None
 
     def __call__(self, n: int) -> np.ndarray:
         start = self._start
@@ -608,7 +619,7 @@ def convolve(f, g, grid: TimeGrid | None = None) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 
-def _two_power_cells(t: float, theta: float, al: float, n: int, end_centroids: bool = True):
+def _two_power_cells(t: float, theta: float, al: float, n: int):
     """Exact cell masses of the weight (t-s)^(al-1) s^(theta-1) on [0, t].
 
     The interval [0, t] is split into n uniform cells; masses come from the
@@ -621,17 +632,16 @@ def _two_power_cells(t: float, theta: float, al: float, n: int, end_centroids: b
     b0 = sps.beta(theta, al)
     mass = t ** (al + theta - 1.0) * b0 * np.diff(i0)
     points = (np.arange(n) + 0.5) * (t / n)
-    if end_centroids and n >= 1:
-        b1 = sps.beta(theta + 1.0, al)
-        xe = np.array([x[1], x[-2], x[-1]]) if n > 1 else np.array([x[1]])
-        i1 = sps.betainc(theta + 1.0, al, xe)
-        first_mom = t ** (al + theta) * b1 * i1[0]
-        if mass[0] > 0:
-            points[0] = first_mom / mass[0]
-        if n > 1:
-            last_mom = t ** (al + theta) * b1 * (i1[2] - i1[1])
-            if mass[-1] > 0:
-                points[-1] = last_mom / mass[-1]
+    b1 = sps.beta(theta + 1.0, al)
+    xe = np.array([x[1], x[-2], x[-1]]) if n > 1 else np.array([x[1]])
+    i1 = sps.betainc(theta + 1.0, al, xe)
+    first_mom = t ** (al + theta) * b1 * i1[0]
+    if mass[0] > 0:
+        points[0] = first_mom / mass[0]
+    if n > 1:
+        last_mom = t ** (al + theta) * b1 * (i1[2] - i1[1])
+        if mass[-1] > 0:
+            points[-1] = last_mom / mass[-1]
     return mass, points
 
 

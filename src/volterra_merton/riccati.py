@@ -34,6 +34,7 @@ from .kernels import (
     kernel_weights,
     stack_weights,
 )
+from .models import distortion_constant, lambda_matrix
 
 __all__ = [
     "VectorRiccatiRHS",
@@ -194,8 +195,6 @@ def vector_rhs_degenerate(model) -> VectorRiccatiRHS:
     rho = np.asarray(model.rho, dtype=float)
     if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
         raise ValueError("degenerate construction requires equal correlations")
-    from .models import distortion_constant, lambda_matrix
-
     gamma = model.gamma
     c = distortion_constant(gamma, float(rho[0]))
     theta = np.asarray(model.theta, dtype=float)
@@ -208,8 +207,6 @@ def vector_rhs_degenerate(model) -> VectorRiccatiRHS:
 
 def vector_rhs_general(model) -> VectorRiccatiRHS:
     """Right-hand side of the general-correlation equation."""
-    from .models import lambda_matrix
-
     gamma = model.gamma
     if not 0.0 < gamma < 1.0:
         raise ValueError("risk aversion gamma must lie in (0, 1)")

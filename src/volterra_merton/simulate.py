@@ -189,15 +189,6 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     )
 
 
-def _sym2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The batch of symmetric 2x2 matrices [[a, b], [b, c]]."""
-    out = np.empty(a.shape + (2, 2))
-    out[:, 0, 0] = a
-    out[:, 0, 1] = out[:, 1, 0] = b
-    out[:, 1, 1] = c
-    return out
-
-
 def _clip_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, floor: float):
     """``_psd_clip`` by closed forms for the symmetric 2x2 matrices [[a, b], [b, c]].
 
@@ -228,23 +219,30 @@ def _clip_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, floor: float):
     return (a, b, c), ((a + shift) * inv, b * inv, (c + shift) * inv), n_below
 
 
-def _psd_clip(mats: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenvalue-clip a batch of symmetric matrices at floor; also return their roots.
+def _psd_clip(sigma: np.ndarray, floor: float, root: np.ndarray) -> int:
+    """Eigenvalue-clip the symmetric matrices sigma[:, :, k] at floor, in place, and write their roots.
 
-    Matrices with no eigenvalue below the floor are returned as given.  2x2
-    batches use closed forms, others a batched ``eigh``.
+    ``sigma`` and ``root`` are (d, d, n); the roots go into ``root``, and the
+    count of eigenvalues below the floor is returned.  A matrix with no
+    eigenvalue below the floor is kept as given.  d = 2 takes the closed
+    forms of ``_clip_2x2``, other d a batched ``eigh``.
     """
-    if mats.shape[-1] == 2:
-        clipped, root, n_below = _clip_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1], floor)
-        return (_sym2(*clipped) if n_below else mats), _sym2(*root), n_below
+    if len(sigma) == 2:
+        (a, b, c), (ra, rb, rc), n_below = _clip_2x2(sigma[0, 0], sigma[0, 1], sigma[1, 1], floor)
+        if n_below:
+            sigma[0, 0], sigma[0, 1], sigma[1, 0], sigma[1, 1] = a, b, b, c
+        root[0, 0], root[0, 1], root[1, 0], root[1, 1] = ra, rb, rb, rc
+        return n_below
+    mats = sigma.transpose(2, 0, 1)
     vals, vecs = np.linalg.eigh(mats)
     below = vals < floor
     vals = np.maximum(vals, floor)
     vecs_t = vecs.swapaxes(-1, -2)
     clip = below.any(axis=-1)
     if clip.any():
-        mats = np.where(clip[:, None, None], (vecs * vals[:, None, :]) @ vecs_t, mats)
-    return mats, (vecs * np.sqrt(vals)[:, None, :]) @ vecs_t, int(np.count_nonzero(below))
+        mats[...] = np.where(clip[:, None, None], (vecs * vals[:, None, :]) @ vecs_t, mats)
+    root[...] = ((vecs * np.sqrt(vals)[:, None, :]) @ vecs_t).transpose(1, 2, 0)
+    return int(np.count_nonzero(below))
 
 
 def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
@@ -262,12 +260,11 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     multiply-adds of length-n_paths rows.  The history holds Z_j^T as
     (d, n_steps, d, n_paths), row i of every path's Z_j^T under component
     i, and ``HistorySums`` sums it as in ``simulate_vector``.  Eigenvalues
-    are clipped at psd_floor (count recorded): for d = 2 by closed forms on
-    the entry rows, else by a batched ``eigh`` over the states put
-    path-major; a state with no eigenvalue below the floor is kept as
-    computed.  The states and their roots are put path-major once, at the
-    end; the roots at the left nodes are kept in the bundle, with the
-    assets' increments, for wealth and diagnostics.
+    are clipped at psd_floor by ``_psd_clip`` (count recorded), which also
+    writes the roots; node 0 keeps Sigma0 as given and takes the root of its
+    clip.  The states and their roots are put path-major once, at the end;
+    the roots at the left nodes are kept in the bundle, with the assets'
+    increments, for wealth and diagnostics.
     """
     d = model.d
     p = cfg.n_paths
@@ -287,7 +284,9 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     states = np.empty((n_steps + 1, d, d, p))
     states[0] = sigma0
     roots = np.empty((n_steps + 1, d, d, p))  # Sigma^(1/2) at every node
-    roots[0] = _psd_clip(model.sigma0[None], cfg.psd_floor)[1][0][:, :, None]
+    root0 = np.empty((d, d, 1))
+    _psd_clip(sigma0.copy(), cfg.psd_floor, root0)
+    roots[0] = root0
     hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
 
@@ -308,16 +307,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
             if not np.all(np.isfinite(sigma)):
                 bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
                 raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
-            if d == 2:
-                (a, b, c), (ra, rb, rc), n_below = _clip_2x2(sigma[0, 0], sigma[0, 1], sigma[1, 1], cfg.psd_floor)
-                if n_below:
-                    sigma[0, 0], sigma[0, 1], sigma[1, 0], sigma[1, 1] = a, b, b, c
-                roots[n, 0, 0], roots[n, 0, 1], roots[n, 1, 0], roots[n, 1, 1] = ra, rb, rb, rc
-            else:
-                mats, root, n_below = _psd_clip(sigma.transpose(2, 0, 1), cfg.psd_floor)
-                sigma[...] = mats.transpose(1, 2, 0)
-                roots[n] = root.transpose(1, 2, 0)
-            clipped += n_below
+            clipped += _psd_clip(sigma, cfg.psd_floor, roots[n])
     del hist, dws_t, history  # before the path-major copies, so that they do not raise the peak
     states = np.ascontiguousarray(states.transpose(3, 0, 1, 2))
     roots = np.ascontiguousarray(roots[:-1].transpose(3, 0, 1, 2))

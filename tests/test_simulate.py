@@ -396,7 +396,10 @@ class TestPsdClip2x2:
     @pytest.mark.parametrize("floor", [0.0, 0.01])
     def test_closed_form_matches_eigh(self, floor):
         mats = symmetric_2x2_batch()
-        clipped, roots, count = _psd_clip(mats, floor)
+        sigma = np.ascontiguousarray(mats.transpose(1, 2, 0))  # the simulator's layout, (2, 2, n)
+        root = np.empty_like(sigma)
+        count = _psd_clip(sigma, floor, root)
+        clipped, roots = sigma.transpose(2, 0, 1), root.transpose(2, 0, 1)
         want_clipped, want_roots, want_count = eigh_clip_reference(mats, floor)
         assert count == want_count > 0
         scale = np.maximum(np.abs(mats).max(axis=(1, 2)), floor)[:, None, None]
