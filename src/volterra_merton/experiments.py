@@ -365,9 +365,9 @@ def _sweep_point(model, horizon, axis: str, value):
     suit the axis: a wishart model on the correlation and vol-of-vol axes.
     """
     if axis == "correlation":
-        if str(value) not in _REGIMES:
+        factor = _REGIMES.get(str(value))
+        if factor is None:
             raise ValueError("a regime is positive, zero or negative")
-        factor = _REGIMES[str(value)]
 
         def off_scaled(mat):
             diag = np.diag(np.diag(mat))

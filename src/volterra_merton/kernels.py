@@ -65,9 +65,9 @@ class Kernel:
         if self.family in ("exponential", "gamma") and self.lam < 0.0:
             raise ValueError("decay rate lam must be nonnegative")
         if self.family in ("constant", "exponential") and self.alpha != 1.0:
-            raise ValueError(f"a {self.family} kernel takes no alpha (it must be 1)")
+            raise ValueError(f"{self.family} kernels take no alpha (it must be 1)")
         if self.family in ("constant", "fractional") and self.lam != 0.0:
-            raise ValueError(f"a {self.family} kernel takes no decay rate lam (it must be 0)")
+            raise ValueError(f"{self.family} kernels take no decay rate lam (it must be 0)")
 
     @classmethod
     def constant(cls, c: float) -> "Kernel":

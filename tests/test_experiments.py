@@ -660,10 +660,11 @@ class TestCli:
         [
             ("bpt10_wishart", "vol_of_vol", [[1e200, 0.0], [0.0, 0.3]], None),
             ("bpt10_wishart", "rho", [1e200, 0.0], None),
+            ("bpt10_wishart", "nnt_from_q", -10.0, None),
             ("degenerate_pair_2d", "v0", [0.04, 1e300], ["certainty_equivalent", "value"]),
             ("rough_heston_1d", "rate", 1e9, ["analytic", "mc_mean", "mc_stderr", "z_score"]),
         ],
-        ids=["noise-from-q", "rho-norm", "value", "wealth-and-stderr"],
+        ids=["noise-from-q", "rho-norm", "nnt-from-q-negative", "value", "wealth-and-stderr"],
     )
     def test_overflow_prints_nothing_on_stderr(self, preset, field, value, nonfinite):
         raw = small_preset(preset)
@@ -754,15 +755,6 @@ class TestCli:
         assert record["error"]["code"] == 1
         assert any(needle in problem for problem in record["error"]["problems"])
         assert captured.err == ""
-
-    def test_negative_nnt_from_q_is_one_config_record(self):
-        raw = small_preset("bpt10_wishart")
-        raw["model"]["nnt_from_q"] = -10.0
-        code, out, err, runtime = cli_probe(raw, raw["kind"])
-        record = strict_json(out)
-        assert (code, err, runtime) == (1, "", [])
-        assert record["error"]["kind"] == "config"
-        assert any("nnt_from_q" in problem for problem in record["error"]["problems"])
 
     def test_vector_bl13_recovery_is_one_config_record(self, tmp_path, capsys):
         # this model's Riccati solution blows up before the horizon, so only a
