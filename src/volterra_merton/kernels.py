@@ -1,12 +1,13 @@
 """Convolution kernels, Mittag-Leffler evaluation, and resolvent calculus.
 
-Supports the four completely monotone kernel families with closed-form
-resolvents of the first and second kind:
-
-    constant       K(t) = c
-    fractional     K(t) = c t^(a-1) / Gamma(a)
-    exponential    K(t) = c exp(-lam t)
-    gamma          K(t) = c exp(-lam t) t^(a-1) / Gamma(a)
+The four completely monotone kernel families of the table, with closed-form
+resolvents of the first and second kind, are the gamma kernel
+K(t) = c exp(-lam t) t^(a-1) / Gamma(a) with a = 1 and/or lam = 0 fixed:
+constant (both), fractional (lam = 0), exponential (a = 1) and gamma (none).
+The family only decides which parameters a kernel takes; c, a and lam must
+be finite.  The formulas branch on the two values that change their closed
+form, lam = 0 (the power form) and a = 1 (the exponential form), and
+otherwise take the gamma form.
 
 Discrete convolutions on uniform grids use product integration with exact
 per-cell kernel integrals, never point values of K at 0, so the weakly
@@ -46,8 +47,9 @@ _FAMILIES = ("constant", "fractional", "exponential", "gamma")
 class Kernel:
     """One scalar kernel from the four-family table.
 
-    A diagonal multivariate kernel is represented as a plain list of
-    ``Kernel`` objects, one per component.
+    ``family`` is read only to validate the parameters.  A diagonal
+    multivariate kernel is represented as a plain list of ``Kernel``
+    objects, one per component.
     """
 
     family: str
@@ -58,6 +60,9 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        for name in ("c", "alpha", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"kernel {name} must be finite, got {getattr(self, name)}")
         if not self.c > 0:
             raise ValueError("kernel scale c must be positive")
         if self.family in ("fractional", "gamma") and not 0.0 < self.alpha <= 1.0:
@@ -87,7 +92,7 @@ class Kernel:
 
     @property
     def singular_at_zero(self) -> bool:
-        return self.family in ("fractional", "gamma") and self.alpha < 1.0
+        return self.alpha < 1.0
 
     def __call__(self, t):
         """Evaluate K(t); t > 0 required for singular kernels, t >= 0 otherwise."""
@@ -96,48 +101,31 @@ class Kernel:
             raise ValueError("kernel argument must be nonnegative")
         if self.singular_at_zero and np.any(arr == 0.0):
             raise ValueError("singular kernel evaluated at t = 0")
-        if self.family == "constant":
-            out = np.full(arr.shape, float(self.c))
-        elif self.family == "fractional":
-            out = self.c * arr ** (self.alpha - 1.0) * sps.rgamma(self.alpha)
-        elif self.family == "exponential":
-            out = self.c * np.exp(-self.lam * arr)
-        else:
-            out = self.c * np.exp(-self.lam * arr) * arr ** (self.alpha - 1.0) * sps.rgamma(self.alpha)
+        # exp(-0 t), t^0 and 1/Gamma(1) are exactly 1, so this is every form
+        out = self.c * np.exp(-self.lam * arr) * arr ** (self.alpha - 1.0) * sps.rgamma(self.alpha)
         return out if np.ndim(t) else float(out)
 
     def integral(self, a, b):
         """Exact integral of K over [a, b], finite even across the t=0 singularity."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.family == "constant":
-            return self.c * (b - a)
-        if self.family == "fractional" or (self.family == "gamma" and self.lam == 0.0):
-            al = self.alpha
-            return self.c * (b**al - a**al) * sps.rgamma(al + 1.0)
-        if self.family == "exponential":
-            if self.lam == 0.0:
-                return self.c * (b - a)
-            return self.c * (np.exp(-self.lam * a) - np.exp(-self.lam * b)) / self.lam
         al, lam = self.alpha, self.lam
+        if lam == 0.0:
+            return self.c * (b**al - a**al) * sps.rgamma(al + 1.0)
+        if al == 1.0:
+            return self.c * (np.exp(-lam * a) - np.exp(-lam * b)) / lam
         return self.c * (sps.gammainc(al, lam * b) - sps.gammainc(al, lam * a)) / lam**al
 
     def first_moment(self, a, b):
         """Exact integral of u * K(u) over [a, b]."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.family == "constant":
-            return 0.5 * self.c * (b**2 - a**2)
-        if self.family == "fractional" or (self.family == "gamma" and self.lam == 0.0):
-            al = self.alpha
+        al, lam = self.alpha, self.lam
+        if lam == 0.0:
             return self.c * (b ** (al + 1.0) - a ** (al + 1.0)) / (al + 1.0) * sps.rgamma(al)
-        if self.family == "exponential":
-            lam = self.lam
-            if lam == 0.0:
-                return 0.5 * self.c * (b**2 - a**2)
+        if al == 1.0:
             ea, eb = np.exp(-lam * a), np.exp(-lam * b)
             return self.c * ((a * ea - b * eb) / lam + (ea - eb) / lam**2)
-        al, lam = self.alpha, self.lam
         return self.c * al * (sps.gammainc(al + 1.0, lam * b) - sps.gammainc(al + 1.0, lam * a)) / lam ** (al + 1.0)
 
 
@@ -496,20 +484,12 @@ def resolvent_second_kind(kernel: Kernel, grid: TimeGrid) -> SampledFunction:
     t^(alpha-1) singularity).
     """
     t = grid.nodes
-    vals = np.empty_like(t)
-    if kernel.family == "constant":
-        vals[:] = kernel.c * np.exp(-kernel.c * t)
-    elif kernel.family == "exponential":
-        vals[:] = kernel.c * np.exp(-(kernel.lam + kernel.c) * t)
-    else:
-        al, c, lam = kernel.alpha, kernel.c, kernel.lam
-        interior = t[1:]
-        ml = mittag_leffler_array(al, al, -c * interior**al)
-        vals[1:] = c * interior ** (al - 1.0) * ml
-        if lam != 0.0:
-            vals[1:] *= np.exp(-lam * interior)
-        vals[0] = c if al == 1.0 else np.nan
-    return SampledFunction(grid, vals)
+    al, c, lam = kernel.alpha, kernel.c, kernel.lam
+    if al == 1.0:
+        return SampledFunction(grid, c * np.exp(-(lam + c) * t))
+    interior = t[1:]
+    vals = c * interior ** (al - 1.0) * mittag_leffler_array(al, al, -c * interior**al) * np.exp(-lam * interior)
+    return SampledFunction(grid, np.concatenate([[np.nan], vals]))
 
 
 @dataclass(frozen=True)
@@ -533,23 +513,18 @@ class FirstKindResolvent:
 def resolvent_first_kind(kernel: Kernel) -> FirstKindResolvent:
     """First-kind resolvent from the kernel table.
 
-    Fractional kernels with alpha = 1 degenerate to the constant-kernel atom.
-    For the gamma family the table's derivative expression is carried out in
-    closed form through the regularized incomplete gamma function P:
+    For alpha = 1 it is the atom 1/c plus the density lam/c, a pure atom at
+    lam = 0.  Otherwise the table's derivative expression is carried out in
+    closed form through the regularized incomplete gamma function P, whose
+    term drops out at lam = 0:
 
         density(t) = c^-1 [ lam^alpha P(1-alpha, lam t)
                             + exp(-lam t) t^-alpha / Gamma(1-alpha) ].
     """
     c, al, lam = kernel.c, kernel.alpha, kernel.lam
-    if kernel.family == "constant" or (kernel.family in ("fractional", "gamma") and al == 1.0 and lam == 0.0):
-        return FirstKindResolvent(kernel, atom=1.0 / c)
-    if kernel.family == "exponential" or (kernel.family == "gamma" and al == 1.0):
-        rate = lam
-        return FirstKindResolvent(kernel, atom=1.0 / c, density=lambda t: np.full_like(t, rate / c))
-    if kernel.family == "fractional" or lam == 0.0:
-        return FirstKindResolvent(
-            kernel, atom=0.0, density=lambda t: t ** (-al) * sps.rgamma(1.0 - al) / c
-        )
+    if al == 1.0:
+        density = None if lam == 0.0 else lambda t: np.full_like(t, lam / c)
+        return FirstKindResolvent(kernel, atom=1.0 / c, density=density)
 
     def gamma_density(t: np.ndarray) -> np.ndarray:
         return (lam**al * sps.gammainc(1.0 - al, lam * t) + np.exp(-lam * t) * t ** (-al) * sps.rgamma(1.0 - al)) / c
@@ -575,12 +550,15 @@ def convolve(f, g, grid: TimeGrid | None = None) -> SampledFunction:
     ``f`` may be a Kernel (product integration with exact cell weights, valid
     for singular kernels against a bounded co-factor) or a SampledFunction
     (composite trapezoidal rule; matrix dimensions must be compatible).  A
-    kernel may also be convolved against its own first-kind resolvent, which
-    dispatches to the exact-weight routine used by the identity checks.
+    kernel may also be convolved against its own first-kind resolvent (and
+    no other), which dispatches to the exact-weight routine of the identity
+    checks.
     """
     if isinstance(g, FirstKindResolvent):
         if not isinstance(f, Kernel):
             raise TypeError("measure convolution requires a Kernel on the left")
+        if g.kernel != f:
+            raise ValueError("a kernel convolves only against its own first-kind resolvent")
         if grid is None:
             raise ValueError("grid required")
         return SampledFunction(grid, _kernel_conv_first_kind(f, g, grid))
@@ -648,23 +626,20 @@ def _two_power_cells(t: float, theta: float, al: float, n: int):
 def second_kind_residual(kernel: Kernel, grid: TimeGrid) -> float:
     """max over grid nodes t >= dt of |K*R + R - K| for the table resolvent.
 
-    Smooth kernels use the generic product-trapezoidal convolution.  For the
-    weakly singular families the doubly singular product K(t-s)R(s) is
-    integrated by two-power product quadrature: exact incomplete-beta cell
-    weights for (t-s)^(a-1) s^(a-1), the leading terms of the co-factor's
-    power expansion convolved in closed form, and the smooth remainder
-    evaluated at cell midpoints/centroids.  The exponential part of the gamma
-    family factors out exactly as exp(-lam t).
+    Kernels with alpha = 1 use the generic product-trapezoidal convolution.
+    For the weakly singular ones, alpha < 1, the doubly singular product
+    K(t-s)R(s) is integrated by two-power product quadrature: exact
+    incomplete-beta cell weights for (t-s)^(a-1) s^(a-1), the leading terms
+    of the co-factor's power expansion convolved in closed form, and the
+    smooth remainder evaluated at cell midpoints/centroids.  The exponential part of the gamma
+    form factors out exactly as exp(-lam t).
     """
     t = grid.nodes
     n_steps = grid.n_steps
-    if kernel.family in ("constant", "exponential") or kernel.alpha == 1.0:
-        eff = kernel
-        if kernel.family in ("fractional", "gamma") and kernel.alpha == 1.0:
-            eff = Kernel.exponential(kernel.c, kernel.lam)
-        r = resolvent_second_kind(eff, grid)
-        kr = convolve(eff, r, grid).values
-        resid = kr[1:] + r.values[1:] - eff(t[1:])
+    if kernel.alpha == 1.0:
+        r = resolvent_second_kind(kernel, grid)
+        kr = convolve(kernel, r, grid).values
+        resid = kr[1:] + r.values[1:] - kernel(t[1:])
         return float(np.max(np.abs(resid)))
 
     # Weakly singular rows.  The exponential part factors out exactly:
@@ -698,27 +673,21 @@ def _kernel_conv_first_kind(kernel: Kernel, res: FirstKindResolvent, grid: TimeG
     t = grid.nodes
     n_steps = grid.n_steps
     c, al, lam = kernel.c, kernel.alpha, kernel.lam
-    out = np.zeros(n_steps + 1)
-    atomic = kernel.family == "constant" or (kernel.family in ("fractional", "gamma") and al == 1.0 and lam == 0.0)
-    if atomic:
-        out[:] = res.atom * c
+    if al == 1.0:
+        # the atom, plus the density lam/c against the cells (exactly 0 at lam = 0)
+        out = res.atom * c * np.exp(-lam * t)
+        out[1:] += lam / c * np.cumsum(kernel_weights(kernel, grid).cell)
         return out
-    if kernel.family == "exponential" or (kernel.family == "gamma" and al == 1.0):
-        cells = kernel_weights(Kernel.exponential(c, lam), grid).cell
-        dens = lam / c
-        out[1:] = res.atom * c * np.exp(-lam * t[1:]) + dens * np.cumsum(cells)
-        out[0] = res.atom * c
-        return out
-    # exact two-power integral of (t-s)^(a-1) s^-a over [0, t]: the fractional
+    # exact two-power integral of (t-s)^(a-1) s^-a over [0, t]: the power
     # curve, and the doubly singular term of the gamma curve.  Its cell masses
     # telescope to the whole incomplete-beta range, the same at every node.
     scale = float(sps.rgamma(al) * sps.rgamma(1.0 - al) * sps.beta(1.0 - al, al))
+    out = np.full(n_steps + 1, scale * float(sps.betainc(1.0 - al, al, 1.0) - sps.betainc(1.0 - al, al, 0.0)))
     out[0] = np.nan
-    out[1:] = scale * float(sps.betainc(1.0 - al, al, 1.0) - sps.betainc(1.0 - al, al, 0.0))
-    if kernel.family == "fractional" or lam == 0.0:
+    if lam == 0.0:
         return out
 
-    # gamma kernel, lam > 0, alpha < 1: density splits into a P-term handled by
+    # gamma form, lam > 0, alpha < 1: density splits into a P-term handled by
     # two-power quadrature with a smooth co-factor and the term above, which
     # carries exp(-lam t).
 

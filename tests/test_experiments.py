@@ -118,8 +118,16 @@ def leaf_paths(node, path=()):
 
 # Counts between 1e6 and 1e18 would really allocate, so none is listed.
 EDGE_VALUES = [0, -1, 2.5, 1e-300, 1e200, 1e300, math.nan, math.inf, "abc", "1e9", None, [], {}, True, [1.0], [[1.0]]]
+# every preset kernel is fractional, so one small gamma-kernel vector config
+# brings the leaves of the other kernel parameters
+PROBE_CONFIGS = {name: small_preset(name) for name in available_presets()}
+PROBE_CONFIGS["gamma_vector"] = dict(
+    BASE_VECTOR,
+    model=dict(BASE_VECTOR["model"], kernel={"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1.0}),
+    numerics={"horizon": 0.5, "n_steps": 20},
+)
 PRESET_LEAVES = [
-    (name, path) for name in available_presets() for path in leaf_paths(read_config(name)) if path[0] != "output"
+    (name, path) for name, raw in PROBE_CONFIGS.items() for path in leaf_paths(raw) if path[0] != "output"
 ]
 
 
@@ -772,6 +780,20 @@ class TestCli:
         assert captured.err == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [("lam", math.nan), ("lam", math.inf), ("c", math.inf)])
+    def test_non_finite_kernel_parameter_is_one_config_record(self, tmp_path, capsys, field, value):
+        raw = vector_config(tmp_path / "out")
+        raw["model"]["kernel"] = {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1.0, field: value}
+        cfg = tmp_path / "kernel.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["strategy", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["kind"] == "config"
+        (problem,) = record["error"]["problems"]
+        assert f"kernel {field} must be finite" in problem
+        assert captured.err == ""
+
     def test_report_config_shows_overrides(self, tmp_path, capsys):
         out = tmp_path / "D"
         args = ["strategy", "--config", "bpt10_wishart", "--steps", "50", "--format", "csv,json", "--out", str(out)]
@@ -797,7 +819,7 @@ class TestCli:
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_any_edge_value_in_a_preset_leaf_is_one_record(self, leaf, value):
         name, path = leaf
-        raw = small_preset(name)
+        raw = copy.deepcopy(PROBE_CONFIGS[name])
         kind, node = raw["kind"], raw
         for key in path[:-1]:
             node = node[key]

@@ -165,6 +165,10 @@ class TestKernelEval:
         ]:
             with pytest.raises(ValueError, match=field):
                 Kernel(family, 1.0, alpha=alpha, lam=lam)
+        for field in ("c", "alpha", "lam"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"kernel {field} must be finite"):
+                    Kernel("gamma", **{"c": 1.0, "alpha": 0.7, "lam": 1.0, field: value})
 
 
 class TestKernelWeights:
@@ -456,33 +460,55 @@ class TestConvolve:
         with pytest.raises(ValueError):
             convolve(f, g, grid)
 
+    @pytest.mark.parametrize(
+        "kernel, other",
+        [
+            (Kernel.fractional(1.0, 0.6), Kernel.fractional(1.0, 0.3)),
+            (Kernel.exponential(1.0, 2.0), Kernel.constant(1.0)),
+        ],
+    )
+    def test_refuses_another_kernels_first_kind_resolvent(self, kernel, other):
+        with pytest.raises(ValueError, match="own first-kind resolvent"):
+            convolve(kernel, resolvent_first_kind(other), TimeGrid(1.0, 100))
 
-class TestFractionalDegeneracy:
-    """Fractional(c, alpha=1) must behave exactly like Constant(c)."""
 
-    def test_eval_and_integrals(self):
-        kf, kc = Kernel.fractional(2.0, 1.0), Kernel.constant(2.0)
+# A family with alpha = 1 and/or lam = 0 fixed is the family it degenerates to.
+DEGENERATE_PAIRS = [
+    pytest.param(Kernel.fractional(2.0, 1.0), Kernel.constant(2.0), id="fractional-alpha-1-is-constant"),
+    pytest.param(Kernel.exponential(2.0, 0.0), Kernel.constant(2.0), id="exponential-lam-0-is-constant"),
+    pytest.param(Kernel.gamma(1.5, 0.0, 0.7), Kernel.fractional(1.5, 0.7), id="gamma-lam-0-is-fractional"),
+    pytest.param(Kernel.gamma(1.5, 0.8, 1.0), Kernel.exponential(1.5, 0.8), id="gamma-alpha-1-is-exponential"),
+]
+
+
+class TestDegenerateFamilies:
+    @staticmethod
+    def everything(kernel):
+        grid = TimeGrid(1.0, 64)
         ts = np.linspace(0.1, 3.0, 7)
-        assert np.allclose(kf(ts), kc(ts), rtol=1e-10)
-        assert kf.integral(0.0, 1.5) == pytest.approx(kc.integral(0.0, 1.5), rel=1e-12)
-        assert kf.first_moment(0.0, 1.5) == pytest.approx(kc.first_moment(0.0, 1.5), rel=1e-12)
+        weights = kernel_weights(kernel, grid)
+        first = resolvent_first_kind(kernel)
+        return {
+            "cell": weights.cell,
+            "moment": weights.moment,
+            "corrector": weights.corrector,
+            "call": kernel(ts),
+            "integral": kernel.integral(0.0, 1.5),
+            "first_moment": kernel.first_moment(0.0, 1.5),
+            "convolve": convolve(kernel, SampledFunction(grid, np.exp(-grid.nodes)), grid).values,
+            "second_kind": resolvent_second_kind(kernel, grid).values,
+            "atom": first.atom,
+            "pure_atom": first.density is None,
+            "density": first.density_at(ts),
+            "second_kind_residual": second_kind_residual(kernel, grid),
+            "first_kind_residual": first_kind_residual(kernel, grid),
+        }
 
-    def test_weights_and_convolution(self):
-        grid = TimeGrid(1.0, 64)
-        wf = kernel_weights(Kernel.fractional(2.0, 1.0), grid)
-        wc = kernel_weights(Kernel.constant(2.0), grid)
-        assert np.allclose(wf.cell, wc.cell, rtol=1e-12)
-        assert np.allclose(wf.corrector[1:], wc.corrector[1:], rtol=1e-12)
-        g = SampledFunction(grid, np.exp(-grid.nodes))
-        out_f = convolve(Kernel.fractional(2.0, 1.0), g, grid).values
-        out_c = convolve(Kernel.constant(2.0), g, grid).values
-        assert np.max(np.abs(out_f - out_c)) < 1e-10
-
-    def test_resolvents(self):
-        grid = TimeGrid(1.0, 64)
-        rf = resolvent_second_kind(Kernel.fractional(2.0, 1.0), grid).values
-        rc = resolvent_second_kind(Kernel.constant(2.0), grid).values
-        assert np.max(np.abs(rf - rc)) < 1e-10
+    @pytest.mark.parametrize("kernel, same", DEGENERATE_PAIRS)
+    def test_same_bits(self, kernel, same):
+        got, want = self.everything(kernel), self.everything(same)
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
 
 
 class TestHistorySums:
