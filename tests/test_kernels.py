@@ -472,6 +472,34 @@ class TestConvolve:
             convolve(kernel, resolvent_first_kind(other), TimeGrid(1.0, 100))
 
 
+class TestFractionalDegeneracy:
+    """Fractional(c, alpha=1) must behave exactly like Constant(c)."""
+
+    def test_eval_and_integrals(self):
+        kf, kc = Kernel.fractional(2.0, 1.0), Kernel.constant(2.0)
+        ts = np.linspace(0.1, 3.0, 7)
+        assert np.allclose(kf(ts), kc(ts), rtol=1e-10)
+        assert kf.integral(0.0, 1.5) == pytest.approx(kc.integral(0.0, 1.5), rel=1e-12)
+        assert kf.first_moment(0.0, 1.5) == pytest.approx(kc.first_moment(0.0, 1.5), rel=1e-12)
+
+    def test_weights_and_convolution(self):
+        grid = TimeGrid(1.0, 64)
+        wf = kernel_weights(Kernel.fractional(2.0, 1.0), grid)
+        wc = kernel_weights(Kernel.constant(2.0), grid)
+        assert np.allclose(wf.cell, wc.cell, rtol=1e-12)
+        assert np.allclose(wf.corrector[1:], wc.corrector[1:], rtol=1e-12)
+        g = SampledFunction(grid, np.exp(-grid.nodes))
+        out_f = convolve(Kernel.fractional(2.0, 1.0), g, grid).values
+        out_c = convolve(Kernel.constant(2.0), g, grid).values
+        assert np.max(np.abs(out_f - out_c)) < 1e-10
+
+    def test_resolvents(self):
+        grid = TimeGrid(1.0, 64)
+        rf = resolvent_second_kind(Kernel.fractional(2.0, 1.0), grid).values
+        rc = resolvent_second_kind(Kernel.constant(2.0), grid).values
+        assert np.max(np.abs(rf - rc)) < 1e-10
+
+
 # A family with alpha = 1 and/or lam = 0 fixed is the family it degenerates to.
 DEGENERATE_PAIRS = [
     pytest.param(Kernel.fractional(2.0, 1.0), Kernel.constant(2.0), id="fractional-alpha-1-is-constant"),
