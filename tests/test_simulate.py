@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, scheme reductions, moment oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.linalg import expm
 from conftest import make_rough_heston, make_wishart
 from volterra_merton.kernels import Kernel, TimeGrid, kernel_weights
 from volterra_merton.merton import StrategyPath, strategy_general, strategy_wishart
-from volterra_merton.models import VectorModel, WishartModel, expected_variance_curve
+from volterra_merton.models import VectorModel, WishartModel, expected_variance_curve, rate_on_grid
 from volterra_merton.riccati import (
     solve_riccati_matrix,
     solve_riccati_vector,
@@ -536,3 +537,123 @@ class TestUtilityEstimates:
         plain = mc_utility(m, strat, SimConfig(n_paths=4000, seed=67), 1.0)
         anti = mc_utility(m, strat, SimConfig(n_paths=4000, seed=67, antithetic=True), 1.0)
         assert anti.stderr < plain.stderr
+
+
+def exposure_reference(bundle, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pi_n' Sigma_n^(1/2) (pi_n sqrt(V_n^+) for vector bundles) at the left nodes, and the asset increments."""
+    if bundle.roots is None:
+        return pis * np.sqrt(np.maximum(bundle.states[:, :-1], 0.0)), bundle.increments["w1"]
+    return np.einsum("pnab,nb->pna", bundle.roots, pis), bundle.asset_noise
+
+
+def wealth_reference(model, strategy: StrategyPath, bundle, x0: float) -> np.ndarray:
+    """Terminal wealth from whole (n_paths, n_steps) arrays, the log-growth summed in one go."""
+    dt = bundle.grid.dt
+    pis = strategy.weights[:-1]
+    rates = rate_on_grid(model.rate, bundle.grid)[:-1]
+    if bundle.roots is None:
+        drift = np.einsum("pna,na->pn", bundle.states[:, :-1], pis * model.theta)
+    else:
+        drift = np.einsum("pnba,nb,a->pn", bundle.states[:, :-1], pis, model.market_price)
+    vol, noise = exposure_reference(bundle, pis)
+    quad, mart = np.sum(vol * vol, axis=2), np.sum(vol * noise, axis=2)
+    return x0 * np.exp(np.sum((rates + drift - 0.5 * quad) * dt + mart, axis=1))
+
+
+def estimate_reference(samples: np.ndarray, antithetic: bool) -> tuple[float, float]:
+    if antithetic:
+        samples = 0.5 * (samples[0::2] + samples[1::2])
+    return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
+
+
+def martingale_reference(model, strategy: StrategyPath, bundle) -> tuple[float, float]:
+    vol, noise = exposure_reference(bundle, strategy.weights[:-1])
+    gamma = model.gamma
+    log_z = gamma * np.sum(vol * noise, axis=(1, 2)) - 0.5 * gamma**2 * np.sum(vol * vol * bundle.grid.dt, axis=(1, 2))
+    return estimate_reference(np.exp(log_z), bundle.config.antithetic)
+
+
+def compare_reference(model, better: StrategyPath, worse: StrategyPath, bundle) -> tuple[float, float]:
+    utility = lambda s: wealth_reference(model, s, bundle, 1.0) ** model.gamma / model.gamma  # noqa: E731
+    diff = utility(better) - utility(worse)
+    vol, noise = exposure_reference(bundle, np.ones((bundle.grid.n_steps, bundle.states.shape[2])))
+    control = np.sum(vol * noise, axis=(1, 2))
+    if bundle.config.antithetic:
+        diff, control = 0.5 * (diff[0::2] + diff[1::2]), 0.5 * (control[0::2] + control[1::2])
+    diff = diff - np.cov(diff, control, ddof=1)[0, 1] / np.var(control, ddof=1) * control
+    return estimate_reference(diff, False)
+
+
+def varying_strategy(grid: TimeGrid, d: int, scale: float) -> StrategyPath:
+    # weights that change at every node, so a misaligned time block shows
+    t = grid.nodes[:, None]
+    w = scale * (0.6 + 0.4 * np.sin(7.0 * t + np.arange(d)))
+    return StrategyPath(grid, w, np.zeros_like(w), w[-1].copy())
+
+
+class TestPathIntegralsAgainstWholeArrays:
+    """Wealth, the martingale diagnostic and the paired comparison sum the
+    path integrals over time blocks; they must match sums over whole arrays."""
+
+    @staticmethod
+    def vector_bundle(n_steps: int):
+        m = VectorModel(theta=[1.0, 0.8], nu=[0.5, 0.4], drift=[[-1.0, 0.3], [0.2, -1.2]],
+                        rho=[-0.6, -0.3], v0=[0.04, 0.06], b0=[0.02, 0.01], gamma=0.5,
+                        kernel=[Kernel.fractional(1.0, 0.95), Kernel.fractional(1.0, 0.6)],
+                        rate=lambda t: 0.02 + 0.04 * t)
+        grid = TimeGrid(0.5, n_steps)
+        return m, simulate_vector(m, grid, SimConfig(n_paths=64, seed=13))
+
+    @staticmethod
+    def wishart_bundle(n_steps: int):
+        m = make_wishart(alphas=(0.95, 0.6), rate=0.03)
+        grid = TimeGrid(0.5, n_steps)
+        return m, simulate_wishart(m, grid, SimConfig(n_paths=64, seed=17, antithetic=True))
+
+    @pytest.mark.parametrize("n_steps", [150, 40])
+    @pytest.mark.parametrize("kind", ["vector", "wishart"])
+    def test_match_whole_array_references(self, kind, n_steps):
+        # 150 steps end inside a partly filled block; 40 steps are shorter than one
+        m, bundle = getattr(self, f"{kind}_bundle")(n_steps)
+        d = bundle.states.shape[2]
+        best = varying_strategy(bundle.grid, d, 1.0)
+        worse = varying_strategy(bundle.grid, d, 0.4)
+        np.testing.assert_allclose(simulate_wealth(m, best, bundle, 2.0),
+                                   wealth_reference(m, best, bundle, 2.0), rtol=1e-14, atol=0.0)
+        est = martingale_diagnostic(m, best, bundle.config, bundle=bundle)
+        np.testing.assert_allclose([est.mean, est.stderr], martingale_reference(m, best, bundle), rtol=1e-14, atol=0.0)
+        est = compare_strategies(m, best, worse, bundle, 1.0)
+        np.testing.assert_allclose([est.mean, est.stderr], compare_reference(m, best, worse, bundle),
+                                   rtol=1e-14, atol=0.0)
+
+
+class TestMemoryPeaks:
+    """tracemalloc peaks of a vector bundle and of its wealth, in units of
+    A, the bytes of one (n_paths, n_steps + 1, d) float64 array.
+
+    The draws take 2 A (W1 and W2 are views of them), the states A and the
+    history A, plus A for the path-major copy of the states at the end; on
+    300 steps no history block closes, so there is no closed-share array.
+    The wealth sums over time blocks, so its temporaries are a few
+    (n_paths, block) arrays.
+    """
+
+    def test_vector_bundle_and_wealth(self):
+        m = make_rough_heston()
+        grid = TimeGrid(0.25, 300)
+        cfg = SimConfig(n_paths=2000, seed=3)
+        a = cfg.n_paths * (grid.n_steps + 1) * m.d * 8
+        strategy = StrategyPath(grid, np.full((grid.n_steps + 1, 1), 0.5), np.zeros((grid.n_steps + 1, 1)),
+                                np.array([0.5]))
+        tracemalloc.start()
+        try:
+            bundle = simulate_vector(m, grid, cfg)
+            _, vector_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            simulate_wealth(m, strategy, bundle, 1.0)
+            _, wealth_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vector_peak < 4.5 * a
+        assert wealth_peak - held < 1.0 * a
