@@ -298,13 +298,17 @@ class HistorySums:
     ``values`` is component-major, (d, nodes, width), the last axis (paths,
     matrix rows) passing through, and may still be filling: s_n, shape
     (d, stages, width), reads values[:, :n], and n must run 1, 2, ... in
-    turn.  Node 0 must be known when the sums are built; its share of every
-    sum is taken then.  The open block, from node 1 or the last multiple of
-    BLOCK, is summed by one batched matrix product for all stages.
+    turn.  Node 0 must be known when the sums are built and stay as it is.
+    The open block, from node 1 or the last multiple of BLOCK, is summed by
+    one batched matrix product for all stages; until the first block close,
+    node 0's share, head[n] times node 0, is added to it.
     On grids longer than BLOCK, each multiple of BLOCK closes the open block:
-    one FFT of it adds its share to every later node.  Each row and column is
-    transformed on its own, so a non-finite value reaches only the later sums
-    of its own row and column, where the FFT may turn an overflow into NaN.
+    one FFT of it adds its share to every later node.  The first close
+    builds the (N + 1, d, stages, width) share of the closed nodes, node 0's
+    included, so a grid of at most BLOCK steps never holds that array.  Each
+    row and column is transformed on its own, so a non-finite value reaches
+    only the later sums of its own row and column, where the FFT may turn an
+    overflow into NaN.
     """
 
     def __init__(self, weights: LagWeights, values: np.ndarray):
@@ -312,19 +316,22 @@ class HistorySums:
         self.values = values
         self._rows = weights.lag[:, :, :0:-1].copy()  # lags N..1, so each row is a forward slice
         self._start = 1  # first node of the open block
-        # share of the closed nodes in the sums at node n, (N + 1, d, stages, width)
-        self._closed = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None] * values[:, None, 0]
+        self._head = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None]  # (N + 1, d, stages, 1)
+        self._closed = None  # share of the closed nodes in the sums at node n, from the first block close
         self._size = block_fft_size(n_steps)
         self._spectrum = _lag_spectrum(weights, self._size) if self._size else None
 
     def __call__(self, n: int) -> np.ndarray:
         start = self._start
         if n % BLOCK == 0 and self._spectrum is not None:
+            if self._closed is None:
+                self._closed = self._head * self.values[:, None, 0]
             shares = _fft_sums(self.values[:, start:n], self._spectrum, self._size)
             self._closed[n:] += np.moveaxis(shares[:, :, n - start : len(self._closed) - start], 2, 0)
             start = self._start = n
         row = self._rows[:, :, self._rows.shape[2] - n + start :]
-        return self._closed[n] + np.matmul(row, self.values[:, start:n])
+        closed = self._head[n] * self.values[:, None, 0] if self._closed is None else self._closed[n]
+        return closed + np.matmul(row, self.values[:, start:n])
 
 
 def causal_sums(weights: LagWeights, values: np.ndarray) -> np.ndarray:

@@ -133,13 +133,13 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     """Left-point Euler convolution scheme for the square-root Volterra process.
 
     V(t_n) = v0(t_n) + sum_{j<n} w[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt),
-    with w the exact kernel cell integrals and dB = rho W1 + sqrt(1 - rho^2) W2
-    built once from the retained (W1, W2) increments, time-major
-    (n_steps, d, n_paths).  The history is component-major,
-    (d, n_steps, n_paths), and ``HistorySums`` sums it with the weights of
-    ``predictor_lags()``; node 0 is written before the loop.  The states are
-    time-major, so that each step reads and writes contiguous length-n_paths
-    rows; they are put path-major once, at the end.
+    with w the exact kernel cell integrals and dB_j = rho W1_j + sqrt(1 - rho^2) W2_j
+    taken when node j is written.  The draws are scaled by sqrt(dt) in place,
+    and the retained increments W1 and W2 are views of them.  The history is
+    component-major, (d, n_steps, n_paths), and ``HistorySums`` sums it with
+    the weights of ``predictor_lags()``; node 0 is written before the loop.
+    The states are time-major, so that each step reads and writes contiguous
+    length-n_paths rows; they are put path-major once, at the end.
     Components are clipped at variance_floor after each update (clip count
     recorded).
     """
@@ -149,12 +149,10 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     dt = grid.dt
     sq_dt = np.sqrt(dt)
     raw = _normals(cfg, n_steps, 2 * d)
-    w1 = raw[:, :, :d] * sq_dt
-    w2 = raw[:, :, d:] * sq_dt
-    del raw
+    raw *= sq_dt
+    w1, w2 = raw[:, :, :d], raw[:, :, d:]
     rho = model.rho[:, None]
-    db = np.multiply(w1.transpose(1, 2, 0), rho, out=np.empty((n_steps, d, p)))  # laid out time-major
-    db += np.sqrt(1.0 - rho**2) * w2.transpose(1, 2, 0)
+    orth = np.sqrt(1.0 - rho**2)
     lags = stack_weights([kernel_weights(k, grid) for k in model.kernel]).predictor_lags()
     forced = model.input_curve(grid)
     states = np.empty((n_steps + 1, d, p))
@@ -166,7 +164,8 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     nu = model.nu[:, None]
 
     def write_node(j: int) -> None:  # hist[:, j] from the state at node j
-        hist[:, j] = drift @ states[j] + nu * np.sqrt(np.maximum(states[j], 0.0)) * db[j] / dt
+        db = rho * w1[:, j].T + orth * w2[:, j].T
+        hist[:, j] = drift @ states[j] + nu * np.sqrt(np.maximum(states[j], 0.0)) * db / dt
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
         write_node(0)
         history = HistorySums(lags, hist)
@@ -179,7 +178,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
             if not np.all(np.isfinite(v)):
                 bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
                 raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
-    del db, hist, history  # before the path-major copy, so that it does not raise the peak
+    del hist, history  # before the path-major copy, so that it does not raise the peak
     return PathBundle(
         grid=grid,
         states=np.ascontiguousarray(states.transpose(2, 0, 1)),
@@ -272,9 +271,8 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     dt = grid.dt
     sq_dt = np.sqrt(dt)
     raw = _normals(cfg, n_steps, d * d + d)
-    dws = raw[:, :, : d * d].reshape(p, n_steps, d, d) * sq_dt
-    dbs = raw[:, :, d * d :] * sq_dt
-    del raw
+    raw *= sq_dt
+    dws, dbs = raw[:, :, : d * d].reshape(p, n_steps, d, d), raw[:, :, d * d :]
     dws_t = np.ascontiguousarray(dws.transpose(1, 2, 3, 0))  # dW_j time-major, (n_steps, d, d, n_paths)
     lags = stack_weights([kernel_weights(k, grid) for k in model.kernel]).predictor_lags()
     nnt_t = model.drift_constant.T[:, :, None]
@@ -324,21 +322,46 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     )
 
 
-def _exposure(bundle: PathBundle, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pi_n' Sigma_n^(1/2) at the left nodes and the asset increments they multiply.
+# Entries of one (paths, n_steps) temporary of the path integrals: wealth and
+# the diagnostics take their paths in blocks of _BLOCK_ENTRIES // n_steps.
+_BLOCK_ENTRIES = 2**16
 
-    Both are (n_paths, n_steps, d); vector bundles give pi_n sqrt(V_n^+) and W1.
-    Entry a of a matrix bundle's row is summed over b of Sigma^(1/2)[a, b] pi[b],
-    one elementwise product of (n_paths, n_steps) planes per b; Sigma^(1/2) is
+
+def _exposure(bundle: PathBundle, pis: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Rows pi_n' Sigma_n^(1/2) at the left nodes of the paths ``rows`` and the asset increments they multiply.
+
+    ``pis`` holds the left-point weights (n_steps, d).  Both results are
+    (paths, n_steps, d); vector bundles give pi_n sqrt(V_n^+) and W1.  Entry a
+    of a matrix bundle's row is summed over b of Sigma^(1/2)[a, b] pi[b], one
+    elementwise product of (paths, n_steps) planes per b; Sigma^(1/2) is
     symmetric, so this is pi' Sigma^(1/2).
     """
     if bundle.roots is None:
-        return pis * np.sqrt(np.maximum(bundle.states[:, :-1], 0.0)), bundle.increments["w1"]
-    roots = bundle.roots
+        return pis * np.sqrt(np.maximum(bundle.states[rows, :-1], 0.0)), bundle.increments["w1"][rows]
+    roots = bundle.roots[rows]
     vol = roots[..., 0] * pis[:, None, 0]
     for b in range(1, roots.shape[-1]):
         vol += roots[..., b] * pis[:, None, b]
-    return vol, bundle.asset_noise
+    return vol, bundle.asset_noise[rows]
+
+
+def _per_path(bundle: PathBundle, pis: np.ndarray, integral) -> np.ndarray:
+    """integral(rows, vol, noise) over blocks of paths, one value per path.
+
+    ``pis`` holds the left-point weights (n_steps, d).  For each block of
+    paths, ``integral`` gets the block's slice of paths and their
+    ``_exposure`` rows and increments, and returns one value per path.  A
+    block holds whole paths, so each path's sums over the steps take the same
+    bits as over the whole bundle, while the temporaries stay near
+    _BLOCK_ENTRIES entries.
+    """
+    n_paths = bundle.states.shape[0]
+    size = max(1, _BLOCK_ENTRIES // bundle.grid.n_steps)
+    out = np.empty(n_paths)
+    for lo in range(0, n_paths, size):
+        rows = slice(lo, lo + size)
+        out[rows] = integral(rows, *_exposure(bundle, pis, rows))
+    return out
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -351,7 +374,8 @@ def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float
 
     Reuses the bundle's increments, preserving the leverage correlation
     between the asset noise and the volatility noise.  Integrals are
-    discretized left-point, consistently with the volatility scheme.
+    discretized left-point, consistently with the volatility scheme, and
+    taken over blocks of paths by ``_per_path``.
     """
     if strategy.grid.n_steps != bundle.grid.n_steps or strategy.grid.horizon != bundle.grid.horizon:
         raise ValueError("strategy and bundle must share one grid")
@@ -359,16 +383,20 @@ def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float
     dt = grid.dt
     rates = rate_on_grid(model.rate, grid)[:-1]
     pis = strategy.weights[:-1]  # left-point weights
+    states = bundle.states[:, :-1]
     if isinstance(model, VectorModel):
-        drift = _row_dot(bundle.states[:, :-1, :], pis * model.theta)  # sum of pi_i theta_i V_i
+        weights = pis * model.theta  # sum of pi_i theta_i V_i
     elif isinstance(model, WishartModel):
         p, n, d = bundle.asset_noise.shape
-        weights = pis[:, :, None] * model.market_price  # v' Sigma pi = sum over (b, a) of pi_b v_a Sigma_ba
-        drift = _row_dot(bundle.states[:, :-1].reshape(p, n, d * d), weights.reshape(n, d * d))
+        weights = (pis[:, :, None] * model.market_price).reshape(n, d * d)  # sum over (b, a) of pi_b v_a Sigma_ba
+        states = states.reshape(p, n, d * d)
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
-    vol, noise = _exposure(bundle, pis)
-    log_growth = np.sum((rates[None, :] + drift - 0.5 * _row_dot(vol, vol)) * dt + _row_dot(vol, noise), axis=1)
+
+    def growth(rows: slice, vol: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        drift = _row_dot(states[rows], weights)
+        return np.sum((rates[None, :] + drift - 0.5 * _row_dot(vol, vol)) * dt + _row_dot(vol, noise), axis=1)
+    log_growth = _per_path(bundle, pis, growth)
     with np.errstate(over="ignore"):  # an overflowing wealth is reported as a non-finite metric
         return x0 * np.exp(log_growth)
 
@@ -422,8 +450,8 @@ def _martingale_control(bundle: PathBundle) -> np.ndarray:
     comparisons: the integrated volatility-weighted noise dominates the
     variance of utility differences but not their mean.
     """
-    vol, noise = _exposure(bundle, np.ones((bundle.grid.n_steps, bundle.states.shape[2])))
-    return _row_dot(vol, noise).sum(axis=1)
+    ones = np.ones((bundle.grid.n_steps, bundle.states.shape[2]))
+    return _per_path(bundle, ones, lambda rows, vol, noise: _row_dot(vol, noise).sum(axis=1))
 
 
 def compare_strategies(
@@ -466,11 +494,9 @@ def martingale_diagnostic(
     """
     if bundle is None:
         bundle = simulate_bundle(model, strategy.grid, cfg)
-    grid = bundle.grid
-    dt = grid.dt
+    dt = bundle.grid.dt
     gamma = model.gamma
-    vol, noise = _exposure(bundle, strategy.weights[:-1])
-    mart = _row_dot(vol, noise)
-    quad = _row_dot(vol, vol)
-    log_z = gamma * mart.sum(axis=1) - 0.5 * gamma**2 * (quad * dt).sum(axis=1)
-    return _estimate(np.exp(log_z), bundle.config.antithetic)
+
+    def log_z(rows: slice, vol: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return gamma * _row_dot(vol, noise).sum(axis=1) - 0.5 * gamma**2 * (_row_dot(vol, vol) * dt).sum(axis=1)
+    return _estimate(np.exp(_per_path(bundle, strategy.weights[:-1], log_z)), bundle.config.antithetic)

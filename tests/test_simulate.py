@@ -592,29 +592,30 @@ def varying_strategy(grid: TimeGrid, d: int, scale: float) -> StrategyPath:
 
 
 class TestPathIntegralsAgainstWholeArrays:
-    """Wealth, the martingale diagnostic and the paired comparison sum the
-    path integrals over time blocks; they must match sums over whole arrays."""
+    """Wealth, the martingale diagnostic and the paired comparison take their
+    paths in blocks; they must match sums over whole arrays."""
 
     @staticmethod
-    def vector_bundle(n_steps: int):
+    def vector_bundle(n_paths: int):
         m = VectorModel(theta=[1.0, 0.8], nu=[0.5, 0.4], drift=[[-1.0, 0.3], [0.2, -1.2]],
                         rho=[-0.6, -0.3], v0=[0.04, 0.06], b0=[0.02, 0.01], gamma=0.5,
                         kernel=[Kernel.fractional(1.0, 0.95), Kernel.fractional(1.0, 0.6)],
                         rate=lambda t: 0.02 + 0.04 * t)
-        grid = TimeGrid(0.5, n_steps)
-        return m, simulate_vector(m, grid, SimConfig(n_paths=64, seed=13))
+        grid = TimeGrid(0.5, 150)
+        return m, simulate_vector(m, grid, SimConfig(n_paths=n_paths, seed=13))
 
     @staticmethod
-    def wishart_bundle(n_steps: int):
+    def wishart_bundle(n_paths: int):
         m = make_wishart(alphas=(0.95, 0.6), rate=0.03)
-        grid = TimeGrid(0.5, n_steps)
-        return m, simulate_wishart(m, grid, SimConfig(n_paths=64, seed=17, antithetic=True))
+        grid = TimeGrid(0.5, 150)
+        return m, simulate_wishart(m, grid, SimConfig(n_paths=n_paths, seed=17, antithetic=True))
 
-    @pytest.mark.parametrize("n_steps", [150, 40])
+    @pytest.mark.parametrize("n_paths", [1000, 64])
     @pytest.mark.parametrize("kind", ["vector", "wishart"])
-    def test_match_whole_array_references(self, kind, n_steps):
-        # 150 steps end inside a partly filled block; 40 steps are shorter than one
-        m, bundle = getattr(self, f"{kind}_bundle")(n_steps)
+    def test_match_whole_array_references(self, kind, n_paths):
+        # at 150 steps a block holds 436 paths: 1000 paths end in a partly
+        # filled third block, 64 paths are fewer than one block
+        m, bundle = getattr(self, f"{kind}_bundle")(n_paths)
         d = bundle.states.shape[2]
         best = varying_strategy(bundle.grid, d, 1.0)
         worse = varying_strategy(bundle.grid, d, 0.4)
@@ -634,8 +635,8 @@ class TestMemoryPeaks:
     The draws take 2 A (W1 and W2 are views of them), the states A and the
     history A, plus A for the path-major copy of the states at the end; on
     300 steps no history block closes, so there is no closed-share array.
-    The wealth sums over time blocks, so its temporaries are a few
-    (n_paths, block) arrays.
+    The wealth takes its paths in blocks, so its temporaries are a few
+    arrays of about 2**16 entries.
     """
 
     def test_vector_bundle_and_wealth(self):
