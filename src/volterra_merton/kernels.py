@@ -253,6 +253,13 @@ def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
 BLOCK = 512
 
 
+# Before the first block close, HistorySums forms node 0's share of the sums
+# for this many nodes at a time: one product per call adds about half to the
+# cost of a call on a solver's small states, and all nodes at once would hold
+# an array the size of the history.
+_NODE0_ROWS = 16
+
+
 def block_fft_size(n_steps: int) -> int:
     """FFT length of the block closes of ``HistorySums`` on a grid of n_steps steps; 0 if it closes none.
 
@@ -300,8 +307,9 @@ class HistorySums:
     (d, stages, width), reads values[:, :n], and n must run 1, 2, ... in
     turn.  Node 0 must be known when the sums are built and stay as it is.
     The open block, from node 1 or the last multiple of BLOCK, is summed by
-    one batched matrix product for all stages; until the first block close,
-    node 0's share, head[n] times node 0, is added to it.
+    one batched matrix product for all stages.  Until the first block close,
+    node 0's share, head[n] times node 0, is added to it; that share is
+    formed for _NODE0_ROWS nodes at a time.
     On grids longer than BLOCK, each multiple of BLOCK closes the open block:
     one FFT of it adds its share to every later node.  The first close
     builds the (N + 1, d, stages, width) share of the closed nodes, node 0's
@@ -317,7 +325,9 @@ class HistorySums:
         self._rows = weights.lag[:, :, :0:-1].copy()  # lags N..1, so each row is a forward slice
         self._start = 1  # first node of the open block
         self._head = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None]  # (N + 1, d, stages, 1)
+        self._node0 = values[:, None, 0]
         self._closed = None  # share of the closed nodes in the sums at node n, from the first block close
+        self._first, self._node0_shares = 0, self._head[:0]  # node 0's share at nodes first, first + 1, ...
         self._size = block_fft_size(n_steps)
         self._spectrum = _lag_spectrum(weights, self._size) if self._size else None
 
@@ -325,12 +335,14 @@ class HistorySums:
         start = self._start
         if n % BLOCK == 0 and self._spectrum is not None:
             if self._closed is None:
-                self._closed = self._head * self.values[:, None, 0]
+                self._closed = self._head * self._node0
             shares = _fft_sums(self.values[:, start:n], self._spectrum, self._size)
             self._closed[n:] += np.moveaxis(shares[:, :, n - start : len(self._closed) - start], 2, 0)
             start = self._start = n
         row = self._rows[:, :, self._rows.shape[2] - n + start :]
-        closed = self._head[n] * self.values[:, None, 0] if self._closed is None else self._closed[n]
+        if self._closed is None and n - self._first >= len(self._node0_shares):
+            self._first, self._node0_shares = n, self._head[n : n + _NODE0_ROWS] * self._node0
+        closed = self._node0_shares[n - self._first] if self._closed is None else self._closed[n]
         return closed + np.matmul(row, self.values[:, start:n])
 
 

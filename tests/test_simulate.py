@@ -574,7 +574,8 @@ def martingale_reference(model, strategy: StrategyPath, bundle) -> tuple[float, 
 
 
 def compare_reference(model, better: StrategyPath, worse: StrategyPath, bundle) -> tuple[float, float]:
-    utility = lambda s: wealth_reference(model, s, bundle, 1.0) ** model.gamma / model.gamma  # noqa: E731
+    def utility(strategy):
+        return wealth_reference(model, strategy, bundle, 1.0) ** model.gamma / model.gamma
     diff = utility(better) - utility(worse)
     vol, noise = exposure_reference(bundle, np.ones((bundle.grid.n_steps, bundle.states.shape[2])))
     control = np.sum(vol * noise, axis=(1, 2))
@@ -585,7 +586,7 @@ def compare_reference(model, better: StrategyPath, worse: StrategyPath, bundle) 
 
 
 def varying_strategy(grid: TimeGrid, d: int, scale: float) -> StrategyPath:
-    # weights that change at every node, so a misaligned time block shows
+    # weights that change at every node, so a step read against the wrong weight shows
     t = grid.nodes[:, None]
     w = scale * (0.6 + 0.4 * np.sin(7.0 * t + np.arange(d)))
     return StrategyPath(grid, w, np.zeros_like(w), w[-1].copy())
@@ -634,7 +635,8 @@ class TestMemoryPeaks:
 
     The draws take 2 A (W1 and W2 are views of them), the states A and the
     history A, plus A for the path-major copy of the states at the end; on
-    300 steps no history block closes, so there is no closed-share array.
+    300 steps no history block closes, so there is no closed-share array,
+    only node 0's share of 16 nodes at a time.
     The wealth takes its paths in blocks, so its temporaries are a few
     arrays of about 2**16 entries.
     """
