@@ -214,17 +214,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="available"):
             load_config("no_such_preset")
 
-    def test_readme_numeric_lines_load(self, tmp_path):
-        # YAML reads 1.0e8 (no signed exponent) as a string; float fields still take it
-        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-        raw = vector_config(tmp_path)
-        for section in ("numerics", "simulation"):
-            (line,) = [ln for ln in lines if ln.startswith(section + ":")]
-            raw.update(yaml.safe_load(line))
+    def test_readme_numeric_lines_load(self):
+        # the README's whole config block, on a sweep kind so that its sweep line applies;
+        # YAML reads 1.0e8 (no signed exponent) as a string, and float fields still take it
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("### Configuration format", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        raw = dict(yaml.safe_load(block), kind="sweep-alpha")
         assert isinstance(raw["numerics"]["blowup_threshold"], str)
         config = config_from_dict(raw)
         assert config.blowup_threshold == 1.0e8
         assert (config.horizon, config.n_steps, config.sim.n_paths) == (1.0, 1000, 10000)
+        assert config.sweep_values == (0.55, 0.75, 0.95)
 
     @pytest.mark.parametrize("section, key, text, value", [
         ("simulation", "psd_floor", "1e-8", 1e-8),
@@ -793,6 +793,79 @@ class TestCli:
         (problem,) = record["error"]["problems"]
         assert f"kernel {field} must be finite" in problem
         assert captured.err == ""
+
+    @pytest.mark.parametrize("lam", [1e200, 1e-300], ids=["lam-1e200", "lam-1e-300"])
+    def test_extreme_gamma_lam_is_one_config_record(self, tmp_path, capsys, lam):
+        # lam ** (alpha + 1) overflows or underflows to 0, where the weights divide by it
+        raw = vector_config(tmp_path / "out")
+        raw["model"]["kernel"] = {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": lam}
+        cfg = tmp_path / "kernel.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["strategy", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["kind"] == "config"
+        (problem,) = record["error"]["problems"]
+        assert "lam" in problem
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path, key, value",
+        [
+            (("numerics",), "n_step", 40),
+            (("model",), "b_0", [0.1]),
+            (("model", "kernel"), "lamda", 1.0),
+            ((), "simulations", {"n_paths": 100}),
+            (("output",), "formatz", ["svg"]),
+        ],
+        ids=["numerics-n_step", "model-b_0", "kernel-lamda", "simulations", "output-formatz"],
+    )
+    def test_misspelt_key_is_one_config_record(self, tmp_path, capsys, path, key, value):
+        raw = vector_config(tmp_path / "out")
+        node = raw
+        for name in path:
+            node = node[name]
+        node[key] = value
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["strategy", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["kind"] == "config"
+        (problem,) = record["error"]["problems"]
+        assert key in problem
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            dict(BASE_VECTOR["model"], theta=1.0),
+            {
+                "type": "wishart",
+                "gamma": 0.5,
+                "mean_reversion": [[-1.0]],
+                "vol_of_vol": 0.2,
+                "nnt_from_q": 10.0,
+                "rho": [-0.5],
+                "market_price": [1.0],
+                "sigma0": [[0.04]],
+                "kernel": {"family": "fractional", "c": 1.0, "alpha": 0.7},
+            },
+        ],
+        ids=["vector-theta", "wishart-vol-of-vol"],
+    )
+    def test_scalar_array_field_reads_as_one_asset(self, tmp_path, capsys, model):
+        raw = vector_config(tmp_path, model=model)
+        cfg = tmp_path / "scalar.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["strategy", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["kind"] == "strategy"
+        assert captured.err == ""
+        header = (tmp_path / "strategy.csv").read_text().splitlines()[0]
+        assert header == "t,pi_1,hedge_1,myopic_1"
 
     def test_report_config_shows_overrides(self, tmp_path, capsys):
         out = tmp_path / "D"

@@ -169,6 +169,10 @@ class TestKernelEval:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"kernel {field} must be finite"):
                     Kernel("gamma", **{"c": 1.0, "alpha": 0.7, "lam": 1.0, field: value})
+        # the gamma form divides by lam ** alpha and lam ** (alpha + 1), which overflow or reach 0 here
+        for lam in (1e200, 1e-300):
+            with pytest.raises(ValueError, match="lam"):
+                Kernel.gamma(1.0, lam, 0.7)
 
 
 class TestKernelWeights:
