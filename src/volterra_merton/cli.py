@@ -53,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
         epilog=f"bundled presets: {', '.join(available_presets())}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "strategy", "value", "mc-check", "sweep"):
+    for name in _SUBCOMMAND_KINDS:
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--config", required=True, help="config file path or preset name")
         p.add_argument("--out", default=None, help="output directory (overrides config)")

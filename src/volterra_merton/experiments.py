@@ -62,14 +62,6 @@ __all__ = [
 ]
 
 SINGLE_KINDS = ("solve", "strategy", "value", "mc-check", "bl13-recovery")
-SWEEP_KINDS = (
-    "sweep-alpha",
-    "sweep-horizon",
-    "sweep-gamma",
-    "regime-study",
-    "correlation-study",
-    "volofvol-study",
-)
 _SWEEP_AXES = {
     "sweep-alpha": "alpha",
     "sweep-horizon": "horizon",
@@ -77,6 +69,26 @@ _SWEEP_AXES = {
     "regime-study": "horizon",
     "correlation-study": "correlation",
     "volofvol-study": "volofvol_scale",
+}
+SWEEP_KINDS = tuple(_SWEEP_AXES)
+_MODELS = {"vector": VectorModel, "wishart": WishartModel}
+# Scalar fields, (section, key) -> (default, integer); section "" is the top level.
+_SCALARS = {
+    ("numerics", "horizon"): (1.0, False),
+    ("numerics", "n_steps"): (1000, True),
+    ("numerics", "blowup_threshold"): (DEFAULT_BLOWUP_THRESHOLD, False),
+    ("simulation", "n_paths"): (10_000, True),
+    ("simulation", "seed"): (42, True),
+    ("simulation", "psd_floor"): (0.0, False),
+    ("simulation", "variance_floor"): (0.0, False),
+    ("", "x0"): (1.0, False),
+}
+# The other keys of each section; the model section and its kernels take their records' fields.
+_KEYS = {
+    "": ("kind", "model", "numerics", "simulation", "sweep", "output"),
+    "numerics": (),
+    "simulation": ("antithetic",),
+    "output": ("directory", "formats"),
 }
 # correlation-study regimes: factor on the off-diagonal entries of M and Q
 _REGIMES = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
@@ -166,104 +178,94 @@ def preset_path(name: str) -> Path:
         return Path(concrete)
 
 
-def _parse_kernel(node, problems: list[str], d: int) -> list[Kernel]:
+def _refuse_unknown(mapping: dict, known, prefix: str, problems: list[str]) -> None:
+    """Report every key of ``mapping`` outside ``known``: a misspelt field is an error, not a default."""
+    problems.extend(
+        f"unknown field {prefix}{key} (known: {', '.join(sorted(known))})" for key in mapping if key not in known
+    )
+
+
+def _parse_kernel(node, problems: list[str]):
+    """One Kernel for a mapping or a list of them for a list; None after a problem.
+
+    The model record repeats a single kernel over its components and checks a list's length.
+    """
+
     def one(entry) -> Kernel | None:
         if not isinstance(entry, dict) or "family" not in entry:
             problems.append("kernel entries need at least a 'family' key")
             return None
+        names = [f.name for f in dataclasses.fields(Kernel)]
+        _refuse_unknown(entry, names, "model.kernel.", problems)
         try:
-            return Kernel(
-                family=str(entry["family"]),
-                c=float(entry.get("c", 1.0)),
-                alpha=float(entry.get("alpha", 1.0)),
-                lam=float(entry.get("lam", 0.0)),
-            )
+            params = {name: float(entry[name]) for name in names if name in entry and name != "family"}
+            return Kernel(str(entry["family"]), **{"c": 1.0, **params})
         except (ValueError, TypeError) as exc:
             problems.append(f"kernel: {exc}")
             return None
 
     if isinstance(node, dict):
-        k = one(node)
-        return [k] * d if k is not None else []
+        return one(node)
     if isinstance(node, list):
         kernels = [one(item) for item in node]
-        if any(k is None for k in kernels):
-            return []
-        if len(kernels) != d:
-            problems.append(f"kernel list has {len(kernels)} entries for {d} assets")
-            return []
-        return kernels  # type: ignore[return-value]
+        return None if any(k is None for k in kernels) else kernels
     problems.append("model.kernel must be a mapping or a list of mappings")
-    return []
+    return None
 
 
 def _build_model(section, problems: list[str]):
+    """The model record of the model section, or None after a problem.
+
+    The section holds ``type`` and the record's fields, which go to the record as given
+    (it coerces and checks the arrays), besides ``gamma`` and ``rate``, which are read
+    with ``_number``, and the kernels.  A wishart model may give ``nnt_from_q`` in
+    place of ``noise``.
+    """
     if not isinstance(section, dict):
         problems.append("missing or malformed 'model' section")
         return None
-    mtype = section.get("type")
-    if mtype not in ("vector", "wishart"):
+    record = _MODELS.get(str(section.get("type")))
+    if record is None:
         problems.append("model.type must be 'vector' or 'wishart'")
         return None
-    gamma = section.get("gamma")
-    rate = section.get("rate", 0.0)
-    try:
-        if mtype == "vector":
-            theta = np.asarray(section["theta"], dtype=float)
-            d = theta.shape[0]
-            kernels = _parse_kernel(section.get("kernel"), problems, d)
-            if not kernels:
-                return None
-            model = VectorModel(
-                theta=theta,
-                nu=np.asarray(section["nu"], dtype=float),
-                drift=np.asarray(section["drift"], dtype=float),
-                rho=np.asarray(section["rho"], dtype=float),
-                v0=np.asarray(section["v0"], dtype=float),
-                b0=np.asarray(section["b0"], dtype=float) if "b0" in section else None,
-                gamma=float(gamma),
-                kernel=kernels,
-                rate=float(rate),
-            )
-        else:
-            Q = np.asarray(section["vol_of_vol"], dtype=float)
-            d = Q.shape[0]
-            kernels = _parse_kernel(section.get("kernel"), problems, d)
-            if not kernels:
-                return None
-            if "noise" in section:
-                noise = np.asarray(section["noise"], dtype=float)
-            elif "nnt_from_q" in section:
-                # drift constant N N^T = factor * Q^T Q; N is its symmetric root
-                factor = float(section["nnt_from_q"])
-                if not factor >= 0.0:
-                    problems.append(f"model.nnt_from_q must be nonnegative (got {section['nnt_from_q']!r})")
-                    return None
-                with np.errstate(over="ignore", invalid="ignore"):  # validation reports a non-finite noise
-                    vals, vecs = np.linalg.eigh(factor * (Q.T @ Q))
-                noise = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-            else:
-                problems.append("wishart model needs 'noise' or 'nnt_from_q'")
-                return None
-            model = WishartModel(
-                mean_reversion=np.asarray(section["mean_reversion"], dtype=float),
-                vol_of_vol=Q,
-                noise=noise,
-                rho=np.asarray(section["rho"], dtype=float),
-                market_price=np.asarray(section["market_price"], dtype=float),
-                sigma0=np.asarray(section["sigma0"], dtype=float),
-                gamma=float(gamma),
-                kernel=kernels,
-                rate=float(rate),
-            )
-    except KeyError as exc:
-        problems.append(f"model section missing field {exc.args[0]!r}")
+    fields = dataclasses.fields(record)
+    from_q = record is WishartModel and "nnt_from_q" in section
+    known = ["type", *(f.name for f in fields)] + (["nnt_from_q"] if record is WishartModel else [])
+    _refuse_unknown(section, known, "model.", problems)
+    before = len(problems)
+    values = {f.name: section[f.name] for f in fields if f.name in section}
+    for name in ("gamma", "rate"):
+        if name in values:
+            values[name] = _number(section, name, None, problems, "model.")
+    if "kernel" in values:
+        values["kernel"] = _parse_kernel(values["kernel"], problems)
+    if from_q:
+        if "noise" in section:
+            problems.append("model gives both noise and nnt_from_q; give one")
+        factor = _number(section, "nnt_from_q", None, problems, "model.")
+        if factor is not None and not factor >= 0.0:
+            problems.append(f"model.nnt_from_q must be nonnegative (got {section['nnt_from_q']!r})")
+    problems.extend(
+        f"model section missing field {f.name!r}"
+        for f in fields
+        if f.default is dataclasses.MISSING and f.name not in values and not (f.name == "noise" and from_q)
+    )
+    if len(problems) > before:
         return None
+    try:
+        if from_q:
+            # drift constant N N^T = factor * Q^T Q; N is its symmetric root
+            Q = np.atleast_2d(np.asarray(values["vol_of_vol"], dtype=float))
+            with np.errstate(over="ignore", invalid="ignore"):  # validation reports a non-finite noise
+                vals, vecs = np.linalg.eigh(factor * (Q.T @ Q))
+            values["noise"] = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+        model = record(**values)
     except (TypeError, ValueError) as exc:
         problems.append(f"model section: {exc}")
         return None
-    problems.extend(validate(model))
-    return model
+    violations = validate(model)
+    problems.extend(violations)
+    return None if violations else model
 
 
 def _canonical_echo(raw: dict) -> str:
@@ -363,6 +365,7 @@ def _sweep_point(model, horizon, axis: str, value):
     A correlation regime scales the off-diagonal entries of M and Q: 'zero'
     drops them, 'negative' flips them, 'positive' keeps them.  The model must
     suit the axis: a wishart model on the correlation and vol-of-vol axes.
+    ``validate`` and ``TimeGrid`` check the point's model and horizon.
     """
     if axis == "correlation":
         factor = _REGIMES.get(str(value))
@@ -378,15 +381,11 @@ def _sweep_point(model, horizon, axis: str, value):
         ), horizon
     number = float(value)
     if axis == "horizon":
-        if not number > 0:
-            raise ValueError("a horizon must be positive")
         return model, number
     if axis == "alpha":
         kernels = [Kernel(k.family, k.c, alpha=number, lam=k.lam) for k in model.kernel]
         return dataclasses.replace(model, kernel=kernels), horizon
     if axis == "gamma":
-        if not 0.0 < number < 1.0:
-            raise ValueError("risk aversion gamma must lie in (0, 1)")
         return dataclasses.replace(model, gamma=number), horizon
     return dataclasses.replace(model, vol_of_vol=number * model.vol_of_vol), horizon  # volofvol_scale
 
@@ -403,40 +402,39 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         problems.append(f"{kind} requires a wishart model")
         model = None  # so that no sweep point is built from it
 
-    numerics = _section(raw, "numerics", problems)
-    horizon = _number(numerics, "horizon", 1.0, problems, "numerics.")
-    n_steps = _number(numerics, "n_steps", 1000, problems, "numerics.", integer=True)
-    blowup = _number(numerics, "blowup_threshold", DEFAULT_BLOWUP_THRESHOLD, problems, "numerics.")
-    if horizon is not None and horizon <= 0:
-        problems.append("numerics.horizon must be positive")
-    if n_steps is not None and n_steps < 1:
-        problems.append("numerics.n_steps must be at least 1")
+    sections = {name: _section(raw, name, problems) if name else raw for name in _KEYS}
+    for name, keys in _KEYS.items():
+        known = keys + tuple(key for section, key in _SCALARS if section == name)
+        _refuse_unknown(sections[name], known, f"{name}." if name else "", problems)
+    numbers = {
+        key: _number(sections[section], key, default, problems, f"{section}." if section else "", integer)
+        for (section, key), (default, integer) in _SCALARS.items()
+    }
+    horizon, n_steps, blowup, x0 = (numbers[key] for key in ("horizon", "n_steps", "blowup_threshold", "x0"))
+    grid = None
+    if horizon is not None and n_steps is not None:
+        try:
+            grid = TimeGrid(horizon, n_steps)
+        except ValueError as exc:
+            problems.append(f"numerics: {exc}")
     if blowup is not None and blowup <= 0:
         problems.append("numerics.blowup_threshold must be positive")
+    if x0 is not None and x0 <= 0:
+        problems.append("x0 must be positive")
 
-    sim_section = _section(raw, "simulation", problems)
-    n_paths = _number(sim_section, "n_paths", 10_000, problems, "simulation.", integer=True)
-    seed = _number(sim_section, "seed", 42, problems, "simulation.", integer=True)
-    psd_floor = _number(sim_section, "psd_floor", 0.0, problems, "simulation.")
-    variance_floor = _number(sim_section, "variance_floor", 0.0, problems, "simulation.")
-    antithetic = sim_section.get("antithetic", False)
+    sim_fields = {key: numbers[key] for section, key in _SCALARS if section == "simulation"}
+    antithetic = sections["simulation"].get("antithetic", False)
     if not isinstance(antithetic, bool):
         problems.append(f"simulation.antithetic must be true or false (got {antithetic!r})")
         antithetic = None
     sim = SimConfig(n_paths=1)
-    if None not in (n_paths, seed, psd_floor, variance_floor, antithetic):
+    if None not in (*sim_fields.values(), antithetic):
         try:
-            sim = SimConfig(
-                n_paths=n_paths,
-                seed=seed,
-                psd_floor=psd_floor,
-                variance_floor=variance_floor,
-                antithetic=antithetic,
-            )
+            sim = SimConfig(**sim_fields, antithetic=antithetic)
         except ValueError as exc:
             problems.append(f"simulation section: {exc}")
 
-    output = _section(raw, "output", problems)
+    output = sections["output"]
     directory = output.get("directory", "out")
     if not isinstance(directory, str):
         problems.append(f"output.directory must be a path (got {directory!r})")
@@ -450,45 +448,36 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if bad:
         problems.append(f"unsupported output formats: {bad}")
 
-    x0 = _number(raw, "x0", 1.0, problems)
-    if x0 is not None and x0 <= 0:
-        problems.append("x0 must be positive")
-
     sweep_axis = None
     sweep_values: tuple | None = None
     sweep_section = raw.get("sweep")
     if kind in SWEEP_KINDS:
-        expected = _SWEEP_AXES[kind]
-        if not isinstance(sweep_section, dict) or not sweep_section:
-            problems.append(f"kind {kind} needs a sweep section {{{expected}: [...]}}")
+        axis = _SWEEP_AXES[kind]
+        values = sweep_section.get(axis) if isinstance(sweep_section, dict) else None
+        if values is None or len(sweep_section) != 1:
+            problems.append(f"kind {kind} sweeps exactly one axis, {axis}: {{{axis}: [...]}} (got {sweep_section!r})")
+        elif not isinstance(values, list) or not values:
+            problems.append("sweep values must be a nonempty list")
         else:
-            keys = sorted(sweep_section)
-            if len(keys) != 1:
-                problems.append(f"exactly one swept parameter allowed, got {keys}")
-            else:
-                sweep_axis = keys[0]
-                values = sweep_section[sweep_axis]
-                if sweep_axis != expected:
-                    problems.append(f"kind {kind} sweeps '{expected}', not '{sweep_axis}'")
-                elif not isinstance(values, list) or not values:
-                    problems.append("sweep values must be a nonempty list")
-                else:
-                    sweep_values = tuple(values)
-                    numeric = sweep_axis != "correlation"
-                    for value in values:
-                        if numeric and _number({sweep_axis: value}, sweep_axis, None, problems, "sweep.") is None:
-                            continue
-                        try:
-                            if model is not None:
-                                _sweep_point(model, horizon, sweep_axis, value)
-                        except ValueError as exc:
-                            problems.append(f"sweep.{sweep_axis} {value!r}: {exc}")
+            sweep_axis, sweep_values = axis, tuple(values)
+            for value in values:
+                if axis != "correlation" and _number({axis: value}, axis, None, problems, "sweep.") is None:
+                    continue
+                if model is None or grid is None:
+                    continue
+                try:
+                    point, point_horizon = _sweep_point(model, horizon, axis, value)
+                    TimeGrid(point_horizon, n_steps)
+                    reasons = validate(point)
+                except ValueError as exc:
+                    reasons = [str(exc)]
+                problems.extend(f"sweep.{axis} {value!r}: {reason}" for reason in reasons)
     elif sweep_section:
         problems.append(f"kind {kind} does not take a sweep section")
 
     if not problems and model is not None:
         points = len(sweep_values) if sweep_values else 1
-        if _largest_array_bytes(kind, model, n_steps, n_paths, points) > MAX_ARRAY_BYTES:
+        if _largest_array_bytes(kind, model, n_steps, numbers["n_paths"], points) > MAX_ARRAY_BYTES:
             problems.append(
                 f"run too large: its largest array would exceed {MAX_ARRAY_BYTES // 2**20} MiB "
                 "(numerics.n_steps, simulation.n_paths on mc-check and the sweep points set its size)"

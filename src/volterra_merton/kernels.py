@@ -73,6 +73,12 @@ class Kernel:
             raise ValueError(f"{self.family} kernels take no alpha (it must be 1)")
         if self.family in ("constant", "fractional") and self.lam != 0.0:
             raise ValueError(f"{self.family} kernels take no decay rate lam (it must be 0)")
+        if self.alpha < 1.0 and self.lam > 0.0:
+            # the gamma form divides by lam ** alpha and lam ** (alpha + 1), the power farther from 1
+            with np.errstate(over="ignore", under="ignore"):
+                power = np.float64(self.lam) ** (self.alpha + 1.0)
+            if not 0.0 < power < math.inf:
+                raise ValueError(f"decay rate lam = {self.lam!r} is out of range: lam ** (alpha + 1) is {power}")
 
     @classmethod
     def constant(cls, c: float) -> "Kernel":

@@ -205,6 +205,22 @@ class TestLoadConfig:
             config_from_dict(raw)
         assert len(err.value.problems) >= 3
 
+    @pytest.mark.parametrize(
+        "preset, model, problem",
+        [
+            ("degenerate_pair_2d", {"kernel": [{"family": "constant", "c": 1.0}] * 3},
+             "model section: expected 2 kernels, got 3"),
+            ("bpt10_wishart", {"noise": [[0.1, 0.0], [0.0, 0.1]]}, "model gives both noise and nnt_from_q; give one"),
+        ],
+        ids=["kernel-count", "noise-and-nnt-from-q"],
+    )
+    def test_conflicting_model_fields_are_one_problem(self, preset, model, problem):
+        raw = read_config(preset)
+        raw["model"].update(model)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.problems == [problem]
+
     def test_unknown_kind(self, tmp_path):
         raw = vector_config(tmp_path, kind="frobnicate")
         with pytest.raises(ConfigError, match="kind"):
