@@ -200,7 +200,7 @@ def _parse_kernel(node, problems: list[str]):
         try:
             params = {name: float(entry[name]) for name in names if name in entry and name != "family"}
             return Kernel(str(entry["family"]), **{"c": 1.0, **params})
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond the float range
             problems.append(f"kernel: {exc}")
             return None
 
@@ -260,7 +260,7 @@ def _build_model(section, problems: list[str]):
                 vals, vecs = np.linalg.eigh(factor * (Q.T @ Q))
             values["noise"] = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
         model = record(**values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         problems.append(f"model section: {exc}")
         return None
     violations = validate(model)
@@ -406,11 +406,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for name, keys in _KEYS.items():
         known = keys + tuple(key for section, key in _SCALARS if section == name)
         _refuse_unknown(sections[name], known, f"{name}." if name else "", problems)
-    numbers = {
+    scalars = {
         key: _number(sections[section], key, default, problems, f"{section}." if section else "", integer)
         for (section, key), (default, integer) in _SCALARS.items()
     }
-    horizon, n_steps, blowup, x0 = (numbers[key] for key in ("horizon", "n_steps", "blowup_threshold", "x0"))
+    horizon, n_steps, blowup, x0 = (scalars[key] for key in ("horizon", "n_steps", "blowup_threshold", "x0"))
     grid = None
     if horizon is not None and n_steps is not None:
         try:
@@ -422,7 +422,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if x0 is not None and x0 <= 0:
         problems.append("x0 must be positive")
 
-    sim_fields = {key: numbers[key] for section, key in _SCALARS if section == "simulation"}
+    sim_fields = {key: scalars[key] for section, key in _SCALARS if section == "simulation"}
     antithetic = sections["simulation"].get("antithetic", False)
     if not isinstance(antithetic, bool):
         problems.append(f"simulation.antithetic must be true or false (got {antithetic!r})")
@@ -455,7 +455,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         axis = _SWEEP_AXES[kind]
         values = sweep_section.get(axis) if isinstance(sweep_section, dict) else None
         if values is None or len(sweep_section) != 1:
-            problems.append(f"kind {kind} sweeps exactly one axis, {axis}: {{{axis}: [...]}} (got {sweep_section!r})")
+            problems.append(f"kind {kind} sweeps exactly one axis: a sweep section {{{axis}: [...]}} (got {sweep_section!r})")
         elif not isinstance(values, list) or not values:
             problems.append("sweep values must be a nonempty list")
         else:
@@ -477,7 +477,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     if not problems and model is not None:
         points = len(sweep_values) if sweep_values else 1
-        if _largest_array_bytes(kind, model, n_steps, numbers["n_paths"], points) > MAX_ARRAY_BYTES:
+        if _largest_array_bytes(kind, model, n_steps, scalars["n_paths"], points) > MAX_ARRAY_BYTES:
             problems.append(
                 f"run too large: its largest array would exceed {MAX_ARRAY_BYTES // 2**20} MiB "
                 "(numerics.n_steps, simulation.n_paths on mc-check and the sweep points set its size)"

@@ -810,47 +810,37 @@ class TestCli:
         assert f"kernel {field} must be finite" in problem
         assert captured.err == ""
 
-    @pytest.mark.parametrize("lam", [1e200, 1e-300], ids=["lam-1e200", "lam-1e-300"])
-    def test_extreme_gamma_lam_is_one_config_record(self, tmp_path, capsys, lam):
-        # lam ** (alpha + 1) overflows or underflows to 0, where the weights divide by it
-        raw = vector_config(tmp_path / "out")
-        raw["model"]["kernel"] = {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": lam}
-        cfg = tmp_path / "kernel.yaml"
-        cfg.write_text(yaml.safe_dump(raw))
-        assert cli_main(["strategy", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        record = json.loads(captured.out)  # one document, nothing else
-        assert record["error"]["kind"] == "config"
-        (problem,) = record["error"]["problems"]
-        assert "lam" in problem
-        assert captured.err == ""
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
-        "path, key, value",
+        "path, value, needle",
         [
-            (("numerics",), "n_step", 40),
-            (("model",), "b_0", [0.1]),
-            (("model", "kernel"), "lamda", 1.0),
-            ((), "simulations", {"n_paths": 100}),
-            (("output",), "formatz", ["svg"]),
+            pytest.param(("numerics", "n_step"), 40, "n_step", id="numerics-n_step"),
+            pytest.param(("model", "b_0"), [0.1], "b_0", id="model-b_0"),
+            pytest.param(("model", "kernel", "lamda"), 1.0, "lamda", id="kernel-lamda"),
+            pytest.param(("simulations",), {"n_paths": 100}, "simulations", id="simulations"),
+            pytest.param(("output", "formatz"), ["svg"], "formatz", id="output-formatz"),
+            # lam ** (alpha + 1) overflows or underflows to 0, where the weights divide by it
+            pytest.param(("model", "kernel"), {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1e200}, "lam",
+                         id="gamma-lam-1e200"),
+            pytest.param(("model", "kernel"), {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1e-300}, "lam",
+                         id="gamma-lam-1e-300"),
+            pytest.param(("model", "theta"), [10**400], "int too large", id="theta-400-digits"),
+            pytest.param(("model", "kernel", "c"), 10**400, "kernel: int too large", id="kernel-c-400-digits"),
         ],
-        ids=["numerics-n_step", "model-b_0", "kernel-lamda", "simulations", "output-formatz"],
     )
-    def test_misspelt_key_is_one_config_record(self, tmp_path, capsys, path, key, value):
+    def test_bad_entry_is_one_named_config_problem(self, tmp_path, capsys, path, value, needle):
         raw = vector_config(tmp_path / "out")
         node = raw
-        for name in path:
-            node = node[name]
-        node[key] = value
-        cfg = tmp_path / "typo.yaml"
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "probe.yaml"
         cfg.write_text(yaml.safe_dump(raw))
         assert cli_main(["strategy", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         record = json.loads(captured.out)  # one document, nothing else
         assert record["error"]["kind"] == "config"
         (problem,) = record["error"]["problems"]
-        assert key in problem
+        assert needle in problem
         assert captured.err == ""
         assert not (tmp_path / "out").exists()
 
