@@ -32,6 +32,9 @@ from volterra_merton.kernels import (
     second_kind_residual,
 )
 
+# HistorySums' pull period and the width from which it pulls every SUB nodes
+SUB = WIDE = 64
+
 # Lanczos approximation (g = 7, n = 9), kept as an oracle independent of scipy
 _LANCZOS = [
     0.99999999999980993,
@@ -553,10 +556,14 @@ class TestHistorySums:
         row[0] = head[n]
         return np.einsum("ji,j...i->...i", row, values[:n])
 
-    @pytest.mark.parametrize("shape", [(2,), (3, 2)])
-    def test_streamed_and_one_shot_sums_match_direct(self, shape):
+    @pytest.mark.parametrize(
+        "shape, n_steps",
+        [pytest.param((2,), 2 * BLOCK + 300, id="shape0"), pytest.param((3, 2), 2 * BLOCK + 300, id="shape1")]
+        # values wide enough to be pulled every SUB nodes, on grids around the pull and block periods
+        + [pytest.param((WIDE, 2), n, id=f"wide-{n}") for n in (1, SUB - 1, SUB, SUB + 1, 300, BLOCK, BLOCK + 1, 1100)],
+    )
+    def test_streamed_and_one_shot_sums_match_direct(self, shape, n_steps):
         rng = np.random.default_rng(5)
-        n_steps = 2 * BLOCK + 300
         decay = np.arange(1, n_steps + 1)[:, None]
         lags = [np.vstack([np.zeros((1, 2)), rng.uniform(0.5, 1.0, (n_steps, 2)) / decay]) for _ in range(2)]
         # stage 0 weighs node 0 by its lag, as the predictor does; stage 1 by a head of its own
@@ -571,6 +578,28 @@ class TestHistorySums:
             want = want.reshape(n_steps, -1, 2).transpose(2, 0, 1)
             np.testing.assert_allclose(streamed[:, stage], want, rtol=0.0, atol=1e-13)
             np.testing.assert_allclose(causal_sums(weights, columns)[:, stage], want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_reaches_only_its_column(self, bad):
+        rng = np.random.default_rng(7)
+        n_steps, node, col = 1100, 100, 5
+        lag = np.zeros((2, 1, n_steps + 1))
+        lag[..., 1:] = rng.uniform(0.5, 1.0, (2, 1, n_steps)) / np.arange(1, n_steps + 1)
+        head = rng.uniform(0.0, 0.1, (2, 1, n_steps + 1))
+        values = rng.normal(size=(2, n_steps + 1, WIDE))
+        clean = HistorySums(LagWeights(lag, head), values.copy())
+        values[1, node, col] = bad
+        sums = HistorySums(LagWeights(lag, head), values)
+        reached = np.zeros((2, 1, WIDE), dtype=bool)
+        reached[1, :, col] = True
+        for n in range(1, n_steps + 1):
+            with np.errstate(invalid="ignore"):  # the block closes' FFT turns an infinity into NaN
+                got, want = sums(n), clean(n)
+            if n <= node:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert not np.isfinite(got[reached]).any(), n
+                np.testing.assert_allclose(got[~reached], want[~reached], rtol=0.0, atol=1e-13)
 
     def test_short_grid_takes_node_0_up_front(self):
         # no block closes on BLOCK steps; node 0 is in the sums from the start

@@ -1,12 +1,17 @@
 """Monte Carlo engine: determinism, scheme reductions, moment oracles."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import volterra_merton
 from conftest import make_rough_heston, make_wishart
 from volterra_merton.kernels import Kernel, TimeGrid, kernel_weights
 from volterra_merton.merton import StrategyPath, strategy_general, strategy_wishart
@@ -52,6 +57,26 @@ class TestDeterminism:
         a = simulate_wishart(m, grid, cfg)
         b = simulate_wishart(m, grid, cfg)
         assert np.array_equal(a.states, b.states)
+
+    def test_bundles_do_not_depend_on_blas_threads(self):
+        # the history sums take threaded matrix products; the bundles must come out the same bytes on one thread
+        code = (
+            "import hashlib\n"
+            "from conftest import make_rough_heston, make_wishart\n"
+            "from volterra_merton.kernels import TimeGrid\n"
+            "from volterra_merton.simulate import SimConfig, simulate_bundle\n"
+            "for model in (make_rough_heston(), make_wishart(alpha=0.75)):\n"
+            "    bundle = simulate_bundle(model, TimeGrid(0.5, 200), SimConfig(n_paths=400, seed=4))\n"
+            "    print(hashlib.sha256(bundle.states.tobytes()).hexdigest())\n"
+        )
+        paths = [str(Path(volterra_merton.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+            outs.append(run.stdout.split())
+        assert len(outs[0]) == 2
+        assert outs[0] == outs[1]
 
     def test_seed_changes_draws(self):
         m = make_rough_heston()
