@@ -252,18 +252,19 @@ def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
     )
 
 
-# Sums over the nodes since the last multiple of BLOCK are taken directly.  On
-# longer grids each multiple of BLOCK closes the block before it, which reaches
+# HistorySums closes the block before each multiple of BLOCK, which reaches
 # every later node through one FFT convolution; a grid of at most BLOCK steps
 # closes no block.  The solver checks blow-up at the same multiples.
 BLOCK = 512
 
-
-# Before the first block close, HistorySums forms node 0's share of the sums
-# for this many nodes at a time: one product per call adds about half to the
-# cost of a call on a solver's small states, and all nodes at once would hold
-# an array the size of the history.
-_NODE0_ROWS = 16
+# Within the open block, HistorySums pulls the older nodes' share into the
+# sums of the next SUB nodes by one matrix product, at node 1 and every
+# multiple of SUB, on values of at least WIDE columns (the simulators' paths);
+# narrower values pull only at node 1 and at the block closes, where one
+# product per step over the open block is cheaper.  Each step sums the nodes
+# since the last pull directly.  SUB divides BLOCK.
+SUB = 32
+WIDE = 128
 
 
 def block_fft_size(n_steps: int) -> int:
@@ -312,32 +313,46 @@ class HistorySums:
     matrix rows) passing through, and may still be filling: s_n, shape
     (d, stages, width), reads values[:, :n], and n must run 1, 2, ... in
     turn.  Node 0 must be known when the sums are built and stay as it is.
-    The open block, from node 1 or the last multiple of BLOCK, is summed by
-    one batched matrix product for all stages.  Until the first block close,
-    node 0's share, head[n] times node 0, is added to it; that share is
-    formed for _NODE0_ROWS nodes at a time.
+    At node 1 and every multiple of the pull period, one batched matrix
+    product of a Toeplitz block of the weights pulls the share of every node
+    of the open block before it, node 0 with its head weights until the first
+    block close, into the sums at the next period's nodes; they are held
+    node-major.  Each step adds the nodes since the last pull directly.  The
+    period is SUB on values of at least WIDE columns and BLOCK otherwise, so
+    narrow values pull only at node 1 and at the block closes.
     On grids longer than BLOCK, each multiple of BLOCK closes the open block:
     one FFT of it adds its share to every later node.  The first close
     builds the (N + 1, d, stages, width) share of the closed nodes, node 0's
     included, so a grid of at most BLOCK steps never holds that array.  Each
-    row and column is transformed on its own, so a non-finite value reaches
-    only the later sums of its own row and column, where the FFT may turn an
-    overflow into NaN.
+    row and column is transformed and multiplied on its own, so a non-finite
+    value reaches only the later sums of its own row and column, where the
+    FFT may turn an overflow into NaN.
     """
 
     def __init__(self, weights: LagWeights, values: np.ndarray):
         n_steps = weights.lag.shape[2] - 1
         self.values = values
-        self._rows = weights.lag[:, :, :0:-1].copy()  # lags N..1, so each row is a forward slice
-        self._start = 1  # first node of the open block
         self._head = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None]  # (N + 1, d, stages, 1)
+        self._rows = weights.lag[:, :, :0:-1].copy()  # lags N..1, so each row is a forward slice
+        self._start = 1  # first node of the open block after node 0
         self._node0 = values[:, None, 0]
         self._closed = None  # share of the closed nodes in the sums at node n, from the first block close
-        self._first, self._node0_shares = 0, self._head[:0]  # node 0's share at nodes first, first + 1, ...
+        self._period = SUB if values.shape[-1] >= WIDE else BLOCK
+        self._near = self._next = 1  # the last pull and the next
+        self._pulled = None  # share of the nodes before _near in the sums at nodes _near, _near + 1, ...
         self._size = block_fft_size(n_steps)
         self._spectrum = _lag_spectrum(weights, self._size) if self._size else None
 
     def __call__(self, n: int) -> np.ndarray:
+        if n == self._next:
+            self._pull(n)
+        near = self._near
+        row = self._rows[:, :, self._rows.shape[2] - n + near :]
+        return self._pulled[n - near] + np.matmul(row, self.values[:, near:n])
+
+    def _pull(self, n: int) -> None:
+        """Close the open block at a multiple of BLOCK, then pull its nodes before n into the next sums."""
+        self._pulled = None  # so that the old pull is gone before the new one is formed
         start = self._start
         if n % BLOCK == 0 and self._spectrum is not None:
             if self._closed is None:
@@ -345,11 +360,23 @@ class HistorySums:
             shares = _fft_sums(self.values[:, start:n], self._spectrum, self._size)
             self._closed[n:] += np.moveaxis(shares[:, :, n - start : len(self._closed) - start], 2, 0)
             start = self._start = n
-        row = self._rows[:, :, self._rows.shape[2] - n + start :]
-        if self._closed is None and n - self._first >= len(self._node0_shares):
-            self._first, self._node0_shares = n, self._head[n : n + _NODE0_ROWS] * self._node0
-        closed = self._node0_shares[n - self._first] if self._closed is None else self._closed[n]
-        return closed + np.matmul(row, self.values[:, start:n])
+        n_rows = self._rows.shape[2]
+        span = min(self._period, n_rows + 1 - n)
+        if self._closed is None:
+            start = 0  # node 0 is one more column of the product
+        if start == n:
+            self._pulled = self._closed[n : n + span]
+        else:
+            # entry (j, k) weighs node start + k at node n + j: lag n + j - start - k, row N minus that
+            block = self._rows[..., n_rows - n + start - np.arange(span)[:, None] + np.arange(n - start)]
+            if start == 0:
+                block[..., 0] = np.moveaxis(self._head[n : n + span, ..., 0], 0, 2)
+            d, width = self._node0.shape[0], self._node0.shape[2]
+            self._pulled = np.empty((span, d, block.shape[1], width))
+            np.matmul(block, self.values[:, None, start:n], out=np.moveaxis(self._pulled, 0, 2))
+            if self._closed is not None:
+                self._pulled += self._closed[n : n + span]
+        self._near, self._next = n, n - n % self._period + self._period
 
 
 def causal_sums(weights: LagWeights, values: np.ndarray) -> np.ndarray:

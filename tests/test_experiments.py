@@ -823,6 +823,11 @@ class TestCli:
                          id="gamma-lam-1e200"),
             pytest.param(("model", "kernel"), {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1e-300}, "lam",
                          id="gamma-lam-1e-300"),
+            # gammainc(alpha + 1, lam dt) of the first cell is subnormal or 0, where the moments divide it
+            pytest.param(("model", "kernel"), {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1e-180}, "lam",
+                         id="gamma-lam-1e-180"),
+            pytest.param(("model", "kernel"), {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1e-190}, "lam",
+                         id="gamma-lam-1e-190"),
             pytest.param(("model", "theta"), [10**400], "int too large", id="theta-400-digits"),
             pytest.param(("model", "kernel", "c"), 10**400, "kernel: int too large", id="kernel-c-400-digits"),
         ],
@@ -843,6 +848,20 @@ class TestCli:
         assert needle in problem
         assert captured.err == ""
         assert not (tmp_path / "out").exists()
+
+    def test_tiny_gamma_lam_runs_as_the_fractional_kernel(self, tmp_path, capsys):
+        # the first cell's gammainc(alpha + 1, lam dt) is still a normal float at lam = 1e-170
+        curves = []
+        for name, kernel in (("gamma", {"family": "gamma", "c": 1.0, "alpha": 0.7, "lam": 1e-170}),
+                             ("fractional", {"family": "fractional", "c": 1.0, "alpha": 0.7})):
+            raw = vector_config(tmp_path / name)
+            raw["model"]["kernel"] = kernel
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(yaml.safe_dump(raw))
+            assert cli_main(["strategy", "--config", str(cfg)]) == 0
+            assert capsys.readouterr().err == ""
+            curves.append(np.loadtxt(tmp_path / name / "strategy.csv", delimiter=",", skiprows=1))
+        np.testing.assert_allclose(curves[0], curves[1], rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize(
         "model",

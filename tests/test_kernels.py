@@ -16,6 +16,8 @@ from scipy.special import gammaln
 import volterra_merton
 from volterra_merton.kernels import (
     BLOCK,
+    SUB,
+    WIDE,
     HistorySums,
     Kernel,
     LagWeights,
@@ -31,9 +33,6 @@ from volterra_merton.kernels import (
     resolvent_second_kind,
     second_kind_residual,
 )
-
-# HistorySums' pull period and the width from which it pulls every SUB nodes
-SUB = WIDE = 64
 
 # Lanczos approximation (g = 7, n = 9), kept as an oracle independent of scipy
 _LANCZOS = [

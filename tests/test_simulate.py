@@ -661,7 +661,7 @@ class TestMemoryPeaks:
     The draws take 2 A (W1 and W2 are views of them), the states A and the
     history A, plus A for the path-major copy of the states at the end; on
     300 steps no history block closes, so there is no closed-share array,
-    only node 0's share of 16 nodes at a time.
+    only the share pulled into the sums of the next SUB nodes.
     The wealth takes its paths in blocks, so its temporaries are a few
     arrays of about 2**16 entries.
     """
