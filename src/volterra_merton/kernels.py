@@ -332,9 +332,9 @@ class HistorySums:
     def __init__(self, weights: LagWeights, values: np.ndarray):
         n_steps = weights.lag.shape[2] - 1
         self.values = values
-        self._head = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None]  # (N + 1, d, stages, 1)
         self._rows = weights.lag[:, :, :0:-1].copy()  # lags N..1, so each row is a forward slice
-        self._start = 1  # first node of the open block after node 0
+        self._start = 1  # first node of the open block
+        self._head = np.ascontiguousarray(np.moveaxis(weights.head, 2, 0))[..., None]  # (N + 1, d, stages, 1)
         self._node0 = values[:, None, 0]
         self._closed = None  # share of the closed nodes in the sums at node n, from the first block close
         self._period = SUB if values.shape[-1] >= WIDE else BLOCK
@@ -371,8 +371,7 @@ class HistorySums:
             block = self._rows[..., n_rows - n + start - np.arange(span)[:, None] + np.arange(n - start)]
             if start == 0:
                 block[..., 0] = np.moveaxis(self._head[n : n + span, ..., 0], 0, 2)
-            d, width = self._node0.shape[0], self._node0.shape[2]
-            self._pulled = np.empty((span, d, block.shape[1], width))
+            self._pulled = np.empty((span,) + block.shape[:2] + self.values.shape[2:])
             np.matmul(block, self.values[:, None, start:n], out=np.moveaxis(self._pulled, 0, 2))
             if self._closed is not None:
                 self._pulled += self._closed[n : n + span]

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 import volterra_merton
 from conftest import make_rough_heston, make_wishart
-from volterra_merton.kernels import Kernel, TimeGrid, kernel_weights
+from volterra_merton.kernels import WIDE, Kernel, TimeGrid, kernel_weights
 from volterra_merton.merton import StrategyPath, strategy_general, strategy_wishart
 from volterra_merton.models import VectorModel, WishartModel, expected_variance_curve, rate_on_grid
 from volterra_merton.riccati import (
@@ -155,6 +155,10 @@ class TestWishartScheme:
         # 1100 steps cross the history's FFT block closes at nodes 512 and 1024
         self.check_distinct_kernels(1100, 8)
 
+    def test_distinct_kernels_match_two_sum_reference_when_pulled(self):
+        # d n_paths = WIDE history columns take the pulls every SUB nodes; 600 steps cross the close at 512
+        self.check_distinct_kernels(600, WIDE // 2)
+
     def test_three_assets_clip_by_eigh(self):
         # d = 3 takes the batched eigh clip; three distinct kernels and a
         # positive floor that does clip
@@ -222,6 +226,10 @@ class TestVectorScheme:
     def test_distinct_kernels_match_direct_reference_across_block_closes(self):
         # 1100 steps cross the history's FFT block closes at nodes 512 and 1024
         self.check_distinct_kernels(1100, 8)
+
+    def test_distinct_kernels_match_direct_reference_when_pulled(self):
+        # WIDE paths take the pulls every SUB nodes; 600 steps cross the close at 512
+        self.check_distinct_kernels(600, WIDE)
 
 
 def first_nonfinite(run_path, n_paths: int) -> tuple[int, int, int]:
