@@ -493,6 +493,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 except ValueError as exc:
                     reasons = [str(exc)]
                 problems.extend(f"sweep.{axis} {value!r}: {reason}" for reason in reasons)
+            named: dict[str, object] = {}  # slug -> the first value that names its output file
+            for value in values:
+                slug = _slug(value)
+                if slug in named:
+                    problems.append(f"sweep.{axis} {named[slug]!r} and {value!r} name the same output file")
+                else:
+                    named[slug] = value
     elif sweep_section:
         problems.append(f"kind {kind} does not take a sweep section")
     if kind not in SWEEP_KINDS and model is not None and grid is not None:
@@ -639,7 +646,7 @@ def _write_strategy(config: ExperimentConfig, stem: str, strat: StrategyPath, ou
         nodes = strat.grid.nodes.tolist()
         series = {label: (nodes, h.tolist()) for label, h in zip(names[d : 2 * d], strat.hedging.T)}
         target = config.out_dir / f"{stem}.svg"
-        render_line_plot(str(target), series, title="hedging demand", xlabel="t", ylabel="weight")
+        _write_atomic(target, render_line_plot(series, title="hedging demand", xlabel="t", ylabel="weight"))
         outputs.append(str(target))
 
 

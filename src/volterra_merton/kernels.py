@@ -182,8 +182,6 @@ class KernelWeights:
     dt/2 for constant ones.
     """
 
-    kernel: Kernel
-    grid: TimeGrid
     cell: np.ndarray
     moment: np.ndarray
     corrector: np.ndarray
@@ -203,53 +201,7 @@ def kernel_weights(kernel: Kernel, grid: TimeGrid) -> KernelWeights:
     corrector = np.empty(grid.n_steps + 1)
     corrector[0] = np.nan  # index m starts at 1
     corrector[1:] = m * cell - moment / dt
-    return KernelWeights(kernel, grid, cell, moment, corrector)
-
-
-@dataclass(frozen=True)
-class StackedWeights:
-    """Product-integration weights of d component kernels, one row each.
-
-    ``cell`` has shape (d, n_steps) and ``corrector`` (d, n_steps + 1); column
-    m holds the same quantity as in ``KernelWeights``.
-    """
-
-    cell: np.ndarray
-    corrector: np.ndarray
-
-    def predictor_lags(self) -> LagWeights:
-        """Left-rectangle weights, one stage: lag L weighs cell[L-1], node 0 included."""
-        lag = np.zeros((len(self.cell), 1, self.cell.shape[1] + 1))
-        lag[:, 0, 1:] = self.cell
-        return LagWeights(lag, lag)
-
-    def corrector_lags(self) -> LagWeights:
-        """Trapezoidal weights a_{k,n} of the nodes before n, by lag, one stage.
-
-        Lag L weighs cell[L-1] - corrector[L] + corrector[L+1]; node 0 weighs
-        cell[n-1] - corrector[n].  Together with corrector[1] on node n they
-        integrate the piecewise-linear interpolant of the co-factor exactly
-        against K, the corrector stage of the fractional Adams scheme.
-        """
-        cell, corr = self.cell, self.corrector
-        head = np.zeros((len(cell), 1, cell.shape[1] + 1))
-        head[:, 0, 1:] = cell - corr[:, 1:]
-        lag = head.copy()
-        lag[:, 0, 1:-1] += corr[:, 2:]  # lag N is node 0's at node N, never read
-        return LagWeights(lag, head)
-
-    def pece_lags(self) -> LagWeights:
-        """The predictor's and the corrector's weights as stages 0 and 1 of one history."""
-        pred, corr = self.predictor_lags(), self.corrector_lags()
-        return LagWeights(np.concatenate([pred.lag, corr.lag], axis=1), np.concatenate([pred.head, corr.head], axis=1))
-
-
-def stack_weights(weights: Sequence[KernelWeights]) -> StackedWeights:
-    """Stack per-component weights row by row."""
-    return StackedWeights(
-        cell=np.stack([w.cell for w in weights]),
-        corrector=np.stack([w.corrector for w in weights]),
-    )
+    return KernelWeights(cell, moment, corrector)
 
 
 # HistorySums closes the block before each multiple of BLOCK, which reaches
@@ -291,6 +243,34 @@ class LagWeights:
     head: np.ndarray
 
 
+def predictor_lags(weights: Sequence[KernelWeights]) -> LagWeights:
+    """Left-rectangle weights, one row per kernel and one stage: lag L weighs cell[L-1], node 0 included."""
+    lag = np.zeros((len(weights), 1, len(weights[0].cell) + 1))
+    lag[:, 0, 1:] = [w.cell for w in weights]
+    return LagWeights(lag, lag)
+
+
+def corrector_lags(weights: Sequence[KernelWeights]) -> LagWeights:
+    """Trapezoidal weights a_{k,n} of the nodes before n, by lag, one row per kernel and one stage.
+
+    Lag L weighs cell[L-1] - corrector[L] + corrector[L+1]; node 0 weighs
+    cell[n-1] - corrector[n].  Together with corrector[1] on node n they
+    integrate the piecewise-linear interpolant of the co-factor exactly
+    against K, the corrector stage of the fractional Adams scheme.
+    """
+    head = np.zeros((len(weights), 1, len(weights[0].cell) + 1))
+    head[:, 0, 1:] = [w.cell - w.corrector[1:] for w in weights]
+    lag = head.copy()
+    lag[:, 0, 1:-1] += [w.corrector[2:] for w in weights]  # lag N is node 0's at node N, never read
+    return LagWeights(lag, head)
+
+
+def pece_lags(weights: Sequence[KernelWeights]) -> LagWeights:
+    """The predictor's and the corrector's weights as stages 0 and 1 of one history."""
+    pred, corr = predictor_lags(weights), corrector_lags(weights)
+    return LagWeights(np.concatenate([pred.lag, corr.lag], axis=1), np.concatenate([pred.head, corr.head], axis=1))
+
+
 def _lag_spectrum(weights: LagWeights, size: int) -> np.ndarray:
     return sp_fft.rfft(weights.lag, size, axis=2)[..., None]
 
@@ -312,7 +292,7 @@ class HistorySums:
     ``values`` is component-major, (d, nodes, width), the last axis (paths,
     matrix rows) passing through, and may still be filling: s_n, shape
     (d, stages, width), reads values[:, :n], and n must run 1, 2, ... in
-    turn.  Node 0 must be known when the sums are built and stay as it is.
+    turn.  Node 0 must be written before the first call and stay as it is.
     At node 1 and every multiple of the pull period, one batched matrix
     product of a Toeplitz block of the weights pulls the share of every node
     of the open block before it, node 0 with its head weights until the first
@@ -616,13 +596,13 @@ def convolve(f, g, grid: TimeGrid | None = None) -> SampledFunction:
     if isinstance(f, Kernel):
         if grid is None:
             raise ValueError("grid required when convolving a kernel")
-        weights = stack_weights([kernel_weights(f, grid)])  # one row: the single kernel
+        weights = kernel_weights(f, grid)
         gv = g.values
         if not np.all(np.isfinite(gv)):
             raise ValueError("co-factor must be finite at every node (including t=0)")
         out = np.zeros_like(gv)
-        sums = causal_sums(weights.corrector_lags(), gv.reshape(1, len(gv), -1))  # every entry one column
-        out[1:] = sums.reshape(gv[1:].shape) + weights.corrector[0, 1] * gv[1:]
+        sums = causal_sums(corrector_lags([weights]), gv.reshape(1, len(gv), -1))  # every entry one column
+        out[1:] = sums.reshape(gv[1:].shape) + weights.corrector[1] * gv[1:]
         return SampledFunction(grid, out)
     # sampled * sampled: composite trapezoid over the products f(t-s) g(s)
     if grid is None:

@@ -15,8 +15,8 @@ from .kernels import (
     SampledFunction,
     TimeGrid,
     component_kernels,
+    corrector_lags,
     kernel_weights,
-    stack_weights,
 )
 
 __all__ = [
@@ -89,7 +89,7 @@ class VectorModel:
         """v0(t_j) = V0 + b0 * int_0^t K on the grid, shape (n+1, d)."""
         out = np.tile(self.v0, (grid.n_steps + 1, 1))
         if np.any(self.b0 != 0.0):
-            cell = stack_weights([kernel_weights(k, grid) for k in self.kernel]).cell
+            cell = np.stack([kernel_weights(k, grid).cell for k in self.kernel])
             out[1:] += self.b0 * np.cumsum(cell, axis=1).T
         return out
 
@@ -217,14 +217,14 @@ def expected_variance_curve(
     if B.shape != (d, d):
         raise ValueError(f"drift matrix must be {d}x{d}")
     n_steps = grid.n_steps
-    weights = stack_weights([kernel_weights(k, grid) for k in model.kernel])
+    weights = [kernel_weights(k, grid) for k in model.kernel]
     forced = model.input_curve(grid)
     xi = np.zeros((n_steps + 1, d))
     xi[0] = forced[0]
     gvals = np.empty((d, n_steps + 1, 1))  # g = B xi, component i convolved with K_i
     gvals[:, 0, 0] = B @ xi[0]
-    implicit = np.linalg.inv(np.eye(d) - np.diag(weights.corrector[:, 1]) @ B)
-    history = HistorySums(weights.corrector_lags(), gvals)
+    implicit = np.linalg.inv(np.eye(d) - np.diag([w.corrector[1] for w in weights]) @ B)
+    history = HistorySums(corrector_lags(weights), gvals)
     for n in range(1, n_steps + 1):
         sol = implicit @ (forced[n] + history(n)[:, 0, 0])
         if not np.all(np.isfinite(sol)):

@@ -27,12 +27,13 @@ import numpy as np
 from .kernels import (
     BLOCK,
     HistorySums,
-    StackedWeights,
+    KernelWeights,
     TimeGrid,
     causal_sums,
     component_kernels,
     kernel_weights,
-    stack_weights,
+    pece_lags,
+    predictor_lags,
 )
 from .models import distortion_constant, lambda_matrix
 
@@ -298,9 +299,7 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     d, n_problems, n_steps = shape[-1], len(rhss), grids[0].n_steps
     if any(grid.n_steps != n_steps for grid in grids):
         raise ValueError("batched grids must share n_steps")
-    weights = stack_weights(
-        [kernel_weights(k, grid) for kernel, grid in zip(kernels, grids) for k in component_kernels(kernel, d)]
-    )
+    weights = [kernel_weights(k, grid) for kernel, grid in zip(kernels, grids) for k in component_kernels(kernel, d)]
     states = (n_problems,) + shape
     psi = np.zeros((n_problems, n_steps + 1) + shape)
     preds = np.zeros_like(psi)
@@ -310,14 +309,14 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     fvals = np.zeros((n_problems * d, n_steps + 1, psi[0, 0].size // d))
     fpsi = np.moveaxis(fvals.reshape((n_problems, d, n_steps + 1) + shape[1:]), 2, 1)
     fpsi[:, 0] = rhs(psi[:, 0])
-    history = HistorySums(weights.pece_lags(), fvals)
+    history = HistorySums(pece_lags(weights), fvals)
     # The sums come in the history's layout, which holds a matrix state
     # transposed.  With equal column kernels, F(psi) is exactly symmetric and
     # entries (i, j) and (j, i) sum the same series with the same weights, so
     # every iterate is exactly symmetric as it stands.  Distinct column
     # kernels are symmetrized, which undoes the transposition bit for bit.
     symmetrize = len(shape) == 2 and any(len(set(component_kernels(kernel, d))) > 1 for kernel in kernels)
-    newest = weights.corrector[:, 1].reshape((n_problems, d) + (1,) * (len(shape) - 1))
+    newest = np.array([w.corrector[1] for w in weights]).reshape((n_problems, d) + (1,) * (len(shape) - 1))
     live = np.ones(n_problems, dtype=bool)
     failures = {}  # problem -> (step, BlowUp or time of the non-finite step)
     checked = 0  # last node checked
@@ -345,9 +344,7 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
             blowup = failure if isinstance(failure, BlowUp) else None
             paths.append(RiccatiPath(grid, psi[p], blowup, np.nan, None if blowup else failure))
         else:
-            rows = slice(p * d, (p + 1) * d)
-            own = StackedWeights(weights.cell[rows], weights.corrector[rows])
-            paths.append(RiccatiPath(grid, psi[p], None, _residual(psi[p], own, single)))
+            paths.append(RiccatiPath(grid, psi[p], None, _residual(psi[p], weights[p * d : (p + 1) * d], single)))
     return paths
 
 
@@ -431,17 +428,17 @@ def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:
     if not path.ok:
         raise ValueError("residual undefined for a blown-up or non-finite path")
     kernels = component_kernels(kernel, path.values.shape[1])
-    return _residual(path.values, stack_weights([kernel_weights(k, path.grid) for k in kernels]), rhs)
+    return _residual(path.values, [kernel_weights(k, path.grid) for k in kernels], rhs)
 
 
-def _residual(vals: np.ndarray, weights: StackedWeights, rhs) -> float:
-    """``fixed_point_residual`` of the path values, with the kernels' stacked weights."""
+def _residual(vals: np.ndarray, weights: list[KernelWeights], rhs) -> float:
+    """``fixed_point_residual`` of the path values, with one kernel's weights per component."""
     n_steps = len(vals) - 1
     fvals = rhs(vals)
     mid = 0.5 * (fvals[:-1] + fvals[1:])
     d = vals.shape[-1]
     cols = np.ascontiguousarray(mid.reshape(n_steps, -1, d).transpose(2, 0, 1))
-    sums = causal_sums(weights.predictor_lags(), cols)[:, 0].transpose(1, 2, 0).reshape(vals[1:].shape)
+    sums = causal_sums(predictor_lags(weights), cols)[:, 0].transpose(1, 2, 0).reshape(vals[1:].shape)
     approx = _symmetrized(sums) if vals.ndim == 3 else sums
     return float(np.max(np.abs(vals[1:] - approx)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import HistorySums, TimeGrid, kernel_weights, stack_weights
+from .kernels import HistorySums, TimeGrid, kernel_weights, predictor_lags
 from .merton import StrategyPath
 from .models import VectorModel, WishartModel, rate_on_grid
 
@@ -137,7 +137,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     taken when node j is written.  The draws are scaled by sqrt(dt) in place,
     and the retained increments W1 and W2 are views of them.  The history is
     component-major, (d, n_steps, n_paths), and ``HistorySums`` sums it with
-    the weights of ``predictor_lags()``; node 0 is written before the loop.
+    the weights of ``predictor_lags``; step n writes node n - 1 first.
     The states are time-major, so that each step reads and writes contiguous
     length-n_paths rows; they are put path-major once, at the end.
     Components are clipped at variance_floor after each update (clip count
@@ -153,7 +153,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     w1, w2 = raw[:, :, :d], raw[:, :, d:]
     rho = model.rho[:, None]
     orth = np.sqrt(1.0 - rho**2)
-    lags = stack_weights([kernel_weights(k, grid) for k in model.kernel]).predictor_lags()
+    lags = predictor_lags([kernel_weights(k, grid) for k in model.kernel])
     forced = model.input_curve(grid)
     states = np.empty((n_steps + 1, d, p))
     states[0] = forced[0][:, None]
@@ -167,11 +167,9 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
         db = rho * w1[:, j].T + orth * w2[:, j].T
         hist[:, j] = drift @ states[j] + nu * np.sqrt(np.maximum(states[j], 0.0)) * db / dt
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
-        write_node(0)
         history = HistorySums(lags, hist)
         for n in range(1, n_steps + 1):
-            if n > 1:
-                write_node(n - 1)
+            write_node(n - 1)
             v = np.add(forced[n][:, None], history(n)[:, 0], out=states[n])
             clipped += int(np.count_nonzero(v < floor))
             np.maximum(v, floor, out=v)
@@ -273,8 +271,9 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     raw = _normals(cfg, n_steps, d * d + d)
     raw *= sq_dt
     dws, dbs = raw[:, :, : d * d].reshape(p, n_steps, d, d), raw[:, :, d * d :]
+    # read in place (dws[:, j]), dW kept its bits but made a 4000 x 200 bundle 1.8x slower for a 3% lower peak
     dws_t = np.ascontiguousarray(dws.transpose(1, 2, 3, 0))  # dW_j time-major, (n_steps, d, d, n_paths)
-    lags = stack_weights([kernel_weights(k, grid) for k in model.kernel]).predictor_lags()
+    lags = predictor_lags([kernel_weights(k, grid) for k in model.kernel])
     nnt_t = model.drift_constant.T[:, :, None]
     sigma0 = model.sigma0[:, :, None]
     M = model.mean_reversion
@@ -282,9 +281,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     states = np.empty((n_steps + 1, d, d, p))
     states[0] = sigma0
     roots = np.empty((n_steps + 1, d, d, p))  # Sigma^(1/2) at every node
-    root0 = np.empty((d, d, 1))
-    _psd_clip(sigma0.copy(), cfg.psd_floor, root0)
-    roots[0] = root0
+    _psd_clip(states[0].copy(), cfg.psd_floor, roots[0])
     hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
 
@@ -295,11 +292,9 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
         z_t += sig_mt.transpose(1, 0, 2)
         z_t += noise * (2.0 / dt)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
-        write_node(0)
         history = HistorySums(lags, hist.reshape(d, n_steps, d * p))
         for n in range(1, n_steps + 1):
-            if n > 1:
-                write_node(n - 1)
+            write_node(n - 1)
             sigma = sigma0 + history(n)[:, 0].reshape(d, d, p).transpose(1, 0, 2)
             sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n])
             if not np.all(np.isfinite(sigma)):

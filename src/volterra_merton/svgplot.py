@@ -34,13 +34,12 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def render_line_plot(
-    path: str,
     series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
     title: str = "",
     xlabel: str = "t",
     ylabel: str = "",
-) -> None:
-    """Write a line plot of named series {name: (x, y)} to an SVG file."""
+) -> str:
+    """The SVG text of a line plot of named series {name: (x, y)}."""
     xs = [float(v) for _, (x, _) in series.items() for v in x]
     ys = [float(v) for _, (_, y) in series.items() for v in y]
     if not xs:
@@ -95,5 +94,4 @@ def render_line_plot(
         parts.append(f'<line x1="{_ML + pw - 150}" y1="{ly}" x2="{_ML + pw - 126}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{_ML + pw - 120}" y="{ly + 4}">{name}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

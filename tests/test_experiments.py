@@ -19,6 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volterra_merton import experiments
 from volterra_merton.cli import _SUBCOMMAND_KINDS
 from volterra_merton.cli import main as cli_main
 from volterra_merton.experiments import (
@@ -353,6 +354,19 @@ class TestRunPipelines:
         assert sorted(snapshots[0]) == ["mc-check.csv", "mc-check_report.json"]
         assert snapshots[0] == snapshots[1]
 
+    def test_byte_identical_sweep_reruns(self, tmp_path):
+        # per-point CSVs and SVGs, the combined CSV and the report, all written by the sweep pool
+        config = load_config("bpt10_alpha_sweep").replaced(
+            out_dir=tmp_path, n_steps=40, formats=("csv", "svg", "json")
+        )
+        snapshots = []
+        for _ in range(2):
+            sweep(config)
+            snapshots.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+        assert {Path(name).suffix for name in snapshots[0]} == {".csv", ".svg", ".json"}
+        assert len(snapshots[0]) == 3 * 2 + 2
+        assert snapshots[0] == snapshots[1]
+
     def test_report_does_not_depend_on_the_output_directory(self, tmp_path):
         config = load_config("bpt10_alpha_sweep").replaced(n_steps=40, formats=("csv", "json"))
         reports = []
@@ -521,6 +535,16 @@ class TestSweeps:
         raw["sweep"] = {"alpha": [0.6, 0.7]}
         with pytest.raises(ConfigError, match="sweeps"):
             config_from_dict(raw)
+
+    def test_every_output_is_written_atomically(self, tmp_path):
+        config = load_config("bpt10_alpha_sweep").replaced(
+            out_dir=tmp_path, n_steps=40, formats=("csv", "svg", "json")
+        )
+        with mock.patch.object(experiments, "_write_atomic", wraps=experiments._write_atomic) as recorder:
+            report = sweep(config)
+        written = [str(call.args[0]) for call in recorder.call_args_list]
+        assert sorted(written) == sorted(report.outputs)
+        assert any(path.endswith(".svg") for path in written)
 
     def test_thread_cap_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLTERRA_MERTON_THREADS", "1")
@@ -779,6 +803,28 @@ class TestCli:
         assert record["error"]["code"] == 1
         assert any(needle in problem for problem in record["error"]["problems"])
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "kind, axis, values, problems",
+        [
+            pytest.param("sweep-horizon", "horizon", [1.5, "1_5"],
+                         ["sweep.horizon 1.5 and '1_5' name the same output file"], id="horizon-1_5"),
+            pytest.param("sweep-alpha", "alpha", [0.6, 0.6, 0.60000000000000001],
+                         ["sweep.alpha 0.6 and 0.6 name the same output file"] * 2, id="alpha-repeated"),
+        ],
+    )
+    def test_sweep_values_naming_one_file_are_one_config_record(self, tmp_path, capsys, kind, axis, values, problems):
+        # each such pair would write one point's files and metrics over another's
+        raw = vector_config(tmp_path / "out", kind=kind, sweep={axis: values})
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["problems"] == problems
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
 
     def test_vector_bl13_recovery_is_one_config_record(self, tmp_path, capsys):
         # this model's Riccati solution blows up before the horizon, so only a

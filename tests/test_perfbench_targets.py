@@ -10,6 +10,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+from conftest import make_rough_heston, make_wishart
+
+from volterra_merton.kernels import Kernel, TimeGrid
+from volterra_merton.riccati import vector_rhs_general, wishart_rhs
+from volterra_merton.simulate import SimConfig
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -53,3 +60,28 @@ def test_tracer_install_round_trip():
         tracer.uninstall()
     assert patched == names
     assert [key for key in names if getattr(modules[key[0]], key[1]) is not originals[key]] == []
+
+
+GRID = TimeGrid(0.5, 20)
+SIM = SimConfig(n_paths=6, seed=3)
+# one small call of each function that COUNTERS reads a result of
+SMALL_CALLS = {
+    "kernels.resolvent_second_kind": lambda f: f(Kernel.fractional(1.0, 0.7), GRID),
+    "riccati.solve_riccati_vector": lambda f: f(make_rough_heston().kernel, vector_rhs_general(make_rough_heston()), GRID),
+    "riccati.solve_riccati_matrix": lambda f: f(make_wishart().kernel, wishart_rhs(make_wishart()), GRID),
+    "simulate.simulate_vector": lambda f: f(make_rough_heston(), GRID, SIM),
+    "simulate.simulate_wishart": lambda f: f(make_wishart(), GRID, SIM),
+}
+
+
+def test_counters_read_real_results():
+    # a PathBundle or RiccatiPath field that a counter reads must not go away unnoticed
+    spans = load_spans()
+    assert sorted(SMALL_CALLS) == sorted(spans.COUNTERS)
+    for name, counter in spans.COUNTERS.items():
+        module, attr = name.split(".")
+        result = SMALL_CALLS[name](getattr(importlib.import_module(f"volterra_merton.{module}"), attr))
+        counts = counter(result)
+        wanted = {key for names, key in spans.COUNTS.values() if key is not None and name in names}
+        assert set(counts) == wanted, name
+        assert all(isinstance(v, (int, np.integer)) and v >= 0 for v in counts.values()), (name, counts)
