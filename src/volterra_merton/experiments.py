@@ -146,15 +146,21 @@ class ExperimentReport:
     def to_json(self, out_dir: Path | None = None) -> str:
         """The report as strict JSON: a non-finite metric is null and named in ``nonfinite_metrics``;
         the wall-clock runtime is left out so reruns match.  With ``out_dir``, as the report file
-        holds them, the outputs are named relative to it, so that the file does not depend on
-        where the run wrote."""
+        holds them, the outputs are named relative to it and the config leaves out
+        ``output.directory`` (and the section, if nothing else is left in it), so that the file
+        does not depend on where the run wrote."""
         nonfinite = sorted(k for k, v in self.metrics.items() if isinstance(v, float) and not math.isfinite(v))
         outputs = self.outputs if out_dir is None else [str(Path(p).relative_to(out_dir)) for p in self.outputs]
+        config = json.loads(self.config_echo)
+        if out_dir is not None and isinstance(config.get("output"), dict):
+            config["output"].pop("directory", None)
+            if not config["output"]:
+                del config["output"]
         payload = {
             "kind": self.kind,
             "outputs": outputs,
             "metrics": {key: None if key in nonfinite else value for key, value in self.metrics.items()},
-            "config": json.loads(self.config_echo),
+            "config": config,
         }
         if nonfinite:
             payload["nonfinite_metrics"] = nonfinite

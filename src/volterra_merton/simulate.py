@@ -82,6 +82,10 @@ class PathBundle:
     Sigma^(1/2) (n_paths, n_steps, d, d) and the assets' Brownian increments
     (n_paths, n_steps, d), so that wealth and diagnostics do not decompose
     the states again; both are None for vector bundles.
+
+    Every array is a path-major view of the time-major array the simulator
+    stepped on (paths on the last axis there), not a copy: the path axis
+    has the smallest stride.
     """
 
     grid: TimeGrid
@@ -105,27 +109,39 @@ class McEstimate:
         return (self.mean - reference) / self.stderr
 
 
+# Streams drawn into one buffer, each in its own (n_steps, per_step) block,
+# before the buffer is put time-major into the draws.
+_STREAM_BUFFER = 256
+
+
 def _normals(cfg: SimConfig, n_steps: int, per_step: int) -> np.ndarray:
-    """Standard normal draws, shape (n_paths, n_steps, per_step).
+    """Standard normal draws, time-major: shape (n_steps, per_step, n_paths).
 
     Each independent stream is a Philox generator keyed by the seed with the
-    stream index in the counter's high bits; antithetic odd paths reuse the
-    preceding even stream negated.
+    stream index in the counter's high bits, drawn as one (n_steps, per_step)
+    block; antithetic odd paths reuse the preceding even stream negated.
+    _STREAM_BUFFER streams are drawn into a buffer at a time and written
+    into their paths' columns, so each step reads its draws as contiguous
+    length-n_paths rows.
     """
     n_streams = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    out = np.empty((cfg.n_paths, n_steps, per_step))
+    out = np.empty((n_steps, per_step, cfg.n_paths))
+    buffer = np.empty((min(n_streams, _STREAM_BUFFER), n_steps, per_step))
     bits = np.random.Philox(key=cfg.seed)
     gen = np.random.Generator(bits)
     state = bits.state  # a fresh generator's: empty buffer, no cached half word
-    for stream in range(n_streams):
-        state["state"]["counter"] = np.array([0, 0, stream, 0], dtype=np.uint64)  # stream * 2**128
-        bits.state = state
-        draw = gen.standard_normal((n_steps, per_step))
+    for lo in range(0, n_streams, len(buffer)):
+        hi = min(lo + len(buffer), n_streams)
+        for stream in range(lo, hi):
+            state["state"]["counter"] = np.array([0, 0, stream, 0], dtype=np.uint64)  # stream * 2**128
+            bits.state = state
+            gen.standard_normal(out=buffer[stream - lo])
+        draws = buffer[: hi - lo].transpose(1, 2, 0)
         if cfg.antithetic:
-            out[2 * stream] = draw
-            out[2 * stream + 1] = -draw
+            out[..., 2 * lo : 2 * hi : 2] = draws
+            np.negative(draws, out=out[..., 2 * lo + 1 : 2 * hi : 2])
         else:
-            out[stream] = draw
+            out[..., lo:hi] = draws
     return out
 
 
@@ -134,14 +150,15 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
 
     V(t_n) = v0(t_n) + sum_{j<n} w[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt),
     with w the exact kernel cell integrals and dB_j = rho W1_j + sqrt(1 - rho^2) W2_j
-    taken when node j is written.  The draws are scaled by sqrt(dt) in place,
-    and the retained increments W1 and W2 are views of them.  The history is
-    component-major, (d, n_steps, n_paths), and ``HistorySums`` sums it with
-    the weights of ``predictor_lags``; step n writes node n - 1 first.
-    The states are time-major, so that each step reads and writes contiguous
-    length-n_paths rows; they are put path-major once, at the end.
-    Components are clipped at variance_floor after each update (clip count
-    recorded).
+    taken when node j is written.  The draws are time-major, (n_steps, 2d,
+    n_paths), scaled by sqrt(dt) in place; W1_j and W2_j are their rows
+    w1[j] and w2[j].  The history is component-major, (d, n_steps, n_paths),
+    and ``HistorySums`` sums it with the weights of ``predictor_lags``; step
+    n writes node n - 1 first.  The states are time-major, (n_nodes, d,
+    n_paths), so that each step reads and writes contiguous length-n_paths
+    rows.  The bundle's states, W1 and W2 are path-major views of these
+    arrays.  Components are clipped at variance_floor after each update
+    (clip count recorded).
     """
     d = model.d
     p = cfg.n_paths
@@ -150,7 +167,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     sq_dt = np.sqrt(dt)
     raw = _normals(cfg, n_steps, 2 * d)
     raw *= sq_dt
-    w1, w2 = raw[:, :, :d], raw[:, :, d:]
+    w1, w2 = raw[:, :d], raw[:, d:]  # (n_steps, d, n_paths)
     rho = model.rho[:, None]
     orth = np.sqrt(1.0 - rho**2)
     lags = predictor_lags([kernel_weights(k, grid) for k in model.kernel])
@@ -164,7 +181,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     nu = model.nu[:, None]
 
     def write_node(j: int) -> None:  # hist[:, j] from the state at node j
-        db = rho * w1[:, j].T + orth * w2[:, j].T
+        db = rho * w1[j] + orth * w2[j]
         hist[:, j] = drift @ states[j] + nu * np.sqrt(np.maximum(states[j], 0.0)) * db / dt
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
         history = HistorySums(lags, hist)
@@ -176,11 +193,10 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
             if not np.all(np.isfinite(v)):
                 bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
                 raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
-    del hist, history  # before the path-major copy, so that it does not raise the peak
     return PathBundle(
         grid=grid,
-        states=np.ascontiguousarray(states.transpose(2, 0, 1)),
-        increments={"w1": w1, "w2": w2},
+        states=states.transpose(2, 0, 1),
+        increments={"w1": w1.transpose(2, 0, 1), "w2": w2.transpose(2, 0, 1)},
         psd_violation_count=clipped,
         config=cfg,
     )
@@ -252,16 +268,16 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     row-weighted noise, for distinct kernels too.
 
     The step works component-major: Sigma, its root, the noise and Z_j^T are
-    (d, d, n_paths) arrays, the increments are read time-major
-    (n_steps, d, d, n_paths), and each entry of a product is d
-    multiply-adds of length-n_paths rows.  The history holds Z_j^T as
-    (d, n_steps, d, n_paths), row i of every path's Z_j^T under component
-    i, and ``HistorySums`` sums it as in ``simulate_vector``.  Eigenvalues
-    are clipped at psd_floor by ``_psd_clip`` (count recorded), which also
-    writes the roots; node 0 keeps Sigma0 as given and takes the root of its
-    clip.  The states and their roots are put path-major once, at the end;
-    the roots at the left nodes are kept in the bundle, with the assets'
-    increments, for wealth and diagnostics.
+    (d, d, n_paths) arrays, dW_j is read from the time-major draws
+    (n_steps, d * d + d, n_paths) as the rows dws[j], and each entry of a
+    product is d multiply-adds of length-n_paths rows.  The history holds
+    Z_j^T as (d, n_steps, d, n_paths), row i of every path's Z_j^T under
+    component i, and ``HistorySums`` sums it as in ``simulate_vector``.
+    Eigenvalues are clipped at psd_floor by ``_psd_clip`` (count recorded),
+    which also writes the roots; node 0 keeps Sigma0 as given and takes the
+    root of its clip.  The bundle's states, the roots at the left nodes, the
+    increments and the assets' increments, dW rho + sqrt(1 - |rho|^2) dB,
+    are path-major views of time-major arrays.
     """
     d = model.d
     p = cfg.n_paths
@@ -270,9 +286,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     sq_dt = np.sqrt(dt)
     raw = _normals(cfg, n_steps, d * d + d)
     raw *= sq_dt
-    dws, dbs = raw[:, :, : d * d].reshape(p, n_steps, d, d), raw[:, :, d * d :]
-    # read in place (dws[:, j]), dW kept its bits but made a 4000 x 200 bundle 1.8x slower for a 3% lower peak
-    dws_t = np.ascontiguousarray(dws.transpose(1, 2, 3, 0))  # dW_j time-major, (n_steps, d, d, n_paths)
+    dws, dbs = raw[:, : d * d].reshape(n_steps, d, d, p), raw[:, d * d :]
     lags = predictor_lags([kernel_weights(k, grid) for k in model.kernel])
     nnt_t = model.drift_constant.T[:, :, None]
     sigma0 = model.sigma0[:, :, None]
@@ -287,7 +301,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
 
     def write_node(j: int) -> None:  # hist[:, j] from the state at node j
         sig_mt = M @ states[j]  # entry (a, b) is row a of Sigma dotted with row b of M
-        noise = q_t @ np.einsum("acp,cbp->abp", roots[j], dws_t[j])  # (Sigma^(1/2) dW) Q
+        noise = q_t @ np.einsum("acp,cbp->abp", roots[j], dws[j])  # (Sigma^(1/2) dW) Q
         z_t = np.add(nnt_t, sig_mt, out=hist[:, j])
         z_t += sig_mt.transpose(1, 0, 2)
         z_t += noise * (2.0 / dt)
@@ -301,19 +315,18 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
                 bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
                 raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
             clipped += _psd_clip(sigma, cfg.psd_floor, roots[n])
-    del hist, dws_t, history  # before the path-major copies, so that they do not raise the peak
-    states = np.ascontiguousarray(states.transpose(3, 0, 1, 2))
-    roots = np.ascontiguousarray(roots[:-1].transpose(3, 0, 1, 2))
+    del hist, history  # before the assets' increments, so that they do not raise the peak
     rho = model.rho
     orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
+    asset_noise = orth * dbs + rho @ dws  # (n_steps, d, n_paths): entry a sums rho_b dW[a, b] over b
     return PathBundle(
         grid=grid,
-        states=states,
-        increments={"w_sigma": dws, "b": dbs},
+        states=states.transpose(3, 0, 1, 2),
+        increments={"w_sigma": dws.transpose(3, 0, 1, 2), "b": dbs.transpose(2, 0, 1)},
         psd_violation_count=clipped,
         config=cfg,
-        roots=roots,
-        asset_noise=orth * dbs + dws @ rho,
+        roots=roots[:-1].transpose(3, 0, 1, 2),
+        asset_noise=asset_noise.transpose(2, 0, 1),
     )
 
 
@@ -348,14 +361,19 @@ def _per_path(bundle: PathBundle, pis: np.ndarray, integral) -> np.ndarray:
     ``_exposure`` rows and increments, and returns one value per path.  A
     block holds whole paths, so each path's sums over the steps take the same
     bits as over the whole bundle, while the temporaries stay near
-    _BLOCK_ENTRIES entries.
+    _BLOCK_ENTRIES entries.  The bundle's arrays are path-major views of
+    time-major ones, so a block's temporaries keep the paths innermost and
+    each path is summed over the steps in step order; a block of one path
+    would be summed pairwise, so a lone last path joins the block before it.
     """
     n_paths = bundle.states.shape[0]
-    size = max(1, _BLOCK_ENTRIES // bundle.grid.n_steps)
+    size = max(2, _BLOCK_ENTRIES // bundle.grid.n_steps)
+    starts = list(range(0, n_paths, size))
+    if len(starts) > 1 and n_paths - starts[-1] == 1:
+        starts.pop()
     out = np.empty(n_paths)
-    for lo in range(0, n_paths, size):
-        rows = slice(lo, lo + size)
-        out[rows] = integral(rows, *_exposure(bundle, pis, rows))
+    for lo, hi in zip(starts, starts[1:] + [n_paths]):
+        out[lo:hi] = integral(slice(lo, hi), *_exposure(bundle, pis, slice(lo, hi)))
     return out
 
 

@@ -946,8 +946,19 @@ class TestCli:
         assert len((out / "strategy.csv").read_text().splitlines()) == 1 + 51
         config = json.loads((out / "strategy_report.json").read_text())["config"]
         assert config["numerics"]["n_steps"] == 50
-        assert config["output"]["formats"] == ["csv", "json"]
-        assert config["output"]["directory"] == str(out)
+        assert config["output"] == {"formats": ["csv", "json"]}
+
+    def test_report_file_does_not_depend_on_the_out_directory(self, tmp_path, capsys):
+        # the report file leaves out output.directory; the stdout record keeps it
+        reports = []
+        for name in ("figA", "figB"):
+            out = tmp_path / name
+            args = ["strategy", "--config", "bpt10_wishart", "--steps", "20", "--format", "csv,json", "--out", str(out)]
+            assert cli_main(args) == 0
+            assert json.loads(capsys.readouterr().out)["config"]["output"]["directory"] == str(out)
+            reports.append((out / "strategy_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["output"] == {"formats": ["csv", "json"]}
 
     def test_malformed_section_keeps_override_unapplied(self, tmp_path, capsys):
         raw = vector_config(tmp_path)
@@ -984,4 +995,4 @@ def test_reproduce_figures_reports_show_overrides(tmp_path, capsys):
         (report,) = (tmp_path / name).glob("*_report.json")
         config = json.loads(report.read_text())["config"]
         assert config["numerics"]["n_steps"] == 20
-        assert config["output"] == {"directory": str(tmp_path / name), "formats": ["csv", "svg", "json"]}
+        assert config["output"] == {"formats": ["csv", "svg", "json"]}

@@ -22,6 +22,7 @@ from volterra_merton.riccati import (
     vector_rhs_general,
     wishart_rhs,
 )
+from volterra_merton import simulate
 from volterra_merton.simulate import (
     SimConfig,
     SimulationError,
@@ -59,7 +60,8 @@ class TestDeterminism:
         assert np.array_equal(a.states, b.states)
 
     def test_bundles_do_not_depend_on_blas_threads(self):
-        # the history sums take threaded matrix products; the bundles must come out the same bytes on one thread
+        # the history sums and the assets' increments take threaded matrix products; the bundles must come
+        # out the same bytes on one thread
         code = (
             "import hashlib\n"
             "from conftest import make_rough_heston, make_wishart\n"
@@ -67,7 +69,9 @@ class TestDeterminism:
             "from volterra_merton.simulate import SimConfig, simulate_bundle\n"
             "for model in (make_rough_heston(), make_wishart(alpha=0.75)):\n"
             "    bundle = simulate_bundle(model, TimeGrid(0.5, 200), SimConfig(n_paths=400, seed=4))\n"
-            "    print(hashlib.sha256(bundle.states.tobytes()).hexdigest())\n"
+            "    for array in (bundle.states, bundle.roots, bundle.asset_noise, *bundle.increments.values()):\n"
+            "        if array is not None:\n"
+            "            print(hashlib.sha256(array.tobytes()).hexdigest())\n"
         )
         paths = [str(Path(volterra_merton.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
         outs = []
@@ -75,7 +79,7 @@ class TestDeterminism:
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": threads}
             run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
             outs.append(run.stdout.split())
-        assert len(outs[0]) == 2
+        assert len(outs[0]) == 8  # states and W1, W2; states, roots, asset increments and dW, dB
         assert outs[0] == outs[1]
 
     def test_seed_changes_draws(self):
@@ -95,6 +99,55 @@ class TestDeterminism:
     def test_antithetic_needs_even_paths(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=7, antithetic=True)
+
+
+class TestStreams:
+    """Path k's increments are its Philox stream's normals times sqrt(dt):
+    stream k (k // 2 under antithetic sampling, negated on odd paths) is a
+    fresh generator keyed by the seed with the counter [0, 0, k, 0], drawn
+    as one (n_steps, per_step) block."""
+
+    @staticmethod
+    def stream_draws(seed: int, n_paths: int, antithetic: bool, shape: tuple[int, int], dt: float) -> np.ndarray:
+        out = np.empty((n_paths,) + shape)
+        for path in range(n_paths):
+            stream = path // 2 if antithetic else path
+            bits = np.random.Philox(key=seed, counter=np.array([0, 0, stream, 0], dtype=np.uint64))
+            draw = np.random.Generator(bits).standard_normal(shape)
+            out[path] = -draw if antithetic and path % 2 else draw
+        return out * np.sqrt(dt)
+
+    # 301 streams fill the stream buffer once and start it again
+    @pytest.mark.parametrize("n_paths, antithetic", [(602, True), (301, False)])
+    def test_vector_increments(self, n_paths, antithetic):
+        assert 301 > simulate._STREAM_BUFFER
+        m = VectorModel(theta=[1.0, 0.8], nu=[0.5, 0.4], drift=[[-1.0, 0.3], [0.2, -1.2]], rho=[-0.6, -0.3],
+                        v0=[0.04, 0.06], gamma=0.5, kernel=[Kernel.fractional(1.0, 0.7)] * 2)
+        grid = TimeGrid(0.25, 7)
+        bundle = simulate_vector(m, grid, SimConfig(n_paths=n_paths, seed=2**70 + 5, antithetic=antithetic))
+        want = self.stream_draws(2**70 + 5, n_paths, antithetic, (grid.n_steps, 4), grid.dt)
+        assert np.array_equal(bundle.increments["w1"], want[:, :, :2])
+        assert np.array_equal(bundle.increments["w2"], want[:, :, 2:])
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(602, True), (301, False)])
+    def test_wishart_increments(self, n_paths, antithetic):
+        grid = TimeGrid(0.25, 5)
+        cfg = SimConfig(n_paths=n_paths, seed=8, antithetic=antithetic)
+        bundle = simulate_wishart(make_wishart(alpha=0.75), grid, cfg)
+        want = self.stream_draws(8, n_paths, antithetic, (grid.n_steps, 6), grid.dt)
+        assert np.array_equal(bundle.increments["w_sigma"], want[:, :, :4].reshape(n_paths, grid.n_steps, 2, 2))
+        assert np.array_equal(bundle.increments["b"], want[:, :, 4:])
+
+
+def three_asset_wishart() -> WishartModel:
+    return WishartModel(
+        mean_reversion=[[-1.0, 0.2, 0.0], [0.1, -1.3, 0.3], [0.0, -0.2, -0.8]],
+        vol_of_vol=[[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.5]],
+        noise=[[0.2, 0.0, 0.0], [0.05, 0.15, 0.0], [0.0, 0.05, 0.25]],
+        rho=[-0.3, -0.2, 0.1], market_price=[1.0, 0.8, 0.6],
+        sigma0=[[0.06, 0.01, 0.0], [0.01, 0.05, 0.01], [0.0, 0.01, 0.04]],
+        gamma=0.3, kernel=[Kernel.fractional(1.0, a) for a in (0.95, 0.75, 0.6)],
+    )
 
 
 def wishart_two_sum_reference(model: WishartModel, grid: TimeGrid, cfg: SimConfig, dws: np.ndarray):
@@ -162,14 +215,7 @@ class TestWishartScheme:
     def test_three_assets_clip_by_eigh(self):
         # d = 3 takes the batched eigh clip; three distinct kernels and a
         # positive floor that does clip
-        m = WishartModel(
-            mean_reversion=[[-1.0, 0.2, 0.0], [0.1, -1.3, 0.3], [0.0, -0.2, -0.8]],
-            vol_of_vol=[[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.5]],
-            noise=[[0.2, 0.0, 0.0], [0.05, 0.15, 0.0], [0.0, 0.05, 0.25]],
-            rho=[-0.3, -0.2, 0.1], market_price=[1.0, 0.8, 0.6],
-            sigma0=[[0.06, 0.01, 0.0], [0.01, 0.05, 0.01], [0.0, 0.01, 0.04]],
-            gamma=0.3, kernel=[Kernel.fractional(1.0, a) for a in (0.95, 0.75, 0.6)],
-        )
+        m = three_asset_wishart()
         grid = TimeGrid(0.5, 40)
         cfg = SimConfig(n_paths=24, seed=11, psd_floor=0.01)
         bundle = simulate_wishart(m, grid, cfg)
@@ -661,17 +707,35 @@ class TestPathIntegralsAgainstWholeArrays:
         np.testing.assert_allclose([est.mean, est.stderr], compare_reference(m, best, worse, bundle),
                                    rtol=1e-14, atol=0.0)
 
+    @staticmethod
+    def three_asset_bundle(n_paths: int):
+        m = three_asset_wishart()
+        return m, simulate_wishart(m, TimeGrid(0.5, 150), SimConfig(n_paths=n_paths, seed=19, psd_floor=0.01))
+
+    @pytest.mark.parametrize("kind", ["vector", "wishart", "three_asset"])
+    def test_blocks_keep_each_paths_bits(self, kind, monkeypatch):
+        # 66 paths at 150 steps: one block at the default size, then blocks of 2, 3, 5 and 65 paths; the
+        # lone last path of the last two joins the block before it
+        m, bundle = getattr(self, f"{kind}_bundle")(66)
+        best = varying_strategy(bundle.grid, bundle.states.shape[2], 1.0)
+        whole = simulate_wealth(m, best, bundle, 2.0)
+        for paths in (2, 3, 5, 65):
+            monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", paths * bundle.grid.n_steps)
+            assert np.array_equal(simulate_wealth(m, best, bundle, 2.0), whole)
+
 
 class TestMemoryPeaks:
     """tracemalloc peaks of a vector bundle and of its wealth, in units of
-    A, the bytes of one (n_paths, n_steps + 1, d) float64 array.
+    A, the bytes of one (n_paths, n_steps + 1, d) float64 array, and of a
+    Wishart bundle, in units of B, the bytes of one (n_paths, n_steps + 1,
+    d, d) float64 array.
 
-    The draws take 2 A (W1 and W2 are views of them), the states A and the
-    history A, plus A for the path-major copy of the states at the end; on
-    300 steps no history block closes, so there is no closed-share array,
-    only the share pulled into the sums of the next SUB nodes.
-    The wealth takes its paths in blocks, so its temporaries are a few
-    arrays of about 2**16 entries.
+    The vector bundle's draws take 2 A (W1 and W2 are views of them), the
+    states A and the history A, plus the share pulled into the sums of the
+    next SUB nodes; the bundle hands out views of the draws and the states,
+    with no path-major copy.  On 300 steps no history block closes, so there
+    is no closed-share array.  The wealth takes its paths in blocks, so its
+    temporaries are a few arrays of about 2**16 entries.
     """
 
     def test_vector_bundle_and_wealth(self):
@@ -693,3 +757,19 @@ class TestMemoryPeaks:
             tracemalloc.stop()
         assert vector_peak < 4.5 * a
         assert wealth_peak - held < 1.0 * a
+
+    def test_wishart_bundle(self):
+        # the draws take 1.5 B, the states B, the roots B and the history B, plus the pulled share; the
+        # steps read dW in place and the bundle hands out views, so there is neither a time-major copy of
+        # dW nor path-major copies of the states and roots (5.6 B with them)
+        m = make_wishart(alpha=0.75)
+        grid = TimeGrid(0.25, 300)
+        cfg = SimConfig(n_paths=2000, seed=3)
+        b = cfg.n_paths * (grid.n_steps + 1) * m.d * m.d * 8
+        tracemalloc.start()
+        try:
+            simulate_wishart(m, grid, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0 * b
