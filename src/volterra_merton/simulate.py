@@ -373,7 +373,8 @@ def _per_path(bundle: PathBundle, pis: np.ndarray, integral) -> np.ndarray:
         starts.pop()
     out = np.empty(n_paths)
     for lo, hi in zip(starts, starts[1:] + [n_paths]):
-        out[lo:hi] = integral(slice(lo, hi), *_exposure(bundle, pis, slice(lo, hi)))
+        rows = slice(lo, hi)
+        out[rows] = integral(rows, *_exposure(bundle, pis, rows))
     return out
 
 
