@@ -122,7 +122,6 @@ class ExperimentConfig:
     out_dir: Path
     formats: tuple[str, ...]
     x0: float
-    sweep_axis: str | None
     sweep_values: tuple | None
     echo: str  # canonical resolved-config dump
 
@@ -130,9 +129,22 @@ class ExperimentConfig:
     def grid(self) -> TimeGrid:
         return TimeGrid(self.horizon, self.n_steps)
 
-    def replaced(self, **model_and_numerics) -> "ExperimentConfig":
-        """A copy with fields swapped; its ``echo`` is still the mapping it was parsed from."""
-        return dataclasses.replace(self, **model_and_numerics)
+    @property
+    def sweep_axis(self) -> str | None:
+        return _SWEEP_AXES.get(self.kind)
+
+    def replaced(self, **fields) -> "ExperimentConfig":
+        """This config with each field written at its config key (``sim`` at every simulation key) into its
+        ``echo``, loaded again by ``config_from_dict``; a field with no config key is a TypeError."""
+        keys = {"kind": "kind", "x0": "x0", "out_dir": "output.directory", "formats": "output.formats",
+                "sweep_values": f"sweep.{self.sweep_axis}",
+                **{name: f"numerics.{name}" for name in ("horizon", "n_steps", "blowup_threshold")}}
+        sim = dataclasses.asdict(fields.pop("sim")) if "sim" in fields else {}
+        if set(fields) - set(keys):
+            raise TypeError(f"replaced() got fields with no config key: {', '.join(sorted(set(fields) - set(keys)))}")
+        overrides = {keys[name]: value for name, value in fields.items()}
+        overrides.update((f"simulation.{key}", value) for key, value in sim.items())
+        return config_from_dict(with_overrides(json.loads(self.echo), overrides))
 
 
 @dataclass
@@ -348,20 +360,23 @@ def _number(section: dict, key: str, default, problems: list[str], prefix: str =
 
 
 def with_overrides(raw: dict, overrides: dict) -> dict:
-    """``raw`` with each ``"section.key": value`` of ``overrides`` written in; None values are skipped.
+    """``raw`` with each ``"section.key": value`` of ``overrides`` written in, or ``"key": value`` at the
+    top level; None values are skipped, a tuple is written as a list and a Path as a string.
 
-    Overrides go into the mapping before ``config_from_dict``, so they are validated like the
-    file's own fields and show in the report's ``config``.  A missing section is created; a
-    malformed one is left for validation to report.
+    Overrides go into the mapping before ``config_from_dict`` (the CLI's and ``ExperimentConfig.replaced``'s
+    too), so they are validated like the file's own fields and show in the report's ``config``.
+    A missing section is created; a malformed one is left for validation to report.
     """
     for dotted, value in overrides.items():
         if value is None:
             continue
-        section, key = dotted.split(".")
-        if raw.get(section) is None:
+        value = list(value) if isinstance(value, tuple) else str(value) if isinstance(value, Path) else value
+        section, _, key = dotted.rpartition(".")
+        if section and raw.get(section) is None:
             raw[section] = {}
-        if isinstance(raw[section], dict):
-            raw[section][key] = value
+        node = raw[section] if section else raw
+        if isinstance(node, dict):
+            node[key] = value
     return raw
 
 
@@ -476,7 +491,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if bad:
         problems.append(f"unsupported output formats: {bad}")
 
-    sweep_axis = None
     sweep_values: tuple | None = None
     sweep_section = raw.get("sweep")
     if kind in SWEEP_KINDS:
@@ -487,7 +501,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         elif not isinstance(values, list) or not values:
             problems.append("sweep values must be a nonempty list")
         else:
-            sweep_axis, sweep_values = axis, tuple(values)
+            sweep_values = tuple(values)
             for value in values:
                 if axis != "correlation" and _number({axis: value}, axis, None, problems, "sweep.") is None:
                     continue
@@ -499,13 +513,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 except ValueError as exc:
                     reasons = [str(exc)]
                 problems.extend(f"sweep.{axis} {value!r}: {reason}" for reason in reasons)
-            named: dict[str, object] = {}  # slug -> the first value that names its output file
+            files: dict[str, object] = {}  # slug -> the first value that names its output file
+            labels: dict[str, object] = {}  # combined-CSV sweep_value -> the first value written as it
             for value in values:
                 slug = _slug(value)
-                if slug in named:
-                    problems.append(f"sweep.{axis} {named[slug]!r} and {value!r} name the same output file")
-                else:
-                    named[slug] = value
+                label = _fmt(value) if isinstance(value, (str, numbers.Real)) else slug
+                if slug in files:
+                    problems.append(f"sweep.{axis} {files[slug]!r} and {value!r} name the same output file")
+                elif label in labels:
+                    shared = f"share the combined-CSV sweep_value {label!r}"
+                    problems.append(f"sweep.{axis} {labels[label]!r} and {value!r} {shared}")
+                files.setdefault(slug, value)
+                labels.setdefault(label, value)
     elif sweep_section:
         problems.append(f"kind {kind} does not take a sweep section")
     if kind not in SWEEP_KINDS and model is not None and grid is not None:
@@ -530,7 +549,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_dir=out_dir,
         formats=formats,
         x0=x0,
-        sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         echo=_canonical_echo(raw),
     )
@@ -617,10 +635,10 @@ def _solve(config: ExperimentConfig):
     return rhs, solve(model.kernel, rhs, config.grid, config.blowup_threshold)
 
 
-def _strategy(config: ExperimentConfig, path) -> StrategyPath:
-    if isinstance(config.model, WishartModel):
-        return strategy_wishart(config.model, path)
-    return strategy_general(config.model, path)
+def _strategy(model, path) -> StrategyPath:
+    if isinstance(model, WishartModel):
+        return strategy_wishart(model, path)
+    return strategy_general(model, path)
 
 
 def _value(config: ExperimentConfig, path, rhs):
@@ -694,7 +712,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
             raise RiccatiBlowUpError(path.blowup)
 
     elif config.kind == "strategy":
-        strat = _strategy(config, path)
+        strat = _strategy(model, path)
         _write_strategy(config, stem, strat, report.outputs)
         report.metrics["max_hedging"] = float(strat.hedging.max())
         report.metrics["min_hedging"] = float(strat.hedging.min())
@@ -710,7 +728,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
 
     elif config.kind == "mc-check":
         rep = _value(config, path, rhs)
-        strat = _strategy(config, path)
+        strat = _strategy(model, path)
         bundle = simulate_bundle(model, grid, config.sim)
         est = mc_utility(model, strat, config.sim, config.x0, bundle=bundle)
         z = est.z_score(rep.value)
@@ -727,7 +745,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
     elif config.kind == "bl13-recovery":
         # smooth-kernel limit vs a Runge-Kutta solve of the classical matrix
         # Riccati ODE (the Bauerle-Li Wishart benchmark)
-        strat = _strategy(config, path)
+        strat = _strategy(model, path)
         ref_path = _rk4_matrix_reference(rhs, grid)
         ref_strat = strategy_wishart(model, ref_path)
         rel_psi = float(
@@ -766,12 +784,6 @@ def _rk4_matrix_reference(rhs: MatrixRiccatiRHS, grid: TimeGrid):
 # ---------------------------------------------------------------------------
 
 
-def _point_config(config: ExperimentConfig, value) -> ExperimentConfig:
-    """Sub-config for one sweep point, with kind rewritten to 'strategy'."""
-    model, horizon = _sweep_point(config.model, config.horizon, config.sweep_axis, value)
-    return config.replaced(kind="strategy", model=model, horizon=horizon, sweep_axis=None, sweep_values=None)
-
-
 def _max_workers(n_points: int) -> int:
     cap = os.environ.get(THREADS_ENV)
     if cap is not None:
@@ -787,37 +799,35 @@ def _max_workers(n_points: int) -> int:
 def sweep(config: ExperimentConfig) -> ExperimentReport:
     """Run every sweep point and assemble the combined long-format CSV.
 
-    The points share n_steps, so one batched Riccati solve serves them all.
-    Their strategies and files are then made on a thread pool capped by
+    Each point is a model and horizon from ``_sweep_point``, with the sweep's
+    n_steps and outputs, so one batched Riccati solve serves them all.  Their
+    strategies and files are then made on a thread pool capped by
     VOLTERRA_MERTON_THREADS, and the combined file is assembled in sweep-value
     order after all points finish.  A failing point raises its own error; with
     several, the first in config order wins.
     """
     if config.kind not in SWEEP_KINDS:
         raise ConfigError([f"kind {config.kind} is not a sweep"])
-    if not config.sweep_values:
-        raise ConfigError(["sweep values missing"])
     started = time.time()
     axis = config.sweep_axis
     points = list(config.sweep_values)
     report = ExperimentReport(kind=config.kind, config_echo=config.echo)
-    subs = [_point_config(config, value) for value in points]
+    models, horizons = zip(*(_sweep_point(config.model, config.horizon, axis, value) for value in points))
     paths = solve_riccati_batch(
-        [sub.model.kernel for sub in subs],
-        [_rhs(sub.model) for sub in subs],
-        [sub.grid for sub in subs],
+        [model.kernel for model in models],
+        [_rhs(model) for model in models],
+        [TimeGrid(horizon, config.n_steps) for horizon in horizons],
         config.blowup_threshold,
     )
 
     def run_point(idx_value):
         """One point's strategy, per-point CSV (and SVG if asked)."""
         idx, value = idx_value
-        sub = subs[idx]
         stem = f"{config.kind}_{axis}_{_slug(value)}"
         path = paths[idx].require_global()
-        strat = _strategy(sub, path)
+        strat = _strategy(models[idx], path)
         outputs: list[str] = []
-        _write_strategy(sub, stem, strat, outputs)
+        _write_strategy(config, stem, strat, outputs)
         metrics = {"riccati_residual": path.residual, "max_hedging": float(strat.hedging.max())}
         return idx, value, strat, outputs, metrics
 

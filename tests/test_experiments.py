@@ -31,6 +31,7 @@ from volterra_merton.experiments import (
     read_config,
     run,
     sweep,
+    with_overrides,
 )
 from volterra_merton.merton import strategy_general, strategy_wishart, value_general
 from volterra_merton.riccati import (
@@ -39,7 +40,7 @@ from volterra_merton.riccati import (
     vector_rhs_general,
     wishart_rhs,
 )
-from volterra_merton.simulate import mc_utility, simulate_bundle
+from volterra_merton.simulate import SimConfig, mc_utility, simulate_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -256,6 +257,55 @@ class TestLoadConfig:
         got = {"psd_floor": config.sim.psd_floor, "blowup_threshold": config.blowup_threshold,
                "horizon": config.horizon, "seed": config.sim.seed}[key]
         assert got == value and type(got) is type(value)
+
+
+class TestReplaced:
+    """``ExperimentConfig.replaced`` loads its config again from the mapping, with the fields written in."""
+
+    @pytest.mark.parametrize("name", available_presets())
+    def test_no_fields_give_the_same_config(self, name):
+        config = load_config(name)
+        again = config.replaced()
+        assert again.echo == config.echo
+        for f in dataclasses.fields(config):
+            if f.name == "model":
+                for g in dataclasses.fields(config.model):
+                    np.testing.assert_array_equal(getattr(again.model, g.name), getattr(config.model, g.name), strict=True)
+            else:
+                assert getattr(again, f.name) == getattr(config, f.name)
+
+    @pytest.mark.parametrize(
+        "name, fields, keys",
+        [
+            ("bpt10_alpha_sweep", {"n_steps": 40, "sweep_values": (0.6, 0.9)}, {"numerics.n_steps": 40, "sweep.alpha": [0.6, 0.9]}),
+            (
+                "rough_heston_1d",
+                {"horizon": 0.1, "n_steps": 20, "sim": SimConfig(n_paths=8, seed=5, variance_floor=1e-9, antithetic=True)},
+                {"numerics.horizon": 0.1, "numerics.n_steps": 20, "simulation.n_paths": 8, "simulation.seed": 5,
+                 "simulation.psd_floor": 0.0, "simulation.variance_floor": 1e-9, "simulation.antithetic": True},
+            ),
+        ],
+        ids=["sweep", "mc-check"],
+    )
+    def test_report_is_that_of_the_overridden_mapping(self, tmp_path, name, fields, keys):
+        replaced = load_config(name).replaced(out_dir=tmp_path / "replaced", formats=("csv", "json"), **fields)
+        direct = config_from_dict(with_overrides(read_config(name), {
+            "output.directory": str(tmp_path / "direct"), "output.formats": ["csv", "json"], **keys,
+        }))
+        reports = [run(config).outputs[-1] for config in (replaced, direct)]
+        assert reports[0].endswith("_report.json")
+        assert Path(reports[0]).read_bytes() == Path(reports[1]).read_bytes()
+
+    def test_values_naming_one_file_are_refused(self):
+        with pytest.raises(ConfigError) as err:
+            load_config("bpt10_alpha_sweep").replaced(sweep_values=(0.6, 0.6))
+        assert err.value.problems == ["sweep.alpha 0.6 and 0.6 name the same output file"]
+
+    @pytest.mark.parametrize("field", ["model", "echo", "sweep_axis"])
+    def test_a_field_with_no_config_key_is_a_type_error(self, field):
+        config = load_config("bpt10_alpha_sweep")
+        with pytest.raises(TypeError, match=field):
+            config.replaced(**{field: getattr(config, field)})
 
 
 class TestRunPipelines:
@@ -811,6 +861,9 @@ class TestCli:
                          ["sweep.horizon 1.5 and '1_5' name the same output file"], id="horizon-1_5"),
             pytest.param("sweep-alpha", "alpha", [0.6, 0.6, 0.60000000000000001],
                          ["sweep.alpha 0.6 and 0.6 name the same output file"] * 2, id="alpha-repeated"),
+            # the files are horizon_1 and horizon_1_0, but the combined CSV writes both points as 1
+            pytest.param("sweep-horizon", "horizon", [1, 1.0],
+                         ["sweep.horizon 1 and 1.0 share the combined-CSV sweep_value '1'"], id="horizon-1-1_0"),
         ],
     )
     def test_sweep_values_naming_one_file_are_one_config_record(self, tmp_path, capsys, kind, axis, values, problems):

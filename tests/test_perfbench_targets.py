@@ -17,11 +17,11 @@ from volterra_merton.kernels import Kernel, TimeGrid
 from volterra_merton.riccati import vector_rhs_general, wishart_rhs
 from volterra_merton.simulate import SimConfig
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -29,6 +29,10 @@ def load_spans():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 def test_traced_names_resolve():
@@ -85,3 +89,26 @@ def test_counters_read_real_results():
         wanted = {key for names, key in spans.COUNTS.values() if key is not None and name in names}
         assert set(counts) == wanted, name
         assert all(isinstance(v, (int, np.integer)) and v >= 0 for v in counts.values()), (name, counts)
+
+
+def test_workloads_build_with_their_overrides(tmp_path, monkeypatch):
+    # every workload swaps fields of bundled presets with ExperimentConfig.replaced, which validates them
+    workloads = load_perfbench("workloads")
+    from volterra_merton import experiments
+
+    monkeypatch.setattr(experiments, "run", lambda config, name=None: config)  # the jobs hand back their configs
+    presets = workloads.build_presets(3, tmp_path / "presets")
+    for job in presets.jobs:
+        config = job.run()
+        assert config.formats == workloads.PRESET_FORMATS == job.formats
+        assert config.out_dir == tmp_path / "presets" / job.name
+    assert sorted(job.name for job in presets.jobs) == sorted(workloads.PRESETS)
+
+    (matrix,) = [job for job in workloads.build_fine_grid(3, tmp_path / "fine").jobs if job.name == "matrix_4k_bpt10"]
+    path, _ = matrix.run()
+    assert path.grid.n_steps == 4000
+
+    (heston,) = [job for job in workloads.build_mc_oracle(5, tmp_path / "mc").jobs if job.name == "rough_heston_1d"]
+    config = heston.run()
+    assert config.sim.seed == 5
+    assert config.out_dir == tmp_path / "mc" / "rough_heston_1d"
