@@ -679,6 +679,44 @@ class TestLongGridsAgainstDirectSums:
         assert abs(path.residual - direct_residual(path, kernels, rhs)) <= 1e-13
         assert abs(fixed_point_residual(path, kernels, rhs) - path.residual) <= 1e-13
 
+    def test_matrix_equal_kernels(self, wishart_bpt10):
+        # equal column kernels: every iterate is symmetric as it stands, with no symmetrizing
+        rhs = wishart_rhs(wishart_bpt10)
+        kernel = Kernel.fractional(1.0, 0.7)
+        grid = TimeGrid(1.0, 1100)
+        path = solve_riccati_matrix(kernel, rhs, grid)
+        want, stop = direct_pece([kernel, kernel], rhs, grid, (2, 2))
+        assert stop is None and path.ok
+        assert_matches_direct(path.values, want)
+        assert np.all(path.values == path.values.swapaxes(1, 2))
+        assert abs(path.residual - direct_residual(path, [kernel, kernel], rhs)) <= 1e-13
+
+    def test_batch_of_vector_problems_with_a_later_blowup(self):
+        # problem 1 is psi_i' = 10 + 10 psi_i^2 on its constant-kernel
+        # component, which diverges at t = pi/20, near node 1135 of 1300
+        rhss = [
+            VectorRiccatiRHS(const=[0.5, 0.4], linear=[[-1.0, 0.2], [0.1, -1.3]], quad=[0.5, 0.3]),
+            VectorRiccatiRHS(const=[10.0, 0.1], linear=[[0.0, 0.0], [0.2, -1.0]], quad=[10.0, 0.2]),
+            VectorRiccatiRHS(const=[0.9, 0.1], linear=-np.eye(2), quad=[0.05, 0.6]),
+        ]
+        kernels = [
+            [Kernel.fractional(1.0, 0.6), Kernel.exponential(1.5, 2.0)],
+            [Kernel.constant(1.0), Kernel.fractional(1.0, 0.8)],
+            [Kernel.gamma(1.0, 0.7, 0.5), Kernel.fractional(1.0, 0.9)],
+        ]
+        grids = [TimeGrid(1.0, 1300), TimeGrid(0.18, 1300), TimeGrid(2.0, 1300)]
+        paths = solve_riccati_batch(kernels, rhss, grids)
+        for path, kernel, rhs, grid in zip(paths, kernels, rhss, grids):
+            want, stop = direct_pece(kernel, rhs, grid, (2,))
+            if stop is None:
+                assert path.ok
+                assert_matches_direct(path.values, want)
+            else:
+                assert stop > 1024 and path.blowup.detected_at == grid.nodes[stop - 1]
+                assert_matches_direct(path.values[:stop], want)
+                assert np.all(path.values[stop:] == path.values[stop - 1])
+        assert [path.ok for path in paths] == [True, False, True]
+
     def test_blowup_in_a_later_block(self):
         # psi' = 10 + 10 psi^2 diverges at t = pi/20, near node 1257 of 8000
         rhs = VectorRiccatiRHS(const=[10.0], linear=[[0.0]], quad=[10.0])
