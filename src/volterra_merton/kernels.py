@@ -319,6 +319,7 @@ class HistorySums:
         self._closed = None  # share of the closed nodes in the sums at node n, from the first block close
         self._period = SUB if values.shape[-1] >= WIDE else BLOCK
         self._near = self._next = 1  # the last pull and the next
+        self._offset = None  # N + _near: row _offset - n of _rows weighs node _near in the sums at node n
         self._pulled = None  # share of the nodes before _near in the sums at nodes _near, _near + 1, ...
         self._size = block_fft_size(n_steps)
         self._spectrum = _lag_spectrum(weights, self._size) if self._size else None
@@ -327,8 +328,7 @@ class HistorySums:
         if n == self._next:
             self._pull(n)
         near = self._near
-        row = self._rows[:, :, self._rows.shape[2] - n + near :]
-        return self._pulled[n - near] + np.matmul(row, self.values[:, near:n])
+        return self._pulled[n - near] + self._rows[..., self._offset - n :] @ self.values[:, near:n]
 
     def _pull(self, n: int) -> None:
         """Close the open block at a multiple of BLOCK, then pull its nodes before n into the next sums."""
@@ -356,6 +356,7 @@ class HistorySums:
             if self._closed is not None:
                 self._pulled += self._closed[n : n + span]
         self._near, self._next = n, n - n % self._period + self._period
+        self._offset = n_rows + n
 
 
 def causal_sums(weights: LagWeights, values: np.ndarray) -> np.ndarray:

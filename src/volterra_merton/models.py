@@ -227,7 +227,7 @@ def expected_variance_curve(
     history = HistorySums(corrector_lags(weights), gvals)
     for n in range(1, n_steps + 1):
         sol = implicit @ (forced[n] + history(n)[:, 0, 0])
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             raise FloatingPointError("expected-variance iteration diverged")
         xi[n] = sol
         gvals[:, n, 0] = B @ sol

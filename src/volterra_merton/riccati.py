@@ -12,9 +12,11 @@ symmetrizing only when its column kernels differ.  Time stepping is
 predictor-corrector (PECE) product integration: left-rectangle predictor
 with exact cell integrals of K, one corrector sweep with the trapezoidal
 product weights.  One loop serves every solve: several problems of one shape
-and step count advance through it together.  Each step reads the history of
-F(psi) once for both stages, and the blow-up threshold is checked once per
-BLOCK steps over the nodes since the last check.
+and step count advance through it together.  The loop holds a state as its
+rows of d entries, a vector state as one 1 x d row, so that vector and
+matrix states take one loop body.  Each step reads the history of F(psi)
+once for both stages, and the blow-up threshold is checked once per BLOCK
+steps over the nodes since the last check.
 """
 
 from __future__ import annotations
@@ -89,7 +91,21 @@ class VectorRiccatiRHS:
         return (self.dim,)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        return self.const + np.matmul(psi[..., None, :], self.linear)[..., 0, :] + self.quad * psi**2
+        return self.const + (psi[..., None, :] @ self.linear)[..., 0, :] + self.quad * psi**2
+
+    def _on_rows(self):
+        """F on states held as 1 x d rows, (P, 1, d) for coefficients with a leading problem axis P.
+
+        Bit for bit the values of ``self`` on the rows' vectors.  With d = 1
+        the product psi @ linear is one multiplication summed onto +0.0: the
+        same bits as the multiplication once const + 0.0 has made a -0.0
+        constant +0.0, the only case where the sign of that zero shows.
+        """
+        const, linear, quad = self.const[..., None, :], self.linear, self.quad[..., None, :]
+        if self.dim == 1:
+            const = const + 0.0
+            return lambda x: const + x * linear + quad * x**2
+        return lambda x: const + x @ linear + quad * x**2
 
 
 @dataclass(frozen=True)
@@ -134,7 +150,11 @@ class MatrixRiccatiRHS:
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         x = psi @ (self.linear + self.quadratic @ psi)
-        return x + x.swapaxes(-1, -2) + self.constant
+        return x + x.mT + self.constant
+
+    def _on_rows(self):
+        """F on states held as their d rows, which is ``self`` as it is."""
+        return self.__call__
 
 
 @dataclass(frozen=True)
@@ -248,7 +268,7 @@ def wishart_rhs(model) -> MatrixRiccatiRHS:
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """Symmetric part of matrices (over the last two axes)."""
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    return 0.5 * (m + m.mT)
 
 
 def _stacked(rhss: list):
@@ -285,14 +305,16 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
 
     The problems share the state shape and n_steps and step together; row
     p d + i of the weights and of the F(psi) history is component (or column)
-    i of problem p.  One ``HistorySums`` gives the predictor and the corrector
-    sums of every step.  Every predictor and corrector value is kept, and the
-    nodes since the last check are checked once per BLOCK steps and at the
-    last step.  A problem fails at its first node that is not below the
-    threshold and is frozen at the node before; the loop stops at the check
-    that finds every problem failed.  A failed problem's rows step on
-    unchecked but reach no other problem's rows, since the matrix products
-    and the FFT work row by row.
+    i of problem p.  The loop holds each state as its rows of d entries, a
+    vector state as one 1 x d row, and keeps every node's states node-major,
+    so that a step is one loop body whatever the shape.  One ``HistorySums``
+    gives the predictor and the corrector sums of every step.  Every
+    predictor and corrector value is kept, and the nodes since the last check
+    are checked once per BLOCK steps and at the last step.  A problem fails at
+    its first node that is not below the threshold and is frozen at the node
+    before; the loop stops at the check that finds every problem failed.  A
+    failed problem's rows step on unchecked but reach no other problem's
+    rows, since the matrix products and the FFT work row by row.
     """
     rhs = _stacked(rhss)
     shape = rhs.shape
@@ -300,70 +322,74 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     if any(grid.n_steps != n_steps for grid in grids):
         raise ValueError("batched grids must share n_steps")
     weights = [kernel_weights(k, grid) for kernel, grid in zip(kernels, grids) for k in component_kernels(kernel, d)]
-    states = (n_problems,) + shape
-    psi = np.zeros((n_problems, n_steps + 1) + shape)
+    rows = shape[0] if len(shape) == 2 else 1
+    states = (n_problems, rows, d)
+    f = rhs._on_rows()
+    psi = np.zeros((n_steps + 1,) + states)
     preds = np.zeros_like(psi)
-    # F(psi) component-major: row p d + i holds entry i of problem p's vector,
-    # or row i of its matrix, which is column i since F(psi) is exactly
-    # symmetric; fpsi views it in the shape of psi
-    fvals = np.zeros((n_problems * d, n_steps + 1, psi[0, 0].size // d))
-    fpsi = np.moveaxis(fvals.reshape((n_problems, d, n_steps + 1) + shape[1:]), 2, 1)
-    fpsi[:, 0] = rhs(psi[:, 0])
+    # History row p d + i holds column i of problem p's F(psi), which for a
+    # matrix is also its row i since F(psi) is exactly symmetric; fpsi views
+    # it in the layout of psi
+    fvals = np.zeros((n_problems * d, n_steps + 1, rows))
+    fpsi = fvals.reshape(n_problems, d, n_steps + 1, rows).transpose(2, 0, 3, 1)
+    fpsi[0] = f(psi[0])
     history = HistorySums(pece_lags(weights), fvals)
-    # The sums come in the history's layout, which holds a matrix state
-    # transposed.  With equal column kernels, F(psi) is exactly symmetric and
-    # entries (i, j) and (j, i) sum the same series with the same weights, so
-    # every iterate is exactly symmetric as it stands.  Distinct column
-    # kernels are symmetrized, which undoes the transposition bit for bit.
-    symmetrize = len(shape) == 2 and any(len(set(component_kernels(kernel, d))) > 1 for kernel in kernels)
-    newest = np.array([w.corrector[1] for w in weights]).reshape((n_problems, d) + (1,) * (len(shape) - 1))
+    # A stage of the sums, read in the layout of psi, holds a matrix state
+    # transposed: entry (i, j) sums column i.  With equal column kernels,
+    # F(psi) is exactly symmetric and entries (i, j) and (j, i) sum the same
+    # series with the same weights, so every iterate is exactly symmetric as
+    # it stands.  Distinct column kernels are symmetrized, which undoes the
+    # transposition bit for bit.  ``newest`` weighs each entry as its sum.
+    symmetrize = rows > 1 and any(len(set(component_kernels(kernel, d))) > 1 for kernel in kernels)
+    newest = np.repeat([w.corrector[1] for w in weights], rows).reshape(states)
     live = np.ones(n_problems, dtype=bool)
     failures = {}  # problem -> (step, BlowUp or time of the non-finite step)
-    checked = 0  # last node checked
+    checked, check = 0, min(BLOCK, n_steps)  # last node checked, and the next check
     for n in range(1, n_steps + 1):
         sums = history(n)
         pred = sums[:, 0].reshape(states)
         if symmetrize:
             pred = _symmetrized(pred)
-        val = sums[:, 1].reshape(states) + newest * rhs(pred)
+        val = sums[:, 1].reshape(states) + newest * f(pred)
         if symmetrize:
             val = _symmetrized(val)
-        preds[:, n] = pred
-        psi[:, n] = val
-        fpsi[:, n] = rhs(val)
-        if n % BLOCK == 0 or n == n_steps:
+        preds[n] = pred
+        psi[n] = val
+        fpsi[n] = f(val)
+        if n == check:
             _check(psi, preds, fpsi, checked, n, blowup_threshold, grids, live, failures)
-            checked = n
+            checked, check = n, min(n + BLOCK, n_steps)
             if not live.any():
                 break
     paths = []
     for p, (grid, single) in enumerate(zip(grids, rhss)):
+        values = np.ascontiguousarray(psi[:, p]).reshape((n_steps + 1,) + shape)
         if p in failures:
             step, failure = failures[p]
-            psi[p, step:] = psi[p, step - 1]
+            values[step:] = values[step - 1]
             blowup = failure if isinstance(failure, BlowUp) else None
-            paths.append(RiccatiPath(grid, psi[p], blowup, np.nan, None if blowup else failure))
+            paths.append(RiccatiPath(grid, values, blowup, np.nan, None if blowup else failure))
         else:
-            paths.append(RiccatiPath(grid, psi[p], None, _residual(psi[p], weights[p * d : (p + 1) * d], single)))
+            paths.append(RiccatiPath(grid, values, None, _residual(values, weights[p * d : (p + 1) * d], single)))
     return paths
 
 
 def _check(psi, preds, fpsi, checked, n, threshold, grids, live, failures) -> None:
     """Find each live problem's first failed node among checked + 1, ..., n.
 
-    The test per node is the one a step would make: the larger of |predictor|
-    and |corrector| not below the threshold, then ``_failure``.  A problem
-    that fails goes into ``failures`` with its node and is marked not live.
+    The arrays are node-major, (nodes, problems, rows, d).  The test per node
+    is the one a step would make: the larger of |predictor| and |corrector|
+    not below the threshold, then ``_failure``.  A problem that fails goes
+    into ``failures`` with its node and is marked not live.
     """
     span = slice(checked + 1, n + 1)
-    axes = tuple(range(2, psi.ndim))
-    worst = np.maximum(abs(preds[:, span]), abs(psi[:, span])).max(axis=axes)  # (P, nodes); NaN stays NaN
+    worst = np.maximum(abs(preds[span]), abs(psi[span])).max(axis=(2, 3)).T  # (P, nodes); NaN stays NaN
     worst[~live] = 0.0
     for p, j in zip(*np.nonzero(~(worst < threshold))):
         if not live[p]:
             continue  # failed at an earlier node of this span
         m = checked + 1 + j
-        failure = _failure(fpsi[p, m - 1], abs(preds[p, m]).max(), abs(psi[p, m]).max(), threshold, grids[p], m)
+        failure = _failure(fpsi[m - 1, p], abs(preds[m, p]).max(), abs(psi[m, p]).max(), threshold, grids[p], m)
         if failure is not None:
             failures[p] = (m, failure)
             live[p] = False

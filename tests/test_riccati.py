@@ -481,6 +481,23 @@ class TestBatchedSolves:
         mwant = [MatrixRiccatiRHS(linear=m, quadratic=s, constant=s)(s) for m, s in zip(linear, sym)]
         np.testing.assert_array_equal(mstacked(sym), mwant)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_form_keeps_the_bits(self, d):
+        # the solver's loop evaluates F on 1 x d rows; zeros of either sign,
+        # infinities and NaN included, its values must be those of F itself
+        rng = np.random.default_rng(d)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e-320])
+        psi = np.concatenate([rng.normal(size=(40, d)), rng.choice(special, size=(60, d))])
+        const = rng.choice(np.array([0.0, -0.0, 0.7, -1.3]), size=(100, d))
+        linear = rng.choice(np.array([0.0, -0.0, 1.1, -0.4, 2.0]), size=(100, d, d))
+        quad = rng.choice(np.array([0.0, -0.0, 0.3, -0.5]), size=(100, d))
+        rhs = VectorRiccatiRHS(const=const, linear=linear, quad=quad)
+        with np.errstate(all="ignore"):
+            want = rhs(psi)
+            got = rhs._on_rows()(psi[:, None, :])[:, 0]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestBlowUpNodes:
     """A threshold crossed first at a given node, inside and at the ends of the history blocks."""
