@@ -36,11 +36,18 @@ def study(label: str, solve, n_ref: int, steps) -> None:
         prev = err_t
 
 
-def main() -> None:
+SCALAR_STEPS = (250, 500, 1000, 2000, 4000)
+
+
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--alpha", type=float, default=0.6)
     parser.add_argument("--n-ref", type=int, default=16000, help="steps of the scalar references")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    # every grid must sample the reference's nodes and be coarser than it
+    finest = SCALAR_STEPS[-1]
+    if args.n_ref <= finest or args.n_ref % finest:
+        parser.error(f"--n-ref must be a multiple of {finest} above {finest}, got {args.n_ref}")
     vector_rhs = VectorRiccatiRHS(const=[0.5], linear=[[-1.15]], quad=[0.05625])
     matrix_rhs = wishart_rhs(load_config("bpt10_wishart").model)
     print(f"alpha = {args.alpha}, theoretical order 1+alpha = {1 + args.alpha:.2f}")
@@ -49,7 +56,7 @@ def main() -> None:
             f"scalar, {kernel.family}",
             lambda n: solve_riccati_vector(kernel, vector_rhs, TimeGrid(1.0, n)).values,
             args.n_ref,
-            (250, 500, 1000, 2000, 4000),
+            SCALAR_STEPS,
         )
         study(
             f"matrix BPT10, {kernel.family}",

@@ -288,7 +288,14 @@ def _build_model(section, problems: list[str]):
 
 
 def _canonical_echo(raw: dict) -> str:
-    return json.dumps(raw, sort_keys=True, default=str)
+    return json.dumps(raw, sort_keys=True, default=_plain)
+
+
+def _plain(value):
+    """A numpy array or scalar as the list or number a config file holds, anything else as its text."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return str(value)
 
 
 def load_config(path_or_preset: str | Path) -> ExperimentConfig:

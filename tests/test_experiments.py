@@ -296,6 +296,18 @@ class TestReplaced:
         assert reports[0].endswith("_report.json")
         assert Path(reports[0]).read_bytes() == Path(reports[1]).read_bytes()
 
+    def test_numpy_values_echo_as_numbers(self):
+        raw = read_config("rough_heston_1d")
+        raw["model"].update(drift=np.array([[-1.0]]), gamma=np.float32(0.5))
+        raw["numerics"]["n_steps"] = np.int64(40)
+        config = config_from_dict(raw)
+        echo = json.loads(config.echo)
+        assert echo["model"]["drift"] == [[-1.0]] and echo["model"]["gamma"] == 0.5
+        assert echo["numerics"]["n_steps"] == 40
+        again = config.replaced(n_steps=20)
+        np.testing.assert_array_equal(again.model.drift, [[-1.0]])
+        assert again.model.gamma == 0.5 and again.n_steps == 20
+
     def test_values_naming_one_file_are_refused(self):
         with pytest.raises(ConfigError) as err:
             load_config("bpt10_alpha_sweep").replaced(sweep_values=(0.6, 0.6))
