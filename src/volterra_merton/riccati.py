@@ -91,7 +91,7 @@ class VectorRiccatiRHS:
         return (self.dim,)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        return self.const + (psi[..., None, :] @ self.linear)[..., 0, :] + self.quad * psi**2
+        return self.const + np.matmul(psi[..., None, :], self.linear)[..., 0, :] + self.quad * psi**2
 
     def _on_rows(self):
         """F on states held as 1 x d rows, (P, 1, d) for coefficients with a leading problem axis P.
