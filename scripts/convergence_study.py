@@ -44,6 +44,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--alpha", type=float, default=0.6)
     parser.add_argument("--n-ref", type=int, default=16000, help="steps of the scalar references")
     args = parser.parse_args(argv)
+    if not 0.0 < args.alpha <= 1.0:
+        parser.error(f"--alpha must lie in (0, 1], got {args.alpha}")
     # every grid must sample the reference's nodes and be coarser than it
     finest = SCALAR_STEPS[-1]
     if args.n_ref <= finest or args.n_ref % finest:

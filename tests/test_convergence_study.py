@@ -24,6 +24,14 @@ def test_a_reference_the_grids_cannot_sample_is_refused(convergence_study, capsy
     assert "--n-ref must be a multiple of 4000 above 4000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
+def test_an_order_outside_the_kernels_range_is_refused(convergence_study, capsys, alpha):
+    with pytest.raises(SystemExit) as stop:
+        convergence_study.main(["--alpha", alpha, "--n-ref", "8000"])
+    assert stop.value.code == 2
+    assert "--alpha must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_prints_all_four_tables(convergence_study, capsys):
     convergence_study.main(["--n-ref", "8000"])
     out = capsys.readouterr().out
