@@ -339,7 +339,8 @@ def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_thresho
     # F(psi) is exactly symmetric and entries (i, j) and (j, i) sum the same
     # series with the same weights, so every iterate is exactly symmetric as
     # it stands.  Distinct column kernels are symmetrized, which undoes the
-    # transposition bit for bit.  ``newest`` weighs each entry as its sum.
+    # transposition bit for bit.  ``newest`` gives each entry the node-n
+    # weight of the kernel its sum uses.
     symmetrize = rows > 1 and any(len(set(component_kernels(kernel, d))) > 1 for kernel in kernels)
     newest = np.repeat([w.corrector[1] for w in weights], rows).reshape(states)
     live = np.ones(n_problems, dtype=bool)
