@@ -6,11 +6,15 @@ and (scaled by 1/dt) the past Brownian increments, so singular kernels never
 get evaluated at lag zero.  Gaussian draws come from counter-based Philox
 streams keyed by (seed, path), giving bit-reproducible bundles and safe
 parallelism across paths; antithetic pairs share one stream with flipped
-signs.
+signs.  The streams are drawn in contiguous ranges at the same time, one per
+CPU the process may run on, with the same bits at any CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,39 +113,72 @@ class McEstimate:
         return (self.mean - reference) / self.stderr
 
 
-# Streams drawn into one buffer, each in its own (n_steps, per_step) block,
-# before the buffer is put time-major into the draws.
+# Streams drawn into buffers, each in its own (n_steps, per_step) block,
+# before the buffers are put time-major into the draws; the workers share
+# this budget.
 _STREAM_BUFFER = 256
 
 
-def _normals(cfg: SimConfig, n_steps: int, per_step: int) -> np.ndarray:
-    """Standard normal draws, time-major: shape (n_steps, per_step, n_paths).
+# Workers that draw the streams, each a contiguous range of them: one per
+# CPU the process may run on (platforms without affinity masks count them all).
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_ranges(task, ranges: list[tuple[int, int]]) -> None:
+    """task(lo, hi) for every range, at the same time.
+
+    The caller runs the first range itself and a short-lived pool the
+    others, each task in its own copy of the caller's context, so that it
+    keeps the caller's numpy error state; one range starts no thread.  Every
+    task's exception is raised here.
+    """
+    if len(ranges) == 1:
+        task(*ranges[0])
+        return
+    with ThreadPoolExecutor(max_workers=len(ranges) - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task, lo, hi) for lo, hi in ranges[1:]]
+        task(*ranges[0])
+        for future in futures:
+            future.result()
+
+
+def _normals(cfg: SimConfig, n_steps: int, per_step: int, scale: float) -> np.ndarray:
+    """Standard normal draws times scale, time-major: shape (n_steps, per_step, n_paths).
 
     Each independent stream is a Philox generator keyed by the seed with the
     stream index in the counter's high bits, drawn as one (n_steps, per_step)
-    block; antithetic odd paths reuse the preceding even stream negated.
-    _STREAM_BUFFER streams are drawn into a buffer at a time and written
-    into their paths' columns, so each step reads its draws as contiguous
-    length-n_paths rows.
+    block; antithetic odd paths reuse the preceding even stream, scaled by
+    -scale.  The streams are split into up to _WORKERS contiguous ranges,
+    drawn at the same time by ``_run_ranges``, each with its own generator
+    and its own buffer, its share of the _STREAM_BUFFER streams.  A buffer's
+    streams are scaled as they are written into their paths' columns, so
+    each step reads its draws as contiguous length-n_paths rows.  Every
+    stream's bits depend on the seed and its index alone, not on the ranges.
     """
     n_streams = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     out = np.empty((n_steps, per_step, cfg.n_paths))
-    buffer = np.empty((min(n_streams, _STREAM_BUFFER), n_steps, per_step))
-    bits = np.random.Philox(key=cfg.seed)
-    gen = np.random.Generator(bits)
-    state = bits.state  # a fresh generator's: empty buffer, no cached half word
-    for lo in range(0, n_streams, len(buffer)):
-        hi = min(lo + len(buffer), n_streams)
-        for stream in range(lo, hi):
-            state["state"]["counter"] = np.array([0, 0, stream, 0], dtype=np.uint64)  # stream * 2**128
-            bits.state = state
-            gen.standard_normal(out=buffer[stream - lo])
-        draws = buffer[: hi - lo].transpose(1, 2, 0)
-        if cfg.antithetic:
-            out[..., 2 * lo : 2 * hi : 2] = draws
-            np.negative(draws, out=out[..., 2 * lo + 1 : 2 * hi : 2])
-        else:
-            out[..., lo:hi] = draws
+    workers = min(_WORKERS, n_streams)
+    bounds = [k * n_streams // workers for k in range(workers + 1)]
+    per_buffer = max(1, _STREAM_BUFFER // workers)
+
+    def draw(first: int, last: int) -> None:
+        buffer = np.empty((min(last - first, per_buffer), n_steps, per_step))
+        bits = np.random.Philox(key=cfg.seed)
+        gen = np.random.Generator(bits)
+        state = bits.state  # a fresh generator's: empty buffer, no cached half word
+        for lo in range(first, last, len(buffer)):
+            hi = min(lo + len(buffer), last)
+            for stream in range(lo, hi):
+                state["state"]["counter"] = np.array([0, 0, stream, 0], dtype=np.uint64)  # stream * 2**128
+                bits.state = state
+                gen.standard_normal(out=buffer[stream - lo])
+            draws = buffer[: hi - lo].transpose(1, 2, 0)
+            if cfg.antithetic:
+                np.multiply(draws, scale, out=out[..., 2 * lo : 2 * hi : 2])
+                np.multiply(draws, -scale, out=out[..., 2 * lo + 1 : 2 * hi : 2])  # (-x) s = -(x s), bit for bit
+            else:
+                np.multiply(draws, scale, out=out[..., lo:hi])
+    _run_ranges(draw, list(zip(bounds, bounds[1:])))
     return out
 
 
@@ -151,7 +188,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     V(t_n) = v0(t_n) + sum_{j<n} w[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt),
     with w the exact kernel cell integrals and dB_j = rho W1_j + sqrt(1 - rho^2) W2_j
     taken when node j is written.  The draws are time-major, (n_steps, 2d,
-    n_paths), scaled by sqrt(dt) in place; W1_j and W2_j are their rows
+    n_paths), scaled by sqrt(dt) as they are drawn; W1_j and W2_j are their rows
     w1[j] and w2[j].  The history is component-major, (d, n_steps, n_paths),
     and ``HistorySums`` sums it with the weights of ``predictor_lags``; step
     n writes node n - 1 first.  The states are time-major, (n_nodes, d,
@@ -164,9 +201,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     p = cfg.n_paths
     n_steps = grid.n_steps
     dt = grid.dt
-    sq_dt = np.sqrt(dt)
-    raw = _normals(cfg, n_steps, 2 * d)
-    raw *= sq_dt
+    raw = _normals(cfg, n_steps, 2 * d, np.sqrt(dt))
     w1, w2 = raw[:, :d], raw[:, d:]  # (n_steps, d, n_paths)
     rho = model.rho[:, None]
     orth = np.sqrt(1.0 - rho**2)
@@ -190,7 +225,7 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
             v = np.add(forced[n][:, None], history(n)[:, 0], out=states[n])
             clipped += int(np.count_nonzero(v < floor))
             np.maximum(v, floor, out=v)
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
                 raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
     return PathBundle(
@@ -283,9 +318,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     p = cfg.n_paths
     n_steps = grid.n_steps
     dt = grid.dt
-    sq_dt = np.sqrt(dt)
-    raw = _normals(cfg, n_steps, d * d + d)
-    raw *= sq_dt
+    raw = _normals(cfg, n_steps, d * d + d, np.sqrt(dt))
     dws, dbs = raw[:, : d * d].reshape(n_steps, d, d, p), raw[:, d * d :]
     lags = predictor_lags([kernel_weights(k, grid) for k in model.kernel])
     nnt_t = model.drift_constant.T[:, :, None]
@@ -311,7 +344,7 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
             write_node(n - 1)
             sigma = sigma0 + history(n)[:, 0].reshape(d, d, p).transpose(1, 0, 2)
             sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n])
-            if not np.all(np.isfinite(sigma)):
+            if not np.isfinite(sigma).all():
                 bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
                 raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
             clipped += _psd_clip(sigma, cfg.psd_floor, roots[n])

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, scheme reductions, moment oracles."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -137,6 +138,51 @@ class TestStreams:
         want = self.stream_draws(8, n_paths, antithetic, (grid.n_steps, 6), grid.dt)
         assert np.array_equal(bundle.increments["w_sigma"], want[:, :, :4].reshape(n_paths, grid.n_steps, 2, 2))
         assert np.array_equal(bundle.increments["b"], want[:, :, 4:])
+
+    @staticmethod
+    def digests(model, n_paths: int, antithetic: bool) -> list[str]:
+        grid = TimeGrid(0.25, 20)
+        bundle = simulate.simulate_bundle(model, grid, SimConfig(n_paths=n_paths, seed=21, antithetic=antithetic))
+        wealth = simulate_wealth(model, varying_strategy(grid, model.d, 1.0), bundle, 1.0)
+        arrays = [bundle.states, bundle.roots, bundle.asset_noise, *bundle.increments.values(), wealth]
+        return [str(bundle.psd_violation_count)] + [
+            hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays if a is not None
+        ]
+
+    # 1 and 3 streams: fewer streams than some worker counts; 301 streams fill one worker's buffer and
+    # start it again
+    @pytest.mark.parametrize("n_paths, antithetic", [(1, False), (2, True), (3, False), (257, False), (602, True)])
+    @pytest.mark.parametrize("kind", ["vector", "wishart"])
+    def test_bits_do_not_depend_on_the_workers(self, kind, n_paths, antithetic, monkeypatch):
+        model = make_rough_heston() if kind == "vector" else make_wishart(alpha=0.75)
+        found = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_WORKERS", workers)
+            found.append(self.digests(model, n_paths, antithetic))
+        assert found[0] == found[1] == found[2]
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(1, False), (2, True)])
+    def test_one_stream_starts_no_thread(self, n_paths, antithetic, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one stream")
+        monkeypatch.setattr(simulate, "_WORKERS", 3)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        simulate_vector(make_rough_heston(), TimeGrid(0.25, 10), SimConfig(n_paths=n_paths, antithetic=antithetic))
+
+    def test_ranges_run_in_the_callers_error_state(self):
+        # numpy keeps its error state in a context variable, which a new thread would start at the defaults;
+        # pytest turns an overflow's RuntimeWarning into an error
+        def overflow(lo: int, hi: int) -> None:
+            np.exp(np.full(hi - lo, 1000.0))
+        with np.errstate(over="ignore"):
+            simulate._run_ranges(overflow, [(0, 1), (1, 3), (3, 4)])
+
+    def test_ranges_raise_a_pool_tasks_error(self):
+        def fail_late(lo: int, hi: int) -> None:
+            if lo > 0:
+                raise ValueError(f"range {lo}")
+        with pytest.raises(ValueError, match="range"):
+            simulate._run_ranges(fail_late, [(0, 1), (1, 2), (2, 3)])
 
 
 def three_asset_wishart() -> WishartModel:
