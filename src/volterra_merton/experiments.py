@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy import special as sps
 
 from .kernels import Kernel, TimeGrid, block_fft_size
 from .merton import (
@@ -237,8 +236,8 @@ def _build_model(section, problems: list[str]):
 
     The section holds ``type`` and the record's fields, which go to the record as given
     (it coerces and checks the arrays), besides ``gamma`` and ``rate``, which are read
-    with ``_number``, and the kernels.  A wishart model may give ``nnt_from_q`` in
-    place of ``noise``.
+    with ``_number``, and the kernels.  A wishart model may give ``nnt_from_q`` = f in
+    place of ``noise``, which is then N = sqrt(f) Q^T.
     """
     if not isinstance(section, dict):
         problems.append("missing or malformed 'model' section")
@@ -273,11 +272,8 @@ def _build_model(section, problems: list[str]):
         return None
     try:
         if from_q:
-            # drift constant N N^T = factor * Q^T Q; N is its symmetric root
-            Q = np.atleast_2d(np.asarray(values["vol_of_vol"], dtype=float))
-            with np.errstate(over="ignore", invalid="ignore"):  # validation reports a non-finite noise
-                vals, vecs = np.linalg.eigh(factor * (Q.T @ Q))
-            values["noise"] = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+            # N = sqrt(factor) Q^T gives the drift constant N N^T = factor Q^T Q, as any such N does
+            values["noise"] = math.sqrt(factor) * np.atleast_2d(np.asarray(values["vol_of_vol"], dtype=float)).T
         model = record(**values)
     except (TypeError, ValueError, OverflowError) as exc:
         problems.append(f"model section: {exc}")
@@ -420,24 +416,8 @@ def _sweep_point(model, horizon, axis: str, value):
 
 
 def _grid_problems(model, grid: TimeGrid) -> list[str]:
-    """The kernels of ``model`` whose weights on ``grid`` would be wrong, as problems.
-
-    A gamma kernel's first moments divide gammainc(alpha + 1, lam t) by
-    lam ** (alpha + 1).  For a tiny lam the first cell's gammainc is below
-    the normal floats, subnormal or 0, and the moments and correctors come
-    out wrong: by up to 8.6 and 266 relative at lam = 1e-180 on 700 steps
-    over [0, 2], where the kernel is the fractional one to many digits.
-    """
-    problems = []
-    for k in model.kernel:
-        if k.alpha < 1.0 and k.lam > 0.0:
-            first = float(sps.gammainc(k.alpha + 1.0, k.lam * grid.dt))
-            if first < np.finfo(float).tiny:
-                problems.append(
-                    f"kernel lam = {k.lam!r} is too small for the step {grid.dt!r}: "
-                    f"gammainc(alpha + 1, lam dt) = {first!r} is below the normal floats"
-                )
-    return problems
+    """The kernels of ``model`` whose weights on ``grid`` would be wrong, as problems."""
+    return [problem for problem in (k.step_problem(grid.dt) for k in model.kernel) if problem]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -631,27 +611,17 @@ def _write_report(config: ExperimentConfig, report: ExperimentReport, stem: str)
 # ---------------------------------------------------------------------------
 
 
-def _rhs(model):
-    return wishart_rhs(model) if isinstance(model, WishartModel) else vector_rhs_general(model)
+# model record -> the names of its family's right-hand side, solver, strategy and value in this module
+_FAMILIES = {
+    VectorModel: ("vector_rhs_general", "solve_riccati_vector", "strategy_general", "value_general"),
+    WishartModel: ("wishart_rhs", "solve_riccati_matrix", "strategy_wishart", "value_wishart"),
+}
 
 
-def _solve(config: ExperimentConfig):
-    model = config.model
-    rhs = _rhs(model)
-    solve = solve_riccati_matrix if isinstance(model, WishartModel) else solve_riccati_vector
-    return rhs, solve(model.kernel, rhs, config.grid, config.blowup_threshold)
-
-
-def _strategy(model, path) -> StrategyPath:
-    if isinstance(model, WishartModel):
-        return strategy_wishart(model, path)
-    return strategy_general(model, path)
-
-
-def _value(config: ExperimentConfig, path, rhs):
-    if isinstance(config.model, WishartModel):
-        return value_wishart(config.model, path, config.x0, rhs=rhs)
-    return value_general(config.model, path, config.x0, rhs=rhs)
+def _family(model) -> list:
+    """The right-hand side, solver, strategy and value of the model's family, read from this module's
+    globals at call time, so that a wrapper put in place of one of them by name is what runs."""
+    return [globals()[name] for name in _FAMILIES[type(model)]]
 
 
 def _series_names(prefixes, d: int) -> list[str]:
@@ -695,7 +665,9 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
     stem = name or config.kind
     grid = config.grid
     model = config.model
-    rhs, path = _solve(config)
+    make_rhs, solve, strategy, value = _family(model)
+    rhs = make_rhs(model)
+    path = solve(model.kernel, rhs, grid, config.blowup_threshold)
     report.metrics["riccati_residual"] = path.residual
     if not isinstance(model, WishartModel):
         report.metrics["lambda_condition_number"] = lambda_condition_number(model)
@@ -719,13 +691,13 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
             raise RiccatiBlowUpError(path.blowup)
 
     elif config.kind == "strategy":
-        strat = _strategy(model, path)
+        strat = strategy(model, path)
         _write_strategy(config, stem, strat, report.outputs)
         report.metrics["max_hedging"] = float(strat.hedging.max())
         report.metrics["min_hedging"] = float(strat.hedging.min())
 
     elif config.kind == "value":
-        rep = _value(config, path, rhs)
+        rep = value(model, path, config.x0, rhs=rhs)
         target = config.out_dir / f"{stem}.csv"
         row = np.array([[config.horizon, rep.value, rep.certainty_equivalent]])
         _write_csv(target, ["T", "value", "certainty_equivalent"], row.T)
@@ -734,8 +706,8 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         report.metrics["certainty_equivalent"] = rep.certainty_equivalent
 
     elif config.kind == "mc-check":
-        rep = _value(config, path, rhs)
-        strat = _strategy(model, path)
+        rep = value(model, path, config.x0, rhs=rhs)
+        strat = strategy(model, path)
         bundle = simulate_bundle(model, grid, config.sim)
         est = mc_utility(model, strat, config.sim, config.x0, bundle=bundle)
         z = est.z_score(rep.value)
@@ -752,7 +724,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
     elif config.kind == "bl13-recovery":
         # smooth-kernel limit vs a Runge-Kutta solve of the classical matrix
         # Riccati ODE (the Bauerle-Li Wishart benchmark)
-        strat = _strategy(model, path)
+        strat = strategy(model, path)
         ref_path = _rk4_matrix_reference(rhs, grid)
         ref_strat = strategy_wishart(model, ref_path)
         rel_psi = float(
@@ -820,9 +792,10 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
     points = list(config.sweep_values)
     report = ExperimentReport(kind=config.kind, config_echo=config.echo)
     models, horizons = zip(*(_sweep_point(config.model, config.horizon, axis, value) for value in points))
+    make_rhs, _, strategy, _ = _family(config.model)  # every point's model is of the config's family
     paths = solve_riccati_batch(
         [model.kernel for model in models],
-        [_rhs(model) for model in models],
+        [make_rhs(model) for model in models],
         [TimeGrid(horizon, config.n_steps) for horizon in horizons],
         config.blowup_threshold,
     )
@@ -832,7 +805,7 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
         idx, value = idx_value
         stem = f"{config.kind}_{axis}_{_slug(value)}"
         path = paths[idx].require_global()
-        strat = _strategy(models[idx], path)
+        strat = strategy(models[idx], path)
         outputs: list[str] = []
         _write_strategy(config, stem, strat, outputs)
         metrics = {"riccati_residual": path.residual, "max_hedging": float(strat.hedging.max())}

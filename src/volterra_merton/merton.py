@@ -15,7 +15,7 @@ from .kernels import SampledFunction, TimeGrid
 from .models import (
     VectorModel,
     WishartModel,
-    distortion_constant,
+    equal_correlation_distortion,
     expected_variance_curve,
     rate_on_grid,
 )
@@ -102,10 +102,7 @@ def strategy_degenerate(model: VectorModel, path: RiccatiPath) -> StrategyPath:
     weights(t) = (theta + c psi(T-t) N P) / (1-gamma).
     """
     path.require_global()
-    rho = model.rho
-    if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
-        raise ValueError("degenerate strategy requires equal correlations")
-    return _vector_strategy(model, path, distortion_constant(model.gamma, float(rho[0])))
+    return _vector_strategy(model, path, equal_correlation_distortion(model))
 
 
 def strategy_wishart(model: WishartModel, path: RiccatiPath) -> StrategyPath:
@@ -162,11 +159,8 @@ def value_distortion(model: VectorModel, path: RiccatiPath, x0: float) -> ValueR
     """
 
     def state_term(rev: np.ndarray) -> np.ndarray:
-        rho = model.rho
-        if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
-            raise ValueError("distortion value requires equal correlations")
+        c = equal_correlation_distortion(model)
         gamma = model.gamma
-        c = distortion_constant(gamma, float(rho[0]))
         xi = expected_variance_curve(model, path.grid).values
         theta_term = gamma / (2.0 * (1.0 - gamma)) * np.einsum("d,jd->j", model.theta**2, xi)
         return theta_term + 0.5 * c * np.einsum("jd,jd->j", rev**2 * model.nu**2, xi)

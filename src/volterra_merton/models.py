@@ -100,7 +100,8 @@ class WishartModel:
 
     mean_reversion -- drift matrix M
     vol_of_vol     -- diffusion matrix Q
-    noise          -- matrix N entering the drift constant N N^T
+    noise          -- matrix N entering the drift constant N N^T; a config's
+                      nnt_from_q = f gives N = sqrt(f) Q^T
     rho            -- stock/volatility correlation vector, rho^T rho <= 1
     market_price   -- market price of risk vector v
     sigma0         -- initial covariance, symmetric positive definite
@@ -169,6 +170,10 @@ def validate(model) -> list[str]:
             norm2 = float(rho @ rho)
         if norm2 > 1.0 + 1e-12:
             violations.append("rho^T rho > 1")
+        if np.all(np.isfinite(model.noise)):  # a non-finite noise is reported above
+            with np.errstate(over="ignore", invalid="ignore"):  # a finite N whose N N^T overflows
+                if not np.all(np.isfinite(model.drift_constant)):
+                    violations.append("N N^T has non-finite entries")
         sigma0 = model.sigma0
         if not np.allclose(sigma0, sigma0.T, atol=1e-12, rtol=0.0):
             violations.append("sigma0 not symmetric")
@@ -188,6 +193,17 @@ def distortion_constant(gamma: float, rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     return (1.0 - gamma) / (1.0 - gamma + gamma * rho**2)
+
+
+def equal_correlation_distortion(model: VectorModel) -> float:
+    """The distortion constant c of a model whose components share one correlation.
+
+    The distortion construction holds only then; other correlations are a ValueError.
+    """
+    rho = np.asarray(model.rho, dtype=float)
+    if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
+        raise ValueError("the distortion construction requires equal correlations")
+    return distortion_constant(model.gamma, float(rho[0]))
 
 
 def lambda_matrix(model: VectorModel) -> np.ndarray:

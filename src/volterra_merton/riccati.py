@@ -37,7 +37,7 @@ from .kernels import (
     pece_lags,
     predictor_lags,
 )
-from .models import distortion_constant, lambda_matrix
+from .models import equal_correlation_distortion, lambda_matrix
 
 __all__ = [
     "VectorRiccatiRHS",
@@ -91,15 +91,15 @@ class VectorRiccatiRHS:
         return (self.dim,)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        return self.const + np.matmul(psi[..., None, :], self.linear)[..., 0, :] + self.quad * psi**2
+        return self._on_rows()(psi[..., None, :])[..., 0, :]
 
     def _on_rows(self):
         """F on states held as 1 x d rows, (P, 1, d) for coefficients with a leading problem axis P.
 
-        Bit for bit the values of ``self`` on the rows' vectors.  With d = 1
-        the product psi @ linear is one multiplication summed onto +0.0: the
-        same bits as the multiplication once const + 0.0 has made a -0.0
-        constant +0.0, the only case where the sign of that zero shows.
+        With d = 1 the row product psi @ linear would be one multiplication
+        summed onto +0.0; F takes the multiplication alone, with the same bits
+        once const + 0.0 has made a -0.0 constant +0.0, the only case where
+        the sign of that zero shows.
         """
         const, linear, quad = self.const[..., None, :], self.linear, self.quad[..., None, :]
         if self.dim == 1:
@@ -213,11 +213,8 @@ def vector_rhs_degenerate(model) -> VectorRiccatiRHS:
     Valid only when every component shares one stock-volatility correlation;
     the distortion exponent c enters the constant term.
     """
-    rho = np.asarray(model.rho, dtype=float)
-    if not np.allclose(rho, rho[0], atol=1e-14, rtol=0.0):
-        raise ValueError("degenerate construction requires equal correlations")
     gamma = model.gamma
-    c = distortion_constant(gamma, float(rho[0]))
+    c = equal_correlation_distortion(model)
     theta = np.asarray(model.theta, dtype=float)
     nu = np.asarray(model.nu, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient fails the first step

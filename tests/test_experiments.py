@@ -149,6 +149,7 @@ class TestLoadConfig:
         # drift constant reproduces N N^T = 10 Q^T Q
         Q = m.vol_of_vol
         assert np.allclose(m.drift_constant, 10.0 * Q.T @ Q, rtol=1e-12)
+        assert np.array_equal(m.drift_constant, m.drift_constant.T)
         assert m.gamma == 0.2
         assert m.kernel[0].alpha == 0.99
 
@@ -787,6 +788,23 @@ class TestCli:
         else:
             assert code == 0 and record["nonfinite_metrics"] == nonfinite
             assert all(record["metrics"][name] is None for name in nonfinite)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"noise": [[1.0e200, 0.0], [0.0, 1.0]]}, {"vol_of_vol": [[1.0e160, 0.0], [0.0, 0.3]], "nnt_from_q": 10.0}],
+        ids=["noise", "nnt-from-q"],
+    )
+    def test_overflowing_drift_constant_is_a_config_error(self, fields):
+        # finite N whose N N^T overflows, given directly or as sqrt(nnt_from_q) Q^T
+        raw = small_preset("bpt10_wishart")
+        raw["kind"] = "value"
+        del raw["model"]["nnt_from_q"]
+        raw["model"].update(fields)
+        code, out, err, runtime = cli_probe(raw, "value")
+        record = strict_json(out)
+        assert (code, err, runtime) == (1, "", [])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["problems"] == ["N N^T has non-finite entries"]
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         raw = vector_config(tmp_path, kind="mc-check")

@@ -215,6 +215,32 @@ class TestKernelWeights:
         w = kernel_weights(Kernel.constant(1.0), grid)
         assert np.allclose(w.corrector[1:], 0.5 * grid.dt)
 
+    @pytest.mark.parametrize("lam_dt", [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.49, 0.51, 1.0, 3.0, 10.0])
+    def test_exponential_weights_against_mpmath(self, lam_dt):
+        # Exact integrals of c exp(-lam u) and u c exp(-lam u) over the grid's own float edges, in
+        # 50 digits.  The closed forms' differences of exponentials cancel where lam dt is small.
+        # On 64 steps lam t stays below 640, and the correctors' m cell - moment / dt, which
+        # loses about log10(2 m) digits for any kernel, stays near 3e-14.
+        import mpmath as mp
+
+        grid = TimeGrid(2.0, 64)
+        lam = lam_dt / grid.dt
+        w = kernel_weights(Kernel.exponential(1.5, lam), grid)
+        with mp.workdps(50):
+            c, lm, dt = mp.mpf(1.5), mp.mpf(lam), mp.mpf(grid.dt)
+            edges = [mp.mpf(float(t)) for t in grid.nodes]
+            decay = [mp.exp(-lm * t) for t in edges]
+            cell = [c * (decay[m] - decay[m + 1]) / lm for m in range(64)]
+            moment = [
+                c * ((edges[m] * decay[m] - edges[m + 1] * decay[m + 1]) / lm + (decay[m] - decay[m + 1]) / lm**2)
+                for m in range(64)
+            ]
+            corrector = [(m + 1) * cell[m] - moment[m] / dt for m in range(64)]
+            for name, got, want in (("cell", w.cell, cell), ("moment", w.moment, moment),
+                                    ("corrector", w.corrector[1:], corrector)):
+                worst = max(abs(mp.mpf(float(g)) / x - 1) for g, x in zip(got, want))
+                assert worst < 1e-13, (name, float(worst))
+
 
 class TestMittagLeffler:
     def test_exp_point(self):

@@ -1,5 +1,7 @@
 """Model validation, distortion constant, drift matrix, variance curves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,11 @@ class TestValidate:
             gamma=w.gamma, kernel=w.kernel,
         )
         assert validate(bad) == ["sigma0 has non-finite entries"]
+
+    def test_overflowing_drift_constant_flagged(self):
+        w = make_wishart()
+        bad = dataclasses.replace(w, noise=[[1e200, 0.0], [0.0, 1.0]])
+        assert validate(bad) == ["N N^T has non-finite entries"]
 
     def test_multiple_violations_reported_together(self):
         m = VectorModel(theta=[-1.0], nu=[0.3], drift=[[-1.0]], rho=[0.0], v0=[-0.04],

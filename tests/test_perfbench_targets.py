@@ -66,6 +66,29 @@ def test_tracer_install_round_trip():
     assert [key for key in names if getattr(modules[key[0]], key[1]) is not originals[key]] == []
 
 
+def test_traced_dispatch_runs_the_wrappers(tmp_path):
+    # experiments looks its family's solver, strategy and value up by name at call time, so the
+    # tracer's wrappers, put in place by name, are what a run calls
+    import volterra_merton
+    from volterra_merton import experiments
+
+    configs = [
+        experiments.load_config("bpt10_wishart").replaced(n_steps=20, out_dir=tmp_path / "wishart"),
+        experiments.load_config("degenerate_pair_2d").replaced(n_steps=20, out_dir=tmp_path / "pair"),
+    ]
+    assert [config.kind for config in configs] == ["strategy", "value"]
+    tracer = load_spans().Tracer(volterra_merton)
+    tracer.install()
+    try:
+        for config in configs:
+            experiments.run(config)
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    wanted = {"riccati.solve_riccati_matrix", "merton.strategy_wishart", "riccati.solve_riccati_vector", "merton.value_general"}
+    assert wanted <= names
+
+
 GRID = TimeGrid(0.5, 20)
 SIM = SimConfig(n_paths=6, seed=3)
 # one small call of each function that COUNTERS reads a result of

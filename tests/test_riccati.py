@@ -54,6 +54,29 @@ class TestVectorRHS:
         assert np.allclose(f1.linear, f2.linear)
         assert np.allclose(f1.quad, f2.quad)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["one-problem", "batched"])
+    def test_call_keeps_the_written_out_formula(self, d, lead):
+        # F = const + psi @ linear + quad psi^2, with psi's row product written out, bit for bit
+        # and zero signs included, on inputs that hold +0.0 and -0.0
+        rng = np.random.default_rng(40 + d)
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+            return np.where(rng.random(shape) < 0.3, zeros, x)
+
+        for _ in range(16):
+            const, linear, quad = draw(lead + (d,)), draw(lead + (d, d)), draw(lead + (d,))
+            psi = draw((5,) + lead + (d,))
+            psi[0] = -0.0
+            const[..., 0] = -0.0
+            want = const + np.matmul(psi[..., None, :], linear)[..., 0, :] + quad * psi**2
+            got = VectorRiccatiRHS(const, linear, quad)(psi)
+            assert (want == 0.0).any()
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_general_scalar_quadratic(self):
         # gamma=0.5, nu=1, rho=1 -> q = (1 + 1)/2 = 1
         m = scalar_model(1.0, 1.0, -1.0, 1.0, 0.5)
