@@ -46,6 +46,7 @@ from .riccati import (
     vector_rhs_general,
     wishart_rhs,
 )
+from . import simulate
 from .simulate import SimConfig, mc_utility, simulate_bundle
 from .svgplot import render_line_plot
 
@@ -94,7 +95,6 @@ _KEYS = {
 _REGIMES = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
 # kinds whose pipeline reads the matrix fields of a wishart model
 _WISHART_KINDS = ("bl13-recovery", "correlation-study", "volofvol-study")
-THREADS_ENV = "VOLTERRA_MERTON_THREADS"
 # A run whose largest array would take more bytes than this is refused as a
 # config error before anything is allocated.
 MAX_ARRAY_BYTES = 2**30
@@ -651,7 +651,7 @@ def _write_strategy(config: ExperimentConfig, stem: str, strat: StrategyPath, ou
         outputs.append(str(target))
 
 
-def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
+def run(config: ExperimentConfig) -> ExperimentReport:
     """Execute one experiment and write its outputs.
 
     Raises RiccatiBlowUpError, FloatingPointError (a non-finite Riccati step)
@@ -660,9 +660,9 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
     """
     if config.kind in SWEEP_KINDS:
         return sweep(config)
-    started = time.time()
+    started = time.perf_counter()
     report = ExperimentReport(kind=config.kind, config_echo=config.echo)
-    stem = name or config.kind
+    stem = config.kind
     grid = config.grid
     model = config.model
     make_rhs, solve, strategy, value = _family(model)
@@ -738,7 +738,7 @@ def run(config: ExperimentConfig, name: str | None = None) -> ExperimentReport:
         report.metrics["rel_sup_diff_hedging"] = rel_hedge
 
     _write_report(config, report, stem)
-    report.runtime_seconds = time.time() - started
+    report.runtime_seconds = time.perf_counter() - started
     return report
 
 
@@ -763,31 +763,19 @@ def _rk4_matrix_reference(rhs: MatrixRiccatiRHS, grid: TimeGrid):
 # ---------------------------------------------------------------------------
 
 
-def _max_workers(n_points: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            limit = 1
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(n_points, limit))
-
-
 def sweep(config: ExperimentConfig) -> ExperimentReport:
     """Run every sweep point and assemble the combined long-format CSV.
 
     Each point is a model and horizon from ``_sweep_point``, with the sweep's
     n_steps and outputs, so one batched Riccati solve serves them all.  Their
-    strategies and files are then made on a thread pool capped by
-    VOLTERRA_MERTON_THREADS, and the combined file is assembled in sweep-value
+    strategies and files are then made on a thread pool, one thread per
+    CPU the process may run on, and the combined file is assembled in sweep-value
     order after all points finish.  A failing point raises its own error; with
     several, the first in config order wins.
     """
     if config.kind not in SWEEP_KINDS:
         raise ConfigError([f"kind {config.kind} is not a sweep"])
-    started = time.time()
+    started = time.perf_counter()
     axis = config.sweep_axis
     points = list(config.sweep_values)
     report = ExperimentReport(kind=config.kind, config_echo=config.echo)
@@ -812,7 +800,7 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
         return idx, value, strat, outputs, metrics
 
     results = []
-    with ThreadPoolExecutor(max_workers=_max_workers(len(points))) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(points), simulate._WORKERS)) as pool:
         for item in pool.map(run_point, enumerate(points)):
             results.append(item)
     if all(isinstance(v, (int, float)) for v in points):
@@ -837,7 +825,7 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
     _write_csv(combined, ["sweep_param", "sweep_value", "t", "series", "value"], columns)
     report.outputs.append(str(combined))
     _write_report(config, report, config.kind)
-    report.runtime_seconds = time.time() - started
+    report.runtime_seconds = time.perf_counter() - started
     return report
 
 

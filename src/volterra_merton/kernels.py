@@ -562,7 +562,6 @@ class FirstKindResolvent:
     None when the measure is a pure atom.
     """
 
-    kernel: Kernel
     atom: float
     density: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -586,12 +585,12 @@ def resolvent_first_kind(kernel: Kernel) -> FirstKindResolvent:
     c, al, lam = kernel.c, kernel.alpha, kernel.lam
     if al == 1.0:
         density = None if lam == 0.0 else lambda t: np.full_like(t, lam / c)
-        return FirstKindResolvent(kernel, atom=1.0 / c, density=density)
+        return FirstKindResolvent(atom=1.0 / c, density=density)
 
     def gamma_density(t: np.ndarray) -> np.ndarray:
         return (lam**al * sps.gammainc(1.0 - al, lam * t) + np.exp(-lam * t) * t ** (-al) * sps.rgamma(1.0 - al)) / c
 
-    return FirstKindResolvent(kernel, atom=0.0, density=gamma_density)
+    return FirstKindResolvent(atom=0.0, density=gamma_density)
 
 
 # ---------------------------------------------------------------------------
@@ -599,58 +598,19 @@ def resolvent_first_kind(kernel: Kernel) -> FirstKindResolvent:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise product honoring matrix shapes (scalar*any, row@mat, mat@mat)."""
-    if a.ndim == 0 or b.ndim == 0:
-        return a * b
-    return a @ b
+def convolve(kernel: Kernel, g: SampledFunction, grid: TimeGrid) -> SampledFunction:
+    """Convolution (K*g)(t) = int_0^t K(t-s) g(s) ds sampled on the grid.
 
-
-def convolve(f, g, grid: TimeGrid | None = None) -> SampledFunction:
-    """Convolution (f*g)(t) = int_0^t f(t-s) g(s) ds sampled on the grid.
-
-    ``f`` may be a Kernel (product integration with exact cell weights, valid
-    for singular kernels against a bounded co-factor) or a SampledFunction
-    (composite trapezoidal rule; matrix dimensions must be compatible).  A
-    kernel may also be convolved against its own first-kind resolvent (and
-    no other), which dispatches to the exact-weight routine of the identity
-    checks.
+    Product integration with exact cell weights, valid for singular kernels
+    against a bounded co-factor; g may be scalar, vector or matrix valued.
     """
-    if isinstance(g, FirstKindResolvent):
-        if not isinstance(f, Kernel):
-            raise TypeError("measure convolution requires a Kernel on the left")
-        if g.kernel != f:
-            raise ValueError("a kernel convolves only against its own first-kind resolvent")
-        if grid is None:
-            raise ValueError("grid required")
-        return SampledFunction(grid, _kernel_conv_first_kind(f, g, grid))
-    if isinstance(f, Kernel):
-        if grid is None:
-            raise ValueError("grid required when convolving a kernel")
-        weights = kernel_weights(f, grid)
-        gv = g.values
-        if not np.all(np.isfinite(gv)):
-            raise ValueError("co-factor must be finite at every node (including t=0)")
-        out = np.zeros_like(gv)
-        sums = causal_sums(corrector_lags([weights]), gv.reshape(1, len(gv), -1))  # every entry one column
-        out[1:] = sums.reshape(gv[1:].shape) + weights.corrector[1] * gv[1:]
-        return SampledFunction(grid, out)
-    # sampled * sampled: composite trapezoid over the products f(t-s) g(s)
-    if grid is None:
-        grid = f.grid
-    fv, gv = f.values, g.values
-    dt = grid.dt
-    n_steps = grid.n_steps
-    if fv.ndim == 1 and gv.ndim == 1:
-        full = np.convolve(fv, gv)[: n_steps + 1]
-        full[1:] -= 0.5 * (fv[1:] * gv[0] + fv[0] * gv[1:])
-        full[0] = 0.0
-        return SampledFunction(grid, full * dt)
-    sample = _pairwise(fv[0], gv[0])
-    out = np.zeros((n_steps + 1,) + np.shape(sample))
-    for n in range(1, n_steps + 1):
-        prods = np.array([_pairwise(fv[n - j], gv[j]) for j in range(n + 1)])
-        out[n] = (prods[0] * 0.5 + prods[-1] * 0.5 + prods[1:-1].sum(axis=0)) * dt
+    weights = kernel_weights(kernel, grid)
+    gv = g.values
+    if not np.all(np.isfinite(gv)):
+        raise ValueError("co-factor must be finite at every node (including t=0)")
+    out = np.zeros_like(gv)
+    sums = causal_sums(corrector_lags([weights]), gv.reshape(1, len(gv), -1))  # every entry one column
+    out[1:] = sums.reshape(gv[1:].shape) + weights.corrector[1] * gv[1:]
     return SampledFunction(grid, out)
 
 

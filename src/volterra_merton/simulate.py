@@ -416,6 +416,13 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...a->...", x, y)
 
 
+def _left_weights(strategy: StrategyPath, bundle: PathBundle) -> np.ndarray:
+    """The strategy's weights at the bundle's left nodes, (n_steps, d); both must share one grid."""
+    if strategy.grid.n_steps != bundle.grid.n_steps or strategy.grid.horizon != bundle.grid.horizon:
+        raise ValueError("strategy and bundle must share one grid")
+    return strategy.weights[:-1]
+
+
 def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float) -> np.ndarray:
     """Terminal wealth per path from the explicit log-form solution.
 
@@ -424,12 +431,10 @@ def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float
     discretized left-point, consistently with the volatility scheme, and
     taken over blocks of paths by ``_per_path``.
     """
-    if strategy.grid.n_steps != bundle.grid.n_steps or strategy.grid.horizon != bundle.grid.horizon:
-        raise ValueError("strategy and bundle must share one grid")
+    pis = _left_weights(strategy, bundle)
     grid = bundle.grid
     dt = grid.dt
     rates = rate_on_grid(model.rate, grid)[:-1]
-    pis = strategy.weights[:-1]  # left-point weights
     states = bundle.states[:, :-1]
     if isinstance(model, VectorModel):
         weights = pis * model.theta  # sum of pi_i theta_i V_i
@@ -541,9 +546,10 @@ def martingale_diagnostic(
     """
     if bundle is None:
         bundle = simulate_bundle(model, strategy.grid, cfg)
+    pis = _left_weights(strategy, bundle)
     dt = bundle.grid.dt
     gamma = model.gamma
 
     def log_z(rows: slice, vol: np.ndarray, noise: np.ndarray) -> np.ndarray:
         return gamma * _row_dot(vol, noise).sum(axis=1) - 0.5 * gamma**2 * (_row_dot(vol, vol) * dt).sum(axis=1)
-    return _estimate(np.exp(_per_path(bundle, strategy.weights[:-1], log_z)), bundle.config.antithetic)
+    return _estimate(np.exp(_per_path(bundle, pis, log_z)), bundle.config.antithetic)

@@ -7,7 +7,6 @@ import importlib.util
 import io
 import json
 import math
-import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,11 +18,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_merton import experiments
+from volterra_merton import experiments, simulate
 from volterra_merton.cli import _SUBCOMMAND_KINDS
 from volterra_merton.cli import main as cli_main
 from volterra_merton.experiments import (
-    THREADS_ENV,
     ConfigError,
     available_presets,
     config_from_dict,
@@ -95,7 +93,7 @@ def cli_probe(raw, kind):
     Returns the exit code, stdout, stderr and the messages of the RuntimeWarnings raised.
     """
     command = next(command for command, kinds in _SUBCOMMAND_KINDS.items() if kind in kinds)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {THREADS_ENV: "1"}):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(simulate, "_WORKERS", 1):
         raw = copy.deepcopy(raw)
         raw["output"]["directory"] = tmp
         cfg = Path(tmp) / "probe.yaml"
@@ -372,7 +370,7 @@ class TestRunPipelines:
         config = load_config("bpt10_wishart").replaced(
             kind="solve", out_dir=tmp_path, n_steps=100
         )
-        report = run(config, name="solve")
+        report = run(config)
         header = (tmp_path / "solve.csv").read_text().splitlines()[0]
         assert header == "t,psi_11,psi_12,psi_21,psi_22"
         assert np.isfinite(report.metrics["riccati_residual"])
@@ -380,7 +378,7 @@ class TestRunPipelines:
     def test_solve_kind_vector_single_asset_header(self, tmp_path):
         # a 1-asset vector solve is not a 1x1 matrix solve
         config = config_from_dict(vector_config(tmp_path, kind="solve"))
-        run(config, name="solve")
+        run(config)
         header = (tmp_path / "solve.csv").read_text().splitlines()[0]
         assert header == "t,psi_1"
 
@@ -610,15 +608,24 @@ class TestSweeps:
         assert any(path.endswith(".svg") for path in written)
 
     def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VOLTERRA_MERTON_THREADS", "1")
+        monkeypatch.setattr(simulate, "_WORKERS", 1)
+        pools = []
+
+        class RecordingPool(experiments.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
         config = load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=60)
         report = sweep(config)
+        assert pools == [1]
         assert len([p for p in report.outputs if p.endswith(".csv")]) == 4
 
     def test_concurrent_sweep_deterministic(self, tmp_path, monkeypatch):
         outs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("VOLTERRA_MERTON_THREADS", threads)
+        for threads in (1, 3):
+            monkeypatch.setattr(simulate, "_WORKERS", threads)
             out = tmp_path / f"t{threads}"
             sweep(load_config("bpt10_alpha_sweep").replaced(out_dir=out, n_steps=60))
             outs.append((out / "sweep-alpha_combined.csv").read_bytes())

@@ -643,6 +643,23 @@ class TestMartingaleDiagnostic:
         assert np.isfinite(est.mean) and np.isfinite(est.stderr)
 
 
+@pytest.mark.parametrize("other", [TimeGrid(2.0, 50), TimeGrid(1.0, 40)], ids=["horizon", "steps"])
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda m, strat, bundle: simulate_wealth(m, strat, bundle, 1.0),
+        lambda m, strat, bundle: martingale_diagnostic(m, strat, bundle.config, bundle=bundle),
+    ],
+    ids=["wealth", "martingale"],
+)
+def test_strategy_on_another_grid_is_refused(apply, other):
+    m = make_rough_heston()
+    bundle = simulate_vector(m, TimeGrid(1.0, 50), SimConfig(n_paths=4, seed=1))
+    strat = strategy_general(m, solve_riccati_vector(m.kernel, vector_rhs_general(m), other))
+    with pytest.raises(ValueError, match="share one grid"):
+        apply(m, strat, bundle)
+
+
 class TestUtilityEstimates:
     def test_deterministic_riskless_estimate(self):
         m = VectorModel(theta=[0.0], nu=[1e-300], drift=[[0.0]], rho=[0.0], v0=[0.0],
