@@ -18,6 +18,7 @@ import numbers
 import os
 import tempfile
 import time
+# Unused here: perfbench's spans.Tracer.install patches this name, and ROADMAP item 1 removes both.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -46,7 +47,6 @@ from .riccati import (
     vector_rhs_general,
     wishart_rhs,
 )
-from . import simulate
 from .simulate import SimConfig, mc_utility, simulate_bundle
 from .svgplot import render_line_plot
 
@@ -767,11 +767,11 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
     """Run every sweep point and assemble the combined long-format CSV.
 
     Each point is a model and horizon from ``_sweep_point``, with the sweep's
-    n_steps and outputs, so one batched Riccati solve serves them all.  Their
-    strategies and files are then made on a thread pool, one thread per
-    CPU the process may run on, and the combined file is assembled in sweep-value
-    order after all points finish.  A failing point raises its own error; with
-    several, the first in config order wins.
+    n_steps and outputs, so one batched Riccati solve serves them all.  A
+    failing point raises its own error before any file is written; with
+    several, the first in config order wins.  The points' strategies and files
+    are then made in turn, in sweep-value order (a correlation regime keeps its
+    config order), which is also the order of the combined file.
     """
     if config.kind not in SWEEP_KINDS:
         raise ConfigError([f"kind {config.kind} is not a sweep"])
@@ -787,33 +787,19 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
         [TimeGrid(horizon, config.n_steps) for horizon in horizons],
         config.blowup_threshold,
     )
-
-    def run_point(idx_value):
-        """One point's strategy, per-point CSV (and SVG if asked)."""
-        idx, value = idx_value
-        stem = f"{config.kind}_{axis}_{_slug(value)}"
-        path = paths[idx].require_global()
-        strat = strategy(models[idx], path)
-        outputs: list[str] = []
-        _write_strategy(config, stem, strat, outputs)
-        metrics = {"riccati_residual": path.residual, "max_hedging": float(strat.hedging.max())}
-        return idx, value, strat, outputs, metrics
-
-    results = []
-    with ThreadPoolExecutor(max_workers=min(len(points), simulate._WORKERS)) as pool:
-        for item in pool.map(run_point, enumerate(points)):
-            results.append(item)
-    if all(isinstance(v, (int, float)) for v in points):
-        results.sort(key=lambda item: float(item[1]))  # combined CSV by sweep value
-    else:
-        results.sort(key=lambda item: item[0])
+    for path in paths:
+        path.require_global()
+    rows = list(zip(points, models, paths))
+    if axis != "correlation":
+        rows.sort(key=lambda row: float(row[0]))  # YAML loads 6e-1 as text
 
     # long format: per point node-major, then the weight and hedging series of each node
     values, times, series, cells = [], [], [], []
-    for _, value, strat, outputs, metrics in results:
-        report.outputs.extend(outputs)
-        for key, metric in metrics.items():
-            report.metrics[f"{key}[{_slug(value)}]"] = metric
+    for value, model, path in rows:
+        strat = strategy(model, path)
+        _write_strategy(config, f"{config.kind}_{axis}_{_slug(value)}", strat, report.outputs)
+        report.metrics[f"riccati_residual[{_slug(value)}]"] = path.residual
+        report.metrics[f"max_hedging[{_slug(value)}]"] = float(strat.hedging.max())
         names = _series_names(_STRATEGY_SERIES[:2], strat.d)
         data = np.hstack([strat.weights, strat.hedging])
         values += [_fmt(value)] * data.size

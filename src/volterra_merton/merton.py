@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SampledFunction, TimeGrid
+from .kernels import TimeGrid
 from .models import (
     VectorModel,
     WishartModel,
@@ -67,12 +67,10 @@ class StrategyPath:
 
 @dataclass(frozen=True)
 class ValueReport:
-    """Value function evaluation with its integrand kept for diagnostics."""
+    """Value function evaluation and its certainty equivalent."""
 
     value: float
-    x0: float
     certainty_equivalent: float
-    log_value_integrand: SampledFunction
 
 
 def _mirrored(path: RiccatiPath) -> np.ndarray:
@@ -130,12 +128,7 @@ def _value_report(model, path: RiccatiPath, x0: float, state_term) -> ValueRepor
     integrand = gamma * rate_on_grid(model.rate, grid) + state_term(_mirrored(path))
     with np.errstate(over="ignore"):  # an overflowing value is reported as a non-finite metric
         value = x0**gamma / gamma * float(np.exp(np.trapezoid(integrand, dx=grid.dt)))
-    return ValueReport(
-        value=value,
-        x0=x0,
-        certainty_equivalent=(gamma * value) ** (1.0 / gamma),
-        log_value_integrand=SampledFunction(grid, integrand),
-    )
+    return ValueReport(value=value, certainty_equivalent=(gamma * value) ** (1.0 / gamma))
 
 
 def value_general(

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -88,7 +89,7 @@ def strict_json(text):
 
 def cli_probe(raw, kind):
     """Run the CLI subcommand of ``kind`` on ``raw``, with a temporary output directory and the
-    sweep pool on one thread.
+    Monte Carlo draws of mc-check on one thread.
 
     Returns the exit code, stdout, stderr and the messages of the RuntimeWarnings raised.
     """
@@ -509,6 +510,12 @@ class TestCsvText:
         assert (tmp_path / "mc-check.csv").read_text() == csv_text(header, [row])
 
 
+def combined_blocks(path):
+    """The sweep_value of each block of a combined CSV, in file order."""
+    values = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+    return [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]
+
+
 class TestSweeps:
     def test_alpha_sweep_combined_csv(self, tmp_path):
         config = load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=200)
@@ -607,41 +614,27 @@ class TestSweeps:
         assert sorted(written) == sorted(report.outputs)
         assert any(path.endswith(".svg") for path in written)
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulate, "_WORKERS", 1)
-        pools = []
+    def test_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"sweep started thread {thread.name}")
 
-        class RecordingPool(experiments.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-        config = load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=60)
-        report = sweep(config)
-        assert pools == [1]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = sweep(load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=60))
         assert len([p for p in report.outputs if p.endswith(".csv")]) == 4
-
-    def test_concurrent_sweep_deterministic(self, tmp_path, monkeypatch):
-        outs = []
-        for threads in (1, 3):
-            monkeypatch.setattr(simulate, "_WORKERS", threads)
-            out = tmp_path / f"t{threads}"
-            sweep(load_config("bpt10_alpha_sweep").replaced(out_dir=out, n_steps=60))
-            outs.append((out / "sweep-alpha_combined.csv").read_bytes())
-        assert outs[0] == outs[1]
 
     def test_combined_csv_ordered_by_sweep_value(self, tmp_path):
         config = load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=50)
         config = config.replaced(sweep_values=(0.95, 0.55, 0.75))  # unsorted input
         sweep(config)
-        lines = (tmp_path / "sweep-alpha_combined.csv").read_text().splitlines()[1:]
-        seen = []
-        for line in lines:
-            v = line.split(",")[1]
-            if not seen or seen[-1] != v:
-                seen.append(v)
+        seen = combined_blocks(tmp_path / "sweep-alpha_combined.csv")
         assert [float(v) for v in seen] == [0.55, 0.75, 0.95]
+
+    def test_combined_csv_orders_a_number_yaml_reads_as_text(self, tmp_path):
+        values = tuple(yaml.safe_load("[0.9, 6e-1, 0.75]"))
+        assert values[1] == "6e-1"  # YAML 1.1 needs a dot in a float
+        sweep(load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=50, sweep_values=values))
+        seen = combined_blocks(tmp_path / "sweep-alpha_combined.csv")
+        assert seen == ["6e-1", "0.75", "0.90000000000000002"]
 
     # Vol-of-vol scale 5 blows up at t = 0.67 of 200 steps; 1e200 makes Q^T Q
     # overflow, so that point's very first step is non-finite.
@@ -656,6 +649,7 @@ class TestSweeps:
         with pytest.raises(RiccatiBlowUpError) as caught:
             sweep(config)
         assert caught.value.blowup == want
+        assert list(tmp_path.glob("*.csv")) == []  # a failing sweep writes no file
 
 
 class TestCli:
