@@ -542,16 +542,16 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
 def resolvent_second_kind(kernel: Kernel, grid: TimeGrid) -> SampledFunction:
     """Closed-form resolvent R with K*R = R*K = K - R, sampled on the grid.
 
-    For kernels singular at zero the node-0 value is NaN (R inherits the
+    R(t) = c t^(alpha-1) E_{alpha,alpha}(-c t^alpha) exp(-lam t) at every
+    alpha; at alpha = 1 it is c exp(-(c+lam) t).  Node 0 holds R(0) = c at
+    alpha = 1; for kernels singular at zero it is NaN (R inherits the
     t^(alpha-1) singularity).
     """
     t = grid.nodes
     al, c, lam = kernel.alpha, kernel.c, kernel.lam
-    if al == 1.0:
-        return SampledFunction(grid, c * np.exp(-(lam + c) * t))
     interior = t[1:]
     vals = c * interior ** (al - 1.0) * mittag_leffler_array(al, al, -c * interior**al) * np.exp(-lam * interior)
-    return SampledFunction(grid, np.concatenate([[np.nan], vals]))
+    return SampledFunction(grid, np.concatenate([[np.nan if kernel.singular_at_zero else c], vals]))
 
 
 @dataclass(frozen=True)
@@ -648,23 +648,14 @@ def _two_power_cells(t: float, theta: float, al: float, n: int):
 def second_kind_residual(kernel: Kernel, grid: TimeGrid) -> float:
     """max over grid nodes t >= dt of |K*R + R - K| for the table resolvent.
 
-    Kernels with alpha = 1 use the generic product-trapezoidal convolution.
-    For the weakly singular ones, alpha < 1, the doubly singular product
-    K(t-s)R(s) is integrated by two-power product quadrature: exact
-    incomplete-beta cell weights for (t-s)^(a-1) s^(a-1), the leading terms
-    of the co-factor's power expansion convolved in closed form, and the
-    smooth remainder evaluated at cell midpoints/centroids.  The exponential part of the gamma
-    form factors out exactly as exp(-lam t).
+    The product K(t-s)R(s), doubly singular for alpha < 1, is split: the
+    leading terms of R's power expansion are convolved with K in closed form,
+    and ``convolve`` integrates the smooth remainder.  The exponential part of
+    the gamma form factors out exactly as exp(-lam t).
     """
     t = grid.nodes
     n_steps = grid.n_steps
-    if kernel.alpha == 1.0:
-        r = resolvent_second_kind(kernel, grid)
-        kr = convolve(kernel, r, grid).values
-        resid = kr[1:] + r.values[1:] - kernel(t[1:])
-        return float(np.max(np.abs(resid)))
-
-    # Weakly singular rows.  The exponential part factors out exactly:
+    # The exponential part factors out exactly:
     # K(t-s) R(s) = exp(-lam t) Kf(t-s) Rf(s) with Kf, Rf the fractional
     # analogues.  Rf is split into its leading power terms, whose
     # convolutions with Kf have closed form by the power semigroup
@@ -693,12 +684,9 @@ def _kernel_conv_first_kind(kernel: Kernel, res: FirstKindResolvent, grid: TimeG
     """(K*L)(t) at the grid nodes, by exact-weight product quadrature."""
     t = grid.nodes
     n_steps = grid.n_steps
-    c, al, lam = kernel.c, kernel.alpha, kernel.lam
+    al, lam = kernel.alpha, kernel.lam
     if al == 1.0:
-        # the atom, plus the density lam/c against the cells (exactly 0 at lam = 0)
-        out = res.atom * c * np.exp(-lam * t)
-        out[1:] += lam / c * np.cumsum(kernel_weights(kernel, grid).cell)
-        return out
+        return res.atom * kernel(t) + convolve(kernel, SampledFunction(grid, res.density_at(t)), grid).values
     # exact two-power integral of (t-s)^(a-1) s^-a over [0, t]: the power
     # curve, and the doubly singular term of the gamma curve.  Its cell masses
     # telescope to the whole incomplete-beta range, the same at every node.

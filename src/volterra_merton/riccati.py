@@ -297,10 +297,22 @@ def _failure(fval: np.ndarray, pred_norm: float, norm: float, threshold: float, 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the loop reports non-finite steps itself
-def _solve_pece(kernels: list, rhss: list, grids: list[TimeGrid], blowup_threshold: float) -> list[RiccatiPath]:
-    """The PECE loop behind every solver: problem p has ``kernels[p]``, ``rhss[p]`` and ``grids[p]``.
+def solve_riccati_batch(
+    kernels: list,
+    rhss: list,
+    grids: list[TimeGrid],
+    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+) -> list[RiccatiPath]:
+    """Solve problem p = (``kernels[p]``, ``rhss[p]``, ``grids[p]``) for every p in one PECE loop.
 
-    The problems share the state shape and n_steps and step together; row
+    This is the loop behind every solver.  The right-hand sides must share
+    their type and dimension and the grids their n_steps; horizons, kernels
+    and coefficients may differ.  Path p equals the lone solve of problem p
+    bit for bit, except that a non-finite step sets its ``nonfinite_at``
+    instead of raising (``require_global`` raises it), so that one bad
+    problem leaves the others their results.
+
+    The problems step together; row
     p d + i of the weights and of the F(psi) history is component (or column)
     i of problem p.  The loop holds each state as its rows of d entries, a
     vector state as one 1 x d row, and keeps every node's states node-major,
@@ -405,7 +417,7 @@ def solve_riccati_vector(
     finite node) and carries the estimated divergence time; a non-finite
     step raises FloatingPointError.
     """
-    return _solve_pece([kernel], [rhs], [grid], blowup_threshold)[0].require_finite()
+    return solve_riccati_batch([kernel], [rhs], [grid], blowup_threshold)[0].require_finite()
 
 
 def solve_riccati_matrix(
@@ -420,24 +432,7 @@ def solve_riccati_matrix(
     uses kernel K_i.  With equal component kernels symmetry is automatic;
     with distinct kernels each iterate is re-symmetrized.
     """
-    return _solve_pece([kernel], [rhs], [grid], blowup_threshold)[0].require_finite()
-
-
-def solve_riccati_batch(
-    kernels: list,
-    rhss: list,
-    grids: list[TimeGrid],
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-) -> list[RiccatiPath]:
-    """Solve problem p = (``kernels[p]``, ``rhss[p]``, ``grids[p]``) for every p in one PECE loop.
-
-    The right-hand sides must share their type and dimension and the grids
-    their n_steps; horizons, kernels and coefficients may differ.  Path p
-    equals the lone solve of problem p bit for bit, except that a non-finite
-    step sets its ``nonfinite_at`` instead of raising (``require_global``
-    raises it), so that one bad problem leaves the others their results.
-    """
-    return _solve_pece(list(kernels), list(rhss), list(grids), blowup_threshold)
+    return solve_riccati_batch([kernel], [rhs], [grid], blowup_threshold)[0].require_finite()
 
 
 def fixed_point_residual(path: RiccatiPath, kernel, rhs) -> float:

@@ -195,7 +195,8 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     n_paths), so that each step reads and writes contiguous length-n_paths
     rows.  The bundle's states, W1 and W2 are path-major views of these
     arrays.  Components are clipped at variance_floor after each update
-    (clip count recorded).
+    (clip count recorded); a non-finite state raises SimulationError before
+    the clip, so that an overflow to -inf is not floored.
     """
     d = model.d
     p = cfg.n_paths
@@ -223,11 +224,11 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
         for n in range(1, n_steps + 1):
             write_node(n - 1)
             v = np.add(forced[n][:, None], history(n)[:, 0], out=states[n])
-            clipped += int(np.count_nonzero(v < floor))
-            np.maximum(v, floor, out=v)
             if not np.isfinite(v).all():
                 bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
                 raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
+            clipped += int(np.count_nonzero(v < floor))
+            np.maximum(v, floor, out=v)
     return PathBundle(
         grid=grid,
         states=states.transpose(2, 0, 1),

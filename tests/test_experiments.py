@@ -790,6 +790,20 @@ class TestCli:
             assert code == 0 and record["nonfinite_metrics"] == nonfinite
             assert all(record["metrics"][name] is None for name in nonfinite)
 
+    def test_variance_overflowing_to_minus_inf_is_a_divergence(self):
+        # the drift takes v0 = 1e308 past -inf at the first step; clipped to the floor, it would pass as a run
+        raw = json.loads(json.dumps(BASE_VECTOR))
+        raw["kind"] = "mc-check"
+        raw["model"].update(v0=[1.0e308], drift=[[-2.0]], theta=[0.5])
+        raw["model"]["kernel"]["alpha"] = 0.6
+        raw["numerics"]["n_steps"] = 20
+        raw["simulation"] = {"n_paths": 8, "seed": 1}
+        code, out, err, runtime = cli_probe(raw, "mc-check")
+        assert (code, err, runtime) == (3, "", [])
+        assert strict_json(out)["error"] == {
+            "code": 3, "kind": "mc-divergence", "message": "non-finite variance at step 1", "path_index": 0
+        }
+
     @pytest.mark.parametrize(
         "fields",
         [{"noise": [[1.0e200, 0.0], [0.0, 1.0]]}, {"vol_of_vol": [[1.0e160, 0.0], [0.0, 0.3]], "nnt_from_q": 10.0}],

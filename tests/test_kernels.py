@@ -18,6 +18,7 @@ from volterra_merton.kernels import (
     BLOCK,
     SUB,
     WIDE,
+    FirstKindResolvent,
     HistorySums,
     Kernel,
     LagWeights,
@@ -363,6 +364,24 @@ class TestSecondKindResolvent:
         "kernel",
         [
             Kernel.constant(1.0),
+            Kernel.constant(2.0),
+            Kernel.exponential(1.0, 1.0),
+            Kernel.exponential(0.5, 2.0),
+            Kernel.gamma(1.5, 0.8, 1.0),
+            Kernel.fractional(3.0, 1.0),
+        ],
+    )
+    def test_alpha_one_is_the_exponential_closed_form(self, kernel):
+        # the Mittag-Leffler formula at alpha = 1 is c exp(-(c + lam) t), with R(0) = c at node 0
+        grid = TimeGrid(1.0, 2000)
+        r = resolvent_second_kind(kernel, grid).values
+        assert r[0] == kernel.c
+        np.testing.assert_allclose(r, kernel.c * np.exp(-(kernel.c + kernel.lam) * grid.nodes), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            Kernel.constant(1.0),
             Kernel.exponential(2.0, 1.0),
             Kernel.fractional(1.0, 0.75),
             Kernel.gamma(0.5, 1.0, 0.6),
@@ -372,6 +391,16 @@ class TestSecondKindResolvent:
         grid = TimeGrid(1.0, 2000)
         kmax = abs(kernel(grid.dt))
         assert second_kind_residual(kernel, grid) <= 1e-6 * kmax
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [Kernel.constant(c) for c in (0.5, 1.0, 2.0)]
+        + [Kernel.exponential(c, lam) for c in (0.5, 1.0, 2.0) for lam in (0.0, 1.0)],
+    )
+    def test_alpha_one_table_rows_on_a_coarse_grid(self, kernel):
+        # criterion 1's alpha = 1 rows hold its bound on 400 steps as well as on 2000
+        grid = TimeGrid(1.0, 400)
+        assert second_kind_residual(kernel, grid) <= 1e-6 * kernel(grid.dt)
 
 
 class TestFirstKindResolvent:
@@ -432,6 +461,13 @@ class TestFirstKindResolvent:
     def test_constant_identity_to_rounding(self):
         # K*L = c * (1/c) exactly for the pure atom, on any grid
         assert first_kind_residual(Kernel.constant(1.0), TimeGrid(1.0, 100)) < 1e-10
+
+    def test_alpha_one_identity_reads_the_density(self, monkeypatch):
+        # a wrong density must show in the check that the resolvent passes
+        kernel = Kernel.exponential(1.0, 1.0)
+        wrong = FirstKindResolvent(resolvent_first_kind(kernel).atom, lambda t: 1e6 * t)
+        monkeypatch.setattr(volterra_merton.kernels, "resolvent_first_kind", lambda k: wrong)
+        assert first_kind_residual(kernel, TimeGrid(1.0, 400)) > 1e-6
 
 
 def trapezoid_convolution(f: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:

@@ -275,8 +275,9 @@ def vector_left_point_reference(model: VectorModel, grid: TimeGrid, cfg: SimConf
     """Left-point Euler scheme for the vector model with time-first direct history sums.
 
     V_n = v0(t_n) + sum_{j<n} cell[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt), component
-    i weighted by the cell integrals of K_i, clipped at the variance floor.
-    Returns the states and the clip count.
+    i weighted by the cell integrals of K_i, clipped at the variance floor.  A
+    non-finite state is kept as formed, not clipped, as the simulator tests
+    each state before its clip.  Returns the states and the clip count.
     """
     p, n_steps, d = cfg.n_paths, grid.n_steps, model.d
     dt = grid.dt
@@ -292,7 +293,7 @@ def vector_left_point_reference(model: VectorModel, grid: TimeGrid, cfg: SimConf
         shocks[:, n - 1] = prev @ model.drift.T + model.nu * np.sqrt(np.maximum(prev, 0.0)) * db[:, n - 1] / dt
         vn = forced[n] + np.einsum("ja,pja->pa", cell[n - 1 :: -1], shocks[:, :n])
         clips += int(np.count_nonzero(vn < cfg.variance_floor))
-        states[:, n] = np.maximum(vn, cfg.variance_floor)
+        states[:, n] = np.where(np.isfinite(vn), np.maximum(vn, cfg.variance_floor), vn)
     return states, clips
 
 
@@ -343,7 +344,7 @@ def first_nonfinite(run_path, n_paths: int) -> tuple[int, int, int]:
 class TestDivergence:
     # A vol-of-vol of 1e250 splits the paths on the sign of their first
     # volatility increment: a rise makes the second step overflow far past
-    # the float range, a fall is clipped to 0 and stays there.
+    # the float range, to +inf or -inf, a fall is clipped to 0 and stays there.
 
     def test_vector_path_index_matches_per_path_reference(self):
         m = VectorModel(theta=[1.0, 0.8], nu=[0.3, 1e250], drift=[[-1.0, 0.1], [0.2, -1.2]],
