@@ -47,7 +47,7 @@ from .riccati import (
     vector_rhs_general,
     wishart_rhs,
 )
-from .simulate import SimConfig, mc_utility, simulate_bundle
+from .simulate import SimConfig, _refuse_foreign_floor, mc_utility
 from .svgplot import render_line_plot
 
 __all__ = [
@@ -463,6 +463,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             sim = SimConfig(**sim_fields, antithetic=antithetic)
         except ValueError as exc:
             problems.append(f"simulation section: {exc}")
+    if model is not None:
+        try:
+            _refuse_foreign_floor(model, sim)
+        except ValueError as exc:
+            problems.append(f"simulation.{exc}")
 
     output = sections["output"]
     directory = output.get("directory", "out")
@@ -708,8 +713,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     elif config.kind == "mc-check":
         rep = value(model, path, config.x0, rhs=rhs)
         strat = strategy(model, path)
-        bundle = simulate_bundle(model, grid, config.sim)
-        est = mc_utility(model, strat, config.sim, config.x0, bundle=bundle)
+        est = mc_utility(model, strat, config.sim, config.x0)  # streamed: no path's states are kept
         z = est.z_score(rep.value)
         target = config.out_dir / f"{stem}.csv"
         row = np.array([[rep.value, est.mean, est.stderr, z]])
@@ -718,7 +722,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         report.outputs.append(str(target))
         report.metrics.update(
             analytic=rep.value, mc_mean=est.mean, mc_stderr=est.stderr, z_score=z,
-            psd_violations=bundle.psd_violation_count,
+            psd_violations=est.psd_violation_count,
         )
 
     elif config.kind == "bl13-recovery":

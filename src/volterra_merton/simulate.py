@@ -7,7 +7,9 @@ get evaluated at lag zero.  Gaussian draws come from counter-based Philox
 streams keyed by (seed, path), giving bit-reproducible bundles and safe
 parallelism across paths; antithetic pairs share one stream with flipped
 signs.  The streams are drawn in contiguous ranges at the same time, one per
-CPU the process may run on, with the same bits at any CPU count.
+CPU the process may run on, with the same bits at any CPU count.  Wealth, the
+martingale diagnostic and the comparison's control add per-node terms in step
+order, over a bundle's rows or, streamed, as the step loop writes each node.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class PathBundle:
 
     Every array is a path-major view of the time-major array the simulator
     stepped on (paths on the last axis there), not a copy: the path axis
-    has the smallest stride.
+    has the smallest stride.  A streamed estimate keeps no bundle.
     """
 
     grid: TimeGrid
@@ -103,9 +105,13 @@ class PathBundle:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A Monte Carlo mean and its standard error over n_paths samples (antithetic pairs count once),
+    and the clip count of the paths it was taken on."""
+
     mean: float
     stderr: float
     n_paths: int
+    psd_violation_count: int = 0
 
     def z_score(self, reference: float) -> float:
         if self.stderr == 0.0:
@@ -182,7 +188,15 @@ def _normals(cfg: SimConfig, n_steps: int, per_step: int, scale: float) -> np.nd
     return out
 
 
-def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
+def _refuse_foreign_floor(model, cfg: SimConfig) -> None:
+    """Raise ValueError if cfg sets the floor of the other model family, which the model's scheme would not read."""
+    wishart = isinstance(model, WishartModel)
+    family, own, foreign = ("wishart", "psd", "variance") if wishart else ("vector", "variance", "psd")
+    if getattr(cfg, f"{foreign}_floor"):
+        raise ValueError(f"{foreign}_floor must be 0 for a {family} model, which is clipped at {own}_floor")
+
+
+def _vector_steps(model: VectorModel, grid: TimeGrid, cfg: SimConfig, visit=None):
     """Left-point Euler convolution scheme for the square-root Volterra process.
 
     V(t_n) = v0(t_n) + sum_{j<n} w[n-1-j] (D V_j + nu sqrt(V_j^+) dB_j / dt),
@@ -191,15 +205,16 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     n_paths), scaled by sqrt(dt) as they are drawn; W1_j and W2_j are their rows
     w1[j] and w2[j].  The history is component-major, (d, n_steps, n_paths),
     and ``HistorySums`` sums it with the weights of ``predictor_lags``; step
-    n writes node n - 1 first.  The states are time-major, (n_nodes, d,
-    n_paths), so that each step reads and writes contiguous length-n_paths
-    rows.  The bundle's states, W1 and W2 are path-major views of these
-    arrays.  Components are clipped at variance_floor after each update
-    (clip count recorded); a non-finite state raises SimulationError before
-    the clip, so that an overflow to -inf is not floored.
+    n writes node n - 1 first.  The states are time-major, (rows, d, n_paths),
+    node n in row n % rows.  Components are clipped at variance_floor after
+    each update; a non-finite state raises SimulationError before the clip,
+    so that an overflow to -inf is not floored.  Without ``visit`` the rows
+    hold every node; with it, two, and writing node j first calls
+    visit(j, state, None, noise) with path-major (n_paths, d) views of its
+    state and W1_j.  Returns the states, the draws and the clip count.
     """
+    _refuse_foreign_floor(model, cfg)
     d = model.d
-    p = cfg.n_paths
     n_steps = grid.n_steps
     dt = grid.dt
     raw = _normals(cfg, n_steps, 2 * d, np.sqrt(dt))
@@ -208,34 +223,39 @@ def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathB
     orth = np.sqrt(1.0 - rho**2)
     lags = predictor_lags([kernel_weights(k, grid) for k in model.kernel])
     forced = model.input_curve(grid)
-    states = np.empty((n_steps + 1, d, p))
+    states = np.empty((n_steps + 1 if visit is None else 2, d, cfg.n_paths))
     states[0] = forced[0][:, None]
-    hist = np.empty((d, n_steps, p))  # D V + nu sqrt(V) dB / dt, per component and node
+    hist = np.empty((d, n_steps, cfg.n_paths))  # D V + nu sqrt(V) dB / dt, per component and node
     clipped = 0
     floor = cfg.variance_floor
     drift = model.drift
     nu = model.nu[:, None]
 
     def write_node(j: int) -> None:  # hist[:, j] from the state at node j
+        state = states[j % len(states)]
+        if visit is not None:
+            visit(j, state.T, None, w1[j].T)
         db = rho * w1[j] + orth * w2[j]
-        hist[:, j] = drift @ states[j] + nu * np.sqrt(np.maximum(states[j], 0.0)) * db / dt
+        hist[:, j] = drift @ state + nu * np.sqrt(np.maximum(state, 0.0)) * db / dt
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
         history = HistorySums(lags, hist)
         for n in range(1, n_steps + 1):
             write_node(n - 1)
-            v = np.add(forced[n][:, None], history(n)[:, 0], out=states[n])
+            v = np.add(forced[n][:, None], history(n)[:, 0], out=states[n % len(states)])
             if not np.isfinite(v).all():
                 bad = int(np.nonzero(~np.isfinite(v).all(axis=0))[0][0])
                 raise SimulationError(f"non-finite variance at step {n}", path_index=bad)
             clipped += int(np.count_nonzero(v < floor))
             np.maximum(v, floor, out=v)
-    return PathBundle(
-        grid=grid,
-        states=states.transpose(2, 0, 1),
-        increments={"w1": w1.transpose(2, 0, 1), "w2": w2.transpose(2, 0, 1)},
-        psd_violation_count=clipped,
-        config=cfg,
-    )
+    return states, raw, clipped
+
+
+def simulate_vector(model: VectorModel, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
+    """The bundle of ``_vector_steps``: every node's state, W1 and W2, path-major views of its arrays."""
+    d = model.d
+    states, raw, clipped = _vector_steps(model, grid, cfg)
+    increments = {"w1": raw[:, :d].transpose(2, 0, 1), "w2": raw[:, d:].transpose(2, 0, 1)}
+    return PathBundle(grid, states.transpose(2, 0, 1), increments, clipped, cfg)
 
 
 def _clip_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, floor: float):
@@ -294,7 +314,13 @@ def _psd_clip(sigma: np.ndarray, floor: float, root: np.ndarray) -> int:
     return int(np.count_nonzero(below))
 
 
-def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
+def _asset_noise(model: WishartModel, dws: np.ndarray, dbs: np.ndarray) -> np.ndarray:
+    """The assets' increments dW rho + sqrt(1 - |rho|^2) dB, time-major: entry a sums rho_b dW[a, b] over b."""
+    rho = model.rho
+    return float(np.sqrt(max(0.0, 1.0 - rho @ rho))) * dbs + rho @ dws
+
+
+def _wishart_steps(model: WishartModel, grid: TimeGrid, cfg: SimConfig, visit=None):
     """Left-point Euler convolution scheme for the matrix Volterra equation.
 
     Sigma_n = Sigma0 + sym(sum_{j<n} Z_j K) with Z_j = drift_j + 2 noise_j^T,
@@ -308,13 +334,14 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     (n_steps, d * d + d, n_paths) as the rows dws[j], and each entry of a
     product is d multiply-adds of length-n_paths rows.  The history holds
     Z_j^T as (d, n_steps, d, n_paths), row i of every path's Z_j^T under
-    component i, and ``HistorySums`` sums it as in ``simulate_vector``.
-    Eigenvalues are clipped at psd_floor by ``_psd_clip`` (count recorded),
-    which also writes the roots; node 0 keeps Sigma0 as given and takes the
-    root of its clip.  The bundle's states, the roots at the left nodes, the
-    increments and the assets' increments, dW rho + sqrt(1 - |rho|^2) dB,
-    are path-major views of time-major arrays.
+    component i, and ``HistorySums`` sums it as in ``_vector_steps``.
+    Eigenvalues are clipped at psd_floor by ``_psd_clip``, which also writes
+    the roots; node 0 keeps Sigma0 as given and takes the root of its clip.
+    States, roots and ``visit`` are as in ``_vector_steps``; it gets the
+    node's state, root and assets' increments.  Returns the states, the
+    roots, dW and dB (time-major views of the draws) and the clip count.
     """
+    _refuse_foreign_floor(model, cfg)
     d = model.d
     p = cfg.n_paths
     n_steps = grid.n_steps
@@ -326,16 +353,19 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
     sigma0 = model.sigma0[:, :, None]
     M = model.mean_reversion
     q_t = model.vol_of_vol.T
-    states = np.empty((n_steps + 1, d, d, p))
+    states = np.empty((n_steps + 1 if visit is None else 2, d, d, p))
     states[0] = sigma0
-    roots = np.empty((n_steps + 1, d, d, p))  # Sigma^(1/2) at every node
+    roots = np.empty_like(states)  # Sigma^(1/2)
     _psd_clip(states[0].copy(), cfg.psd_floor, roots[0])
     hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
 
     def write_node(j: int) -> None:  # hist[:, j] from the state at node j
-        sig_mt = M @ states[j]  # entry (a, b) is row a of Sigma dotted with row b of M
-        noise = q_t @ np.einsum("acp,cbp->abp", roots[j], dws[j])  # (Sigma^(1/2) dW) Q
+        state, root = states[j % len(states)], roots[j % len(states)]
+        if visit is not None:
+            visit(j, state.transpose(2, 0, 1), root.transpose(2, 0, 1), _asset_noise(model, dws[j], dbs[j]).T)
+        sig_mt = M @ state  # entry (a, b) is row a of Sigma dotted with row b of M
+        noise = q_t @ np.einsum("acp,cbp->abp", root, dws[j])  # (Sigma^(1/2) dW) Q
         z_t = np.add(nnt_t, sig_mt, out=hist[:, j])
         z_t += sig_mt.transpose(1, 0, 2)
         z_t += noise * (2.0 / dt)
@@ -344,72 +374,21 @@ def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> Pat
         for n in range(1, n_steps + 1):
             write_node(n - 1)
             sigma = sigma0 + history(n)[:, 0].reshape(d, d, p).transpose(1, 0, 2)
-            sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n])
+            sigma = np.multiply(0.5, sigma + sigma.transpose(1, 0, 2), out=states[n % len(states)])
             if not np.isfinite(sigma).all():
                 bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
                 raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
-            clipped += _psd_clip(sigma, cfg.psd_floor, roots[n])
-    del hist, history  # before the assets' increments, so that they do not raise the peak
-    rho = model.rho
-    orth = float(np.sqrt(max(0.0, 1.0 - rho @ rho)))
-    asset_noise = orth * dbs + rho @ dws  # (n_steps, d, n_paths): entry a sums rho_b dW[a, b] over b
-    return PathBundle(
-        grid=grid,
-        states=states.transpose(3, 0, 1, 2),
-        increments={"w_sigma": dws.transpose(3, 0, 1, 2), "b": dbs.transpose(2, 0, 1)},
-        psd_violation_count=clipped,
-        config=cfg,
-        roots=roots[:-1].transpose(3, 0, 1, 2),
-        asset_noise=asset_noise.transpose(2, 0, 1),
-    )
+            clipped += _psd_clip(sigma, cfg.psd_floor, roots[n % len(states)])
+    return states, roots, dws, dbs, clipped
 
 
-# Entries of one (paths, n_steps) temporary of the path integrals: wealth and
-# the diagnostics take their paths in blocks of _BLOCK_ENTRIES // n_steps.
-_BLOCK_ENTRIES = 2**16
-
-
-def _exposure(bundle: PathBundle, pis: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pi_n' Sigma_n^(1/2) at the left nodes of the paths ``rows`` and the asset increments they multiply.
-
-    ``pis`` holds the left-point weights (n_steps, d).  Both results are
-    (paths, n_steps, d); vector bundles give pi_n sqrt(V_n^+) and W1.  Entry a
-    of a matrix bundle's row is summed over b of Sigma^(1/2)[a, b] pi[b], one
-    elementwise product of (paths, n_steps) planes per b; Sigma^(1/2) is
-    symmetric, so this is pi' Sigma^(1/2).
-    """
-    if bundle.roots is None:
-        return pis * np.sqrt(np.maximum(bundle.states[rows, :-1], 0.0)), bundle.increments["w1"][rows]
-    roots = bundle.roots[rows]
-    vol = roots[..., 0] * pis[:, None, 0]
-    for b in range(1, roots.shape[-1]):
-        vol += roots[..., b] * pis[:, None, b]
-    return vol, bundle.asset_noise[rows]
-
-
-def _per_path(bundle: PathBundle, pis: np.ndarray, integral) -> np.ndarray:
-    """integral(rows, vol, noise) over blocks of paths, one value per path.
-
-    ``pis`` holds the left-point weights (n_steps, d).  For each block of
-    paths, ``integral`` gets the block's slice of paths and their
-    ``_exposure`` rows and increments, and returns one value per path.  A
-    block holds whole paths, so each path's sums over the steps take the same
-    bits as over the whole bundle, while the temporaries stay near
-    _BLOCK_ENTRIES entries.  The bundle's arrays are path-major views of
-    time-major ones, so a block's temporaries keep the paths innermost and
-    each path is summed over the steps in step order; a block of one path
-    would be summed pairwise, so a lone last path joins the block before it.
-    """
-    n_paths = bundle.states.shape[0]
-    size = max(2, _BLOCK_ENTRIES // bundle.grid.n_steps)
-    starts = list(range(0, n_paths, size))
-    if len(starts) > 1 and n_paths - starts[-1] == 1:
-        starts.pop()
-    out = np.empty(n_paths)
-    for lo, hi in zip(starts, starts[1:] + [n_paths]):
-        rows = slice(lo, hi)
-        out[rows] = integral(rows, *_exposure(bundle, pis, rows))
-    return out
+def simulate_wishart(model: WishartModel, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
+    """The bundle of ``_wishart_steps``: every node's state, the roots at the left nodes, the increments and
+    the assets' increments (formed once the loop has freed its history), path-major views of time-major arrays."""
+    states, roots, dws, dbs, clipped = _wishart_steps(model, grid, cfg)
+    increments = {"w_sigma": dws.transpose(3, 0, 1, 2), "b": dbs.transpose(2, 0, 1)}
+    return PathBundle(grid, states.transpose(3, 0, 1, 2), increments, clipped, cfg,
+                      roots[:-1].transpose(3, 0, 1, 2), _asset_noise(model, dws, dbs).transpose(2, 0, 1))
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -417,11 +396,56 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...a->...", x, y)
 
 
-def _left_weights(strategy: StrategyPath, bundle: PathBundle) -> np.ndarray:
-    """The strategy's weights at the bundle's left nodes, (n_steps, d); both must share one grid."""
-    if strategy.grid.n_steps != bundle.grid.n_steps or strategy.grid.horizon != bundle.grid.horizon:
+def _path_sums(term, n_terms: int, pis: np.ndarray, model, grid: TimeGrid, cfg: SimConfig, bundle: PathBundle | None):
+    """Per-path sums over the left nodes of term's n_terms rows, (n_terms, n_paths), and the paths' clip count.
+
+    term(j, state, vol, noise) gives node j's rows, one value per path each,
+    from path-major views of the node's state and asset increments and from
+    vol = pi_j' Sigma_j^(1/2) with pi_j = pis[j], entry a summed over b of
+    Sigma^(1/2)[a, b] pi_j[b] in turn (the root is symmetric), or
+    pi_j sqrt(V_j^+) for vector models.  The sums start at 0 and add the
+    nodes in step order: a bundle's, read from its time-major rows, or,
+    without one, each node of cfg's paths as the model's step loop writes it.
+    """
+    sums = np.zeros((n_terms, cfg.n_paths))
+
+    def visit(j: int, state: np.ndarray, root: np.ndarray | None, noise: np.ndarray) -> None:
+        if root is None:
+            vol = pis[j] * np.sqrt(np.maximum(state, 0.0))
+        else:
+            vol = root[..., 0] * pis[j, 0]
+            for b in range(1, pis.shape[1]):
+                vol += root[..., b] * pis[j, b]
+        for total, row in zip(sums, term(j, state, vol, noise)):
+            total += row
+    if bundle is None:
+        return sums, (_vector_steps if isinstance(model, VectorModel) else _wishart_steps)(model, grid, cfg, visit)[-1]
+    if grid.n_steps != bundle.grid.n_steps or grid.horizon != bundle.grid.horizon:
         raise ValueError("strategy and bundle must share one grid")
-    return strategy.weights[:-1]
+    noise = bundle.increments["w1"] if bundle.roots is None else bundle.asset_noise
+    for j in range(grid.n_steps):
+        visit(j, bundle.states[:, j], None if bundle.roots is None else bundle.roots[:, j], noise[:, j])
+    return sums, bundle.psd_violation_count
+
+
+def _terminal_wealth(model, strategy: StrategyPath, x0: float, cfg: SimConfig, bundle: PathBundle | None):
+    """Terminal wealth per path and the paths' clip count: the log-growth is the ``_path_sums`` of
+    (r_j + drift_j - |vol_j|^2 / 2) dt + vol_j . dW_j, vol_j = pi_j' Sigma_j^(1/2), from the bundle or streamed."""
+    pis = strategy.weights[:-1]
+    rates = rate_on_grid(model.rate, strategy.grid)
+    if isinstance(model, VectorModel):
+        weights = pis * model.theta  # sum of pi_i theta_i V_i
+    elif isinstance(model, WishartModel):
+        weights = (pis[:, :, None] * model.market_price).reshape(len(pis), -1)  # sum over (b, a) of pi_b v_a Sigma_ba
+    else:
+        raise TypeError(f"unsupported model type {type(model)!r}")
+
+    def growth(j: int, state: np.ndarray, vol: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray]:
+        drift = _row_dot(state.reshape(len(state), -1), weights[j])
+        return ((rates[j] + drift - 0.5 * _row_dot(vol, vol)) * strategy.grid.dt + _row_dot(vol, noise),)
+    (log_growth,), clipped = _path_sums(growth, 1, pis, model, strategy.grid, cfg, bundle)
+    with np.errstate(over="ignore"):  # an overflowing wealth is reported as a non-finite metric
+        return x0 * np.exp(log_growth), clipped
 
 
 def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float) -> np.ndarray:
@@ -430,62 +454,39 @@ def simulate_wealth(model, strategy: StrategyPath, bundle: PathBundle, x0: float
     Reuses the bundle's increments, preserving the leverage correlation
     between the asset noise and the volatility noise.  Integrals are
     discretized left-point, consistently with the volatility scheme, and
-    taken over blocks of paths by ``_per_path``.
+    summed over the bundle's time-major rows in step order.
     """
-    pis = _left_weights(strategy, bundle)
-    grid = bundle.grid
-    dt = grid.dt
-    rates = rate_on_grid(model.rate, grid)[:-1]
-    states = bundle.states[:, :-1]
-    if isinstance(model, VectorModel):
-        weights = pis * model.theta  # sum of pi_i theta_i V_i
-    elif isinstance(model, WishartModel):
-        p, n, d = bundle.asset_noise.shape
-        weights = (pis[:, :, None] * model.market_price).reshape(n, d * d)  # sum over (b, a) of pi_b v_a Sigma_ba
-        states = states.reshape(p, n, d * d)
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
-
-    def growth(rows: slice, vol: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        drift = _row_dot(states[rows], weights)
-        return np.sum((rates[None, :] + drift - 0.5 * _row_dot(vol, vol)) * dt + _row_dot(vol, noise), axis=1)
-    log_growth = _per_path(bundle, pis, growth)
-    with np.errstate(over="ignore"):  # an overflowing wealth is reported as a non-finite metric
-        return x0 * np.exp(log_growth)
+    return _terminal_wealth(model, strategy, x0, bundle.config, bundle)[0]
 
 
-def _estimate(samples: np.ndarray, antithetic: bool) -> McEstimate:
+def _estimate(samples: np.ndarray, antithetic: bool, clipped: int) -> McEstimate:
     if antithetic:
-        paired = 0.5 * (samples[0::2] + samples[1::2])
-        samples = paired
+        samples = 0.5 * (samples[0::2] + samples[1::2])
     n = samples.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # infinite samples give non-finite metrics
         mean = float(np.mean(samples))
         stderr = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean=mean, stderr=stderr, n_paths=n)
+    return McEstimate(mean=mean, stderr=stderr, n_paths=n, psd_violation_count=clipped)
 
 
 def utility_samples(model, strategy: StrategyPath, bundle: PathBundle, x0: float) -> np.ndarray:
     """Per-path power utility X_T^gamma / gamma (for paired comparisons)."""
-    xt = simulate_wealth(model, strategy, bundle, x0)
-    return xt**model.gamma / model.gamma
+    return simulate_wealth(model, strategy, bundle, x0) ** model.gamma / model.gamma
 
 
-def mc_utility(
-    model,
-    strategy: StrategyPath,
-    cfg: SimConfig,
-    x0: float,
-    bundle: PathBundle | None = None,
-) -> McEstimate:
+def mc_utility(model, strategy: StrategyPath, cfg: SimConfig, x0: float,
+               bundle: PathBundle | None = None) -> McEstimate:
     """Monte Carlo estimate of E[X_T^gamma / gamma] under a strategy.
 
     Pass an existing bundle to compare strategies under common random
-    numbers; otherwise the volatility paths are simulated from cfg.
+    numbers.  Otherwise the paths are simulated from cfg and streamed: the
+    step loop adds each node's term of the log-growth as it writes the node,
+    and keeps no states, no roots and no assets' increments.  Either way
+    each path's wealth takes the same bits.
     """
-    if bundle is None:
-        bundle = simulate_bundle(model, strategy.grid, cfg)
-    return _estimate(utility_samples(model, strategy, bundle, x0), bundle.config.antithetic)
+    cfg = cfg if bundle is None else bundle.config
+    xt, clipped = _terminal_wealth(model, strategy, x0, cfg, bundle)
+    return _estimate(xt**model.gamma / model.gamma, cfg.antithetic, clipped)
 
 
 def simulate_bundle(model, grid: TimeGrid, cfg: SimConfig) -> PathBundle:
@@ -504,7 +505,9 @@ def _martingale_control(bundle: PathBundle) -> np.ndarray:
     variance of utility differences but not their mean.
     """
     ones = np.ones((bundle.grid.n_steps, bundle.states.shape[2]))
-    return _per_path(bundle, ones, lambda rows, vol, noise: _row_dot(vol, noise).sum(axis=1))
+    control = _path_sums(lambda j, state, vol, noise: (_row_dot(vol, noise),), 1, ones, None, bundle.grid,
+                         bundle.config, bundle)
+    return control[0][0]
 
 
 def compare_strategies(
@@ -530,27 +533,24 @@ def compare_strategies(
     if var_c > 0.0:
         beta = float(np.cov(diff, control, ddof=1)[0, 1]) / var_c
         diff = diff - beta * control
-    return _estimate(diff, antithetic=False)
+    return _estimate(diff, False, bundle.psd_violation_count)
 
 
-def martingale_diagnostic(
-    model,
-    strategy: StrategyPath,
-    cfg: SimConfig,
-    bundle: PathBundle | None = None,
-) -> McEstimate:
+def martingale_diagnostic(model, strategy: StrategyPath, cfg: SimConfig,
+                          bundle: PathBundle | None = None) -> McEstimate:
     """E[Z_T] for the stochastic exponential built from the strategy.
 
     Z_T = exp(g int pi' Sigma^(1/2) dW - g^2/2 int |pi' Sigma^(1/2)|^2 dt);
     the discrete estimator has exact unit conditional means, so any bias in
-    the reported mean is pure Monte Carlo error.
+    the reported mean is pure Monte Carlo error.  Both integrals are
+    step-order sums over the left nodes, read from the bundle or, without
+    one, streamed from the step loop as ``mc_utility`` streams the wealth.
     """
-    if bundle is None:
-        bundle = simulate_bundle(model, strategy.grid, cfg)
-    pis = _left_weights(strategy, bundle)
-    dt = bundle.grid.dt
-    gamma = model.gamma
+    pis = strategy.weights[:-1]
+    cfg = cfg if bundle is None else bundle.config
+    dt = strategy.grid.dt
 
-    def log_z(rows: slice, vol: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return gamma * _row_dot(vol, noise).sum(axis=1) - 0.5 * gamma**2 * (_row_dot(vol, vol) * dt).sum(axis=1)
-    return _estimate(np.exp(_per_path(bundle, pis, log_z)), bundle.config.antithetic)
+    def exposure(j: int, state: np.ndarray, vol: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, ...]:
+        return _row_dot(vol, noise), _row_dot(vol, vol) * dt
+    (mart, quad), clipped = _path_sums(exposure, 2, pis, model, strategy.grid, cfg, bundle)
+    return _estimate(np.exp(model.gamma * mart - 0.5 * model.gamma**2 * quad), cfg.antithetic, clipped)

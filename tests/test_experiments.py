@@ -251,7 +251,7 @@ class TestLoadConfig:
         ("simulation", "seed", "'7'", 7),
     ])
     def test_numeric_text_is_read_by_field_type(self, tmp_path, section, key, text, value):
-        raw = vector_config(tmp_path)
+        raw = small_preset("bpt10_wishart") if key == "psd_floor" else vector_config(tmp_path)  # a wishart floor
         raw.setdefault(section, {})[key] = "PROBE"
         config = config_from_dict(yaml.safe_load(yaml.safe_dump(raw).replace("PROBE", text)))
         got = {"psd_floor": config.sim.psd_floor, "blowup_threshold": config.blowup_threshold,
@@ -820,6 +820,32 @@ class TestCli:
         assert (code, err, runtime) == (1, "", [])
         assert record["error"]["kind"] == "config"
         assert record["error"]["problems"] == ["N N^T has non-finite entries"]
+
+    @pytest.mark.parametrize(
+        "preset, field, own",
+        [("rough_heston_1d", "psd_floor", "variance_floor"), ("bpt10_wishart", "variance_floor", "psd_floor")],
+    )
+    def test_a_floor_the_model_does_not_read_is_one_config_record(self, preset, field, own):
+        raw = small_preset(preset)
+        raw.setdefault("simulation", {})[field] = 0.5
+        code, out, err, runtime = cli_probe(raw, raw["kind"])
+        record = strict_json(out)
+        assert (code, err, runtime) == (1, "", [])
+        assert record["error"]["kind"] == "config"
+        family = raw["model"]["type"]
+        assert record["error"]["problems"] == [f"simulation.{field} must be 0 for a {family} model, which is clipped at {own}"]
+
+    def test_streamed_mc_check_does_not_depend_on_the_workers(self, tmp_path, monkeypatch):
+        raw = vector_config(tmp_path, kind="mc-check")
+        raw["numerics"] = {"horizon": 0.25, "n_steps": 60}
+        raw["simulation"] = {"n_paths": 301, "seed": 4}
+        raw["output"]["formats"] = ["csv", "json"]
+        found = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_WORKERS", workers)
+            run(config_from_dict(raw).replaced(out_dir=tmp_path / str(workers)))
+            found.append([(tmp_path / str(workers) / name).read_bytes() for name in ("mc-check.csv", "mc-check_report.json")])
+        assert found[0] == found[1] == found[2]
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         raw = vector_config(tmp_path, kind="mc-check")

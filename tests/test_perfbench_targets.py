@@ -135,3 +135,12 @@ def test_workloads_build_with_their_overrides(tmp_path, monkeypatch):
     config = heston.run()
     assert config.sim.seed == 5
     assert config.out_dir == tmp_path / "mc" / "rough_heston_1d"
+
+
+def test_mc_oracle_pass_runs_and_passes(tmp_path):
+    # one pass of the benchmark's Monte Carlo workload at seed 3: every job it makes of the package's
+    # public calls must return and pass its checks
+    workloads = load_perfbench("workloads")
+    workload = workloads.build_mc_oracle(3, tmp_path / "mc")
+    failed = {job.name: [check.name for check in job.check(job.run()) if not check.ok] for job in workload.jobs}
+    assert failed == {job.name: [] for job in workload.jobs}

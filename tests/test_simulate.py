@@ -736,8 +736,9 @@ def varying_strategy(grid: TimeGrid, d: int, scale: float) -> StrategyPath:
 
 
 class TestPathIntegralsAgainstWholeArrays:
-    """Wealth, the martingale diagnostic and the paired comparison take their
-    paths in blocks; they must match sums over whole arrays."""
+    """Wealth, the martingale diagnostic and the paired comparison sum each
+    path's per-node terms in step order; they must match sums over whole
+    arrays."""
 
     @staticmethod
     def vector_bundle(n_paths: int):
@@ -757,8 +758,6 @@ class TestPathIntegralsAgainstWholeArrays:
     @pytest.mark.parametrize("n_paths", [1000, 64])
     @pytest.mark.parametrize("kind", ["vector", "wishart"])
     def test_match_whole_array_references(self, kind, n_paths):
-        # at 150 steps a block holds 436 paths: 1000 paths end in a partly
-        # filled third block, 64 paths are fewer than one block
         m, bundle = getattr(self, f"{kind}_bundle")(n_paths)
         d = bundle.states.shape[2]
         best = varying_strategy(bundle.grid, d, 1.0)
@@ -777,29 +776,93 @@ class TestPathIntegralsAgainstWholeArrays:
         return m, simulate_wishart(m, TimeGrid(0.5, 150), SimConfig(n_paths=n_paths, seed=19, psd_floor=0.01))
 
     @pytest.mark.parametrize("kind", ["vector", "wishart", "three_asset"])
-    def test_blocks_keep_each_paths_bits(self, kind, monkeypatch):
-        # 66 paths at 150 steps: one block at the default size, then blocks of 2, 3, 5 and 65 paths; the
-        # lone last path of the last two joins the block before it
+    def test_wealth_sums_in_step_order(self, kind):
+        # each path's log-growth is its terms added node by node in step order, starting at 0; the terms
+        # are formed on whole (n_paths, n_steps) arrays in the wealth's arithmetic
         m, bundle = getattr(self, f"{kind}_bundle")(66)
-        best = varying_strategy(bundle.grid, bundle.states.shape[2], 1.0)
-        whole = simulate_wealth(m, best, bundle, 2.0)
-        for paths in (2, 3, 5, 65):
-            monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", paths * bundle.grid.n_steps)
-            assert np.array_equal(simulate_wealth(m, best, bundle, 2.0), whole)
+        grid = bundle.grid
+        best = varying_strategy(grid, bundle.states.shape[2], 1.0)
+        pis = best.weights[:-1]
+        rates = rate_on_grid(m.rate, grid)[:-1]
+        states = bundle.states[:, :-1]
+        if bundle.roots is None:
+            vol, noise = pis * np.sqrt(np.maximum(states, 0.0)), bundle.increments["w1"]
+            drift = np.einsum("...a,...a->...", states, pis * m.theta)
+        else:
+            vol, noise = bundle.roots[..., 0] * pis[:, None, 0], bundle.asset_noise
+            for b in range(1, pis.shape[1]):
+                vol += bundle.roots[..., b] * pis[:, None, b]
+            weights = (pis[:, :, None] * m.market_price).reshape(grid.n_steps, -1)
+            drift = np.einsum("...a,...a->...", states.reshape(len(states), grid.n_steps, -1), weights)
+        quad, mart = np.einsum("...a,...a->...", vol, vol), np.einsum("...a,...a->...", vol, noise)
+        terms = (rates + drift - 0.5 * quad) * grid.dt + mart
+        log_growth = np.zeros(len(terms))
+        for j in range(grid.n_steps):
+            log_growth += terms[:, j]
+        assert np.array_equal(simulate_wealth(m, best, bundle, 2.0), 2.0 * np.exp(log_growth))
+
+
+class TestStreaming:
+    """Without a bundle, mc_utility and martingale_diagnostic take each node's
+    terms from the step loop as it writes the node; their estimates and clip
+    counts must keep the bundle route's bits."""
+
+    @staticmethod
+    def hexes(est) -> tuple:
+        return est.mean.hex(), est.stderr.hex(), est.n_paths, est.psd_violation_count
+
+    @pytest.mark.parametrize("case", ["heston", "heston_antithetic", "two_asset", "bpt10", "three_asset"])
+    def test_streamed_estimates_equal_the_bundles(self, case):
+        two_asset = VectorModel(theta=[1.0, 0.8], nu=[0.5, 0.4], drift=[[-1.0, 0.3], [0.2, -1.2]],
+                                rho=[-0.6, -0.3], v0=[0.04, 0.06], b0=[0.02, 0.01], gamma=0.5,
+                                kernel=[Kernel.fractional(1.0, 0.8), Kernel.gamma(1.0, 1.0, 0.6)],
+                                rate=lambda t: 0.02 + 0.04 * t)
+        m, grid, cfg = {
+            "heston": (make_rough_heston(), TimeGrid(0.25, 120), SimConfig(n_paths=301, seed=3)),
+            "heston_antithetic": (make_rough_heston(), TimeGrid(0.25, 120),
+                                  SimConfig(n_paths=602, seed=5, antithetic=True, variance_floor=0.01)),
+            "two_asset": (two_asset, TimeGrid(0.5, 150), SimConfig(n_paths=201, seed=7)),
+            "bpt10": (make_wishart(), TimeGrid(1.0, 100), SimConfig(n_paths=200, seed=9, antithetic=True, psd_floor=0.2)),
+            "three_asset": (three_asset_wishart(), TimeGrid(0.5, 80), SimConfig(n_paths=65, seed=19, psd_floor=0.01)),
+        }[case]
+        strategy = varying_strategy(grid, m.d, 1.0)
+        bundle = simulate.simulate_bundle(m, grid, cfg)
+        assert bundle.psd_violation_count > 0
+        held = mc_utility(m, strategy, cfg, 1.0, bundle=bundle)
+        assert self.hexes(mc_utility(m, strategy, cfg, 1.0)) == self.hexes(held)
+        assert held.psd_violation_count == bundle.psd_violation_count
+        held = martingale_diagnostic(m, strategy, cfg, bundle=bundle)
+        assert self.hexes(martingale_diagnostic(m, strategy, cfg)) == self.hexes(held)
+
+    @pytest.mark.parametrize("kind, field", [("vector", "psd_floor"), ("wishart", "variance_floor")])
+    def test_a_floor_the_model_does_not_read_is_refused(self, kind, field):
+        m = make_rough_heston() if kind == "vector" else make_wishart()
+        grid = TimeGrid(0.25, 10)
+        cfg = SimConfig(n_paths=4, **{field: 0.5})
+        own = "variance_floor" if kind == "vector" else "psd_floor"
+        message = f"{field} must be 0 for a {kind} model, which is clipped at {own}"
+        for call in (
+            lambda: simulate.simulate_bundle(m, grid, cfg),
+            lambda: mc_utility(m, varying_strategy(grid, m.d, 1.0), cfg, 1.0),
+        ):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == message
 
 
 class TestMemoryPeaks:
-    """tracemalloc peaks of a vector bundle and of its wealth, in units of
-    A, the bytes of one (n_paths, n_steps + 1, d) float64 array, and of a
-    Wishart bundle, in units of B, the bytes of one (n_paths, n_steps + 1,
-    d, d) float64 array.
+    """tracemalloc peaks of a vector bundle, of its wealth and of a streamed
+    utility, in units of A, the bytes of one (n_paths, n_steps + 1, d)
+    float64 array, and of a Wishart bundle, in units of B, the bytes of one
+    (n_paths, n_steps + 1, d, d) float64 array.
 
     The vector bundle's draws take 2 A (W1 and W2 are views of them), the
     states A and the history A, plus the share pulled into the sums of the
     next SUB nodes; the bundle hands out views of the draws and the states,
     with no path-major copy.  On 300 steps no history block closes, so there
-    is no closed-share array.  The wealth takes its paths in blocks, so its
-    temporaries are a few arrays of about 2**16 entries.
+    is no closed-share array.  The wealth reads the bundle's rows node by
+    node, so its temporaries are a few length-n_paths rows.  A streamed
+    utility keeps the draws and the history but the states of two nodes only.
     """
 
     def test_vector_bundle_and_wealth(self):
@@ -820,7 +883,21 @@ class TestMemoryPeaks:
         finally:
             tracemalloc.stop()
         assert vector_peak < 4.5 * a
-        assert wealth_peak - held < 1.0 * a
+        assert wealth_peak - held < 0.1 * a
+
+    def test_streamed_utility(self):
+        m = make_rough_heston()
+        grid = TimeGrid(0.25, 300)
+        cfg = SimConfig(n_paths=2000, seed=3)
+        a = cfg.n_paths * (grid.n_steps + 1) * m.d * 8
+        strategy = varying_strategy(grid, m.d, 0.5)
+        tracemalloc.start()
+        try:
+            mc_utility(m, strategy, cfg, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.3 * a
 
     def test_wishart_bundle(self):
         # the draws take 1.5 B, the states B, the roots B and the history B, plus the pulled share; the
