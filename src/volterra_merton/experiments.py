@@ -47,7 +47,7 @@ from .riccati import (
     vector_rhs_general,
     wishart_rhs,
 )
-from .simulate import SimConfig, _refuse_foreign_floor, mc_utility
+from .simulate import SimConfig, mc_utility
 from .svgplot import render_line_plot
 
 __all__ = [
@@ -80,8 +80,7 @@ _SCALARS = {
     ("numerics", "blowup_threshold"): (DEFAULT_BLOWUP_THRESHOLD, False),
     ("simulation", "n_paths"): (10_000, True),
     ("simulation", "seed"): (42, True),
-    ("simulation", "psd_floor"): (0.0, False),
-    ("simulation", "variance_floor"): (0.0, False),
+    ("simulation", "floor"): (0.0, False),
     ("", "x0"): (1.0, False),
 }
 # The other keys of each section; the model section and its kernels take their records' fields.
@@ -463,11 +462,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             sim = SimConfig(**sim_fields, antithetic=antithetic)
         except ValueError as exc:
             problems.append(f"simulation section: {exc}")
-    if model is not None:
-        try:
-            _refuse_foreign_floor(model, sim)
-        except ValueError as exc:
-            problems.append(f"simulation.{exc}")
 
     output = sections["output"]
     directory = output.get("directory", "out")

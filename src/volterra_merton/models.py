@@ -90,7 +90,8 @@ class VectorModel:
         out = np.tile(self.v0, (grid.n_steps + 1, 1))
         if np.any(self.b0 != 0.0):
             cell = np.stack([kernel_weights(k, grid).cell for k in self.kernel])
-            out[1:] += self.b0 * np.cumsum(cell, axis=1).T
+            with np.errstate(over="ignore"):  # an overflow becomes a non-finite metric or a divergence downstream
+                out[1:] += self.b0 * np.cumsum(cell, axis=1).T
         return out
 
 

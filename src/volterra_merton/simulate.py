@@ -53,15 +53,14 @@ class SimulationError(RuntimeError):
 class SimConfig:
     """Monte Carlo controls.
 
-    psd_floor / variance_floor are the clip levels for matrix eigenvalues and
-    vector variance components; antithetic pairs paths (2k, 2k+1) on mirrored
-    draws.
+    floor is the clip level of the scheme's state: a vector model's variance
+    components, a Wishart model's covariance eigenvalues.  antithetic pairs
+    paths (2k, 2k+1) on mirrored draws.
     """
 
     n_paths: int
     seed: int = 42
-    psd_floor: float = 0.0
-    variance_floor: float = 0.0
+    floor: float = 0.0
     antithetic: bool = False
 
     def __post_init__(self) -> None:
@@ -69,8 +68,8 @@ class SimConfig:
             raise ValueError("n_paths must be at least 1")
         if not 0 <= self.seed < 2**128:
             raise ValueError("seed must lie in [0, 2**128), the Philox key range")
-        if self.psd_floor < 0.0 or self.variance_floor < 0.0:
-            raise ValueError("clip floors must be nonnegative")
+        if not 0.0 <= self.floor < np.inf:
+            raise ValueError("floor must be finite and nonnegative")
         if self.antithetic and self.n_paths % 2 != 0:
             raise ValueError("antithetic sampling needs an even path count")
 
@@ -188,14 +187,6 @@ def _normals(cfg: SimConfig, n_steps: int, per_step: int, scale: float) -> np.nd
     return out
 
 
-def _refuse_foreign_floor(model, cfg: SimConfig) -> None:
-    """Raise ValueError if cfg sets the floor of the other model family, which the model's scheme would not read."""
-    wishart = isinstance(model, WishartModel)
-    family, own, foreign = ("wishart", "psd", "variance") if wishart else ("vector", "variance", "psd")
-    if getattr(cfg, f"{foreign}_floor"):
-        raise ValueError(f"{foreign}_floor must be 0 for a {family} model, which is clipped at {own}_floor")
-
-
 def _vector_steps(model: VectorModel, grid: TimeGrid, cfg: SimConfig, visit=None):
     """Left-point Euler convolution scheme for the square-root Volterra process.
 
@@ -206,14 +197,14 @@ def _vector_steps(model: VectorModel, grid: TimeGrid, cfg: SimConfig, visit=None
     w1[j] and w2[j].  The history is component-major, (d, n_steps, n_paths),
     and ``HistorySums`` sums it with the weights of ``predictor_lags``; step
     n writes node n - 1 first.  The states are time-major, (rows, d, n_paths),
-    node n in row n % rows.  Components are clipped at variance_floor after
-    each update; a non-finite state raises SimulationError before the clip,
-    so that an overflow to -inf is not floored.  Without ``visit`` the rows
-    hold every node; with it, two, and writing node j first calls
-    visit(j, state, None, noise) with path-major (n_paths, d) views of its
-    state and W1_j.  Returns the states, the draws and the clip count.
+    node n in row n % rows.  Components are clipped at cfg.floor after each
+    update; a non-finite state raises SimulationError before the clip, so
+    that an overflow to -inf is not floored.  Node 0 is V0 as given, neither
+    clipped nor counted.  Without ``visit`` the rows hold every node; with
+    it, two, and writing node j first calls visit(j, state, None, noise) with
+    path-major (n_paths, d) views of its state and W1_j.  Returns the states,
+    the draws and the clip count.
     """
-    _refuse_foreign_floor(model, cfg)
     d = model.d
     n_steps = grid.n_steps
     dt = grid.dt
@@ -227,7 +218,7 @@ def _vector_steps(model: VectorModel, grid: TimeGrid, cfg: SimConfig, visit=None
     states[0] = forced[0][:, None]
     hist = np.empty((d, n_steps, cfg.n_paths))  # D V + nu sqrt(V) dB / dt, per component and node
     clipped = 0
-    floor = cfg.variance_floor
+    floor = cfg.floor
     drift = model.drift
     nu = model.nu[:, None]
 
@@ -335,13 +326,13 @@ def _wishart_steps(model: WishartModel, grid: TimeGrid, cfg: SimConfig, visit=No
     product is d multiply-adds of length-n_paths rows.  The history holds
     Z_j^T as (d, n_steps, d, n_paths), row i of every path's Z_j^T under
     component i, and ``HistorySums`` sums it as in ``_vector_steps``.
-    Eigenvalues are clipped at psd_floor by ``_psd_clip``, which also writes
-    the roots; node 0 keeps Sigma0 as given and takes the root of its clip.
+    Eigenvalues are clipped at cfg.floor by ``_psd_clip``, which also writes
+    the roots; node 0 keeps Sigma0 as given and takes the root of Sigma0
+    clipped at the floor, a clip that is not counted.
     States, roots and ``visit`` are as in ``_vector_steps``; it gets the
     node's state, root and assets' increments.  Returns the states, the
     roots, dW and dB (time-major views of the draws) and the clip count.
     """
-    _refuse_foreign_floor(model, cfg)
     d = model.d
     p = cfg.n_paths
     n_steps = grid.n_steps
@@ -356,7 +347,6 @@ def _wishart_steps(model: WishartModel, grid: TimeGrid, cfg: SimConfig, visit=No
     states = np.empty((n_steps + 1 if visit is None else 2, d, d, p))
     states[0] = sigma0
     roots = np.empty_like(states)  # Sigma^(1/2)
-    _psd_clip(states[0].copy(), cfg.psd_floor, roots[0])
     hist = np.empty((d, n_steps, d, p))  # hist[i, j, a] = Z_j^T[i, a] = Z_j[a, i]
     clipped = 0
 
@@ -370,6 +360,7 @@ def _wishart_steps(model: WishartModel, grid: TimeGrid, cfg: SimConfig, visit=No
         z_t += sig_mt.transpose(1, 0, 2)
         z_t += noise * (2.0 / dt)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging path raises SimulationError below
+        _psd_clip(states[0].copy(), cfg.floor, roots[0])
         history = HistorySums(lags, hist.reshape(d, n_steps, d * p))
         for n in range(1, n_steps + 1):
             write_node(n - 1)
@@ -378,7 +369,7 @@ def _wishart_steps(model: WishartModel, grid: TimeGrid, cfg: SimConfig, visit=No
             if not np.isfinite(sigma).all():
                 bad = int(np.nonzero(~np.isfinite(sigma).all(axis=(0, 1)))[0][0])
                 raise SimulationError(f"non-finite covariance at step {n}", path_index=bad)
-            clipped += _psd_clip(sigma, cfg.psd_floor, roots[n % len(states)])
+            clipped += _psd_clip(sigma, cfg.floor, roots[n % len(states)])
     return states, roots, dws, dbs, clipped
 
 

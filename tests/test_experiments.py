@@ -69,6 +69,16 @@ def vector_config(tmp_path, **overrides):
     return raw
 
 
+def wishart_mc_check(tmp_path):
+    """bpt10_wishart as a floored, antithetic mc-check on 60 steps and 400 paths, written as csv and json."""
+    raw = read_config("bpt10_wishart")
+    raw["kind"] = "mc-check"
+    raw["numerics"]["n_steps"] = 60
+    raw["simulation"] = {"n_paths": 400, "seed": 11, "antithetic": True, "floor": 0.05}
+    raw["output"] = {"directory": str(tmp_path), "formats": ["csv", "json"]}
+    return raw
+
+
 def small_preset(name):
     """A bundled preset's config on 20 steps and, for Monte Carlo, 8 paths."""
     raw = read_config(name)
@@ -157,8 +167,7 @@ class TestLoadConfig:
         config = config_from_dict(json.loads(json.dumps(raw)))
         assert config.n_steps == 1000
         assert config.sim.seed == 42
-        assert config.sim.psd_floor == 0.0
-        assert config.sim.variance_floor == 0.0
+        assert config.sim.floor == 0.0
 
     def test_empty_file_is_error(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -245,16 +254,16 @@ class TestLoadConfig:
         assert config.sweep_values == (0.55, 0.75, 0.95)
 
     @pytest.mark.parametrize("section, key, text, value", [
-        ("simulation", "psd_floor", "1e-8", 1e-8),
+        ("simulation", "floor", "1e-8", 1e-8),
         ("numerics", "blowup_threshold", "1e12", 1e12),
         ("numerics", "horizon", "'2.5'", 2.5),
         ("simulation", "seed", "'7'", 7),
     ])
     def test_numeric_text_is_read_by_field_type(self, tmp_path, section, key, text, value):
-        raw = small_preset("bpt10_wishart") if key == "psd_floor" else vector_config(tmp_path)  # a wishart floor
+        raw = small_preset("bpt10_wishart") if key == "floor" else vector_config(tmp_path)  # a wishart floor
         raw.setdefault(section, {})[key] = "PROBE"
         config = config_from_dict(yaml.safe_load(yaml.safe_dump(raw).replace("PROBE", text)))
-        got = {"psd_floor": config.sim.psd_floor, "blowup_threshold": config.blowup_threshold,
+        got = {"floor": config.sim.floor, "blowup_threshold": config.blowup_threshold,
                "horizon": config.horizon, "seed": config.sim.seed}[key]
         assert got == value and type(got) is type(value)
 
@@ -280,9 +289,9 @@ class TestReplaced:
             ("bpt10_alpha_sweep", {"n_steps": 40, "sweep_values": (0.6, 0.9)}, {"numerics.n_steps": 40, "sweep.alpha": [0.6, 0.9]}),
             (
                 "rough_heston_1d",
-                {"horizon": 0.1, "n_steps": 20, "sim": SimConfig(n_paths=8, seed=5, variance_floor=1e-9, antithetic=True)},
+                {"horizon": 0.1, "n_steps": 20, "sim": SimConfig(n_paths=8, seed=5, floor=1e-9, antithetic=True)},
                 {"numerics.horizon": 0.1, "numerics.n_steps": 20, "simulation.n_paths": 8, "simulation.seed": 5,
-                 "simulation.psd_floor": 0.0, "simulation.variance_floor": 1e-9, "simulation.antithetic": True},
+                 "simulation.floor": 1e-9, "simulation.antithetic": True},
             ),
         ],
         ids=["sweep", "mc-check"],
@@ -447,6 +456,19 @@ class TestRunPipelines:
         raw["numerics"] = {"horizon": 1.0, "n_steps": 300}
         with pytest.raises(RiccatiBlowUpError):
             run(config_from_dict(raw))
+
+    def test_wishart_mc_check_clips_and_equals_the_bundle(self, tmp_path):
+        # the floor clips thousands of eigenvalues; the streamed estimate keeps the bundle route's bits
+        config = config_from_dict(wishart_mc_check(tmp_path))
+        run(config)
+        metrics = json.loads((tmp_path / "mc-check_report.json").read_text())["metrics"]
+        model = config.model
+        path = solve_riccati_matrix(model.kernel, wishart_rhs(model), config.grid, config.blowup_threshold)
+        strat = strategy_wishart(model, path)
+        bundle = simulate_bundle(model, config.grid, config.sim)
+        est = mc_utility(model, strat, config.sim, config.x0, bundle=bundle)
+        assert metrics["psd_violations"] == bundle.psd_violation_count > 0
+        assert (metrics["mc_mean"].hex(), metrics["mc_stderr"].hex()) == (est.mean.hex(), est.stderr.hex())
 
 
 def cell(x) -> str:
@@ -822,30 +844,76 @@ class TestCli:
         assert record["error"]["problems"] == ["N N^T has non-finite entries"]
 
     @pytest.mark.parametrize(
-        "preset, field, own",
-        [("rough_heston_1d", "psd_floor", "variance_floor"), ("bpt10_wishart", "variance_floor", "psd_floor")],
+        "preset, field", [(preset, field) for preset in ("bpt10_wishart", "rough_heston_1d")
+                          for field in ("psd_floor", "variance_floor")],
     )
-    def test_a_floor_the_model_does_not_read_is_one_config_record(self, preset, field, own):
+    def test_a_floor_the_model_does_not_read_is_one_config_record(self, preset, field):
+        # the two keys that simulation.floor replaced are unknown fields in either family
         raw = small_preset(preset)
         raw.setdefault("simulation", {})[field] = 0.5
         code, out, err, runtime = cli_probe(raw, raw["kind"])
         record = strict_json(out)
         assert (code, err, runtime) == (1, "", [])
         assert record["error"]["kind"] == "config"
-        family = raw["model"]["type"]
-        assert record["error"]["problems"] == [f"simulation.{field} must be 0 for a {family} model, which is clipped at {own}"]
+        assert record["error"]["problems"] == [f"unknown field simulation.{field} (known: antithetic, floor, n_paths, seed)"]
+
+    @pytest.mark.parametrize("preset", ["bpt10_wishart", "rough_heston_1d"])
+    @pytest.mark.parametrize(
+        "text, problem",
+        [(".nan", "simulation.floor must be finite (got nan)"),
+         (".inf", "simulation.floor must be finite (got inf)"),
+         ("-0.5", "simulation section: floor must be finite and nonnegative")],
+        ids=["nan", "inf", "negative"],
+    )
+    def test_a_floor_that_is_not_finite_and_nonnegative_is_one_config_record(self, preset, text, problem):
+        raw = small_preset(preset)
+        raw["kind"] = "mc-check"
+        raw["simulation"] = {"n_paths": 8, "floor": "PROBE"}
+        code, out, err, runtime = cli_probe(yaml.safe_load(yaml.safe_dump(raw).replace("PROBE", text)), "mc-check")
+        assert (code, err, runtime) == (1, "", [])
+        assert strict_json(out)["error"]["problems"] == [problem]
+
+    def test_a_floor_that_overflows_sigma0s_root_prints_nothing_on_stderr(self):
+        # node 0's root is taken from Sigma0 clipped at the floor, before the first step
+        raw = small_preset("bpt10_wishart")
+        raw["kind"] = "mc-check"
+        raw["simulation"] = {"n_paths": 8, "floor": 1e308}
+        code, out, err, runtime = cli_probe(raw, "mc-check")
+        assert (code, err, runtime) == (3, "", [])
+        assert strict_json(out)["error"] == {
+            "code": 3, "kind": "mc-divergence", "message": "non-finite covariance at step 1", "path_index": 0
+        }
+
+    @pytest.mark.parametrize("kind", ["value", "mc-check"])
+    def test_an_overflowing_input_curve_prints_nothing_on_stderr(self, kind):
+        # V0 + b0 int_0^t K passes the float range once int_0^t K exceeds 1
+        raw = small_preset("rough_heston_1d")
+        raw["kind"] = kind
+        raw["numerics"]["horizon"] = 10.0
+        raw["model"]["b0"] = [1e308]
+        code, out, err, runtime = cli_probe(raw, kind)
+        record = strict_json(out)
+        assert (err, runtime) == ("", [])
+        if kind == "value":
+            assert code == 0 and record["metrics"]["value"] is None and "value" in record["nonfinite_metrics"]
+        else:
+            assert code == 3 and record["error"] == {
+                "code": 3, "kind": "mc-divergence", "message": "non-finite variance at step 5", "path_index": 0
+            }
 
     def test_streamed_mc_check_does_not_depend_on_the_workers(self, tmp_path, monkeypatch):
-        raw = vector_config(tmp_path, kind="mc-check")
-        raw["numerics"] = {"horizon": 0.25, "n_steps": 60}
-        raw["simulation"] = {"n_paths": 301, "seed": 4}
-        raw["output"]["formats"] = ["csv", "json"]
-        found = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(simulate, "_WORKERS", workers)
-            run(config_from_dict(raw).replaced(out_dir=tmp_path / str(workers)))
-            found.append([(tmp_path / str(workers) / name).read_bytes() for name in ("mc-check.csv", "mc-check_report.json")])
-        assert found[0] == found[1] == found[2]
+        vector = vector_config(tmp_path, kind="mc-check")
+        vector["numerics"] = {"horizon": 0.25, "n_steps": 60}
+        vector["simulation"] = {"n_paths": 301, "seed": 4}
+        vector["output"]["formats"] = ["csv", "json"]
+        for name, raw in (("vector", vector), ("wishart", wishart_mc_check(tmp_path))):
+            found = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulate, "_WORKERS", workers)
+                out = tmp_path / name / str(workers)
+                run(config_from_dict(raw).replaced(out_dir=out))
+                found.append([(out / stem).read_bytes() for stem in ("mc-check.csv", "mc-check_report.json")])
+            assert found[0] == found[1] == found[2], name
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         raw = vector_config(tmp_path, kind="mc-check")

@@ -209,7 +209,7 @@ def wishart_two_sum_reference(model: WishartModel, grid: TimeGrid, cfg: SimConfi
 
     def clip(mats):
         vals, vecs = np.linalg.eigh(mats)
-        vals = np.maximum(vals, cfg.psd_floor)
+        vals = np.maximum(vals, cfg.floor)
         return vecs @ (vals[..., None] * np.swapaxes(vecs, -1, -2)), vecs @ (
             np.sqrt(vals)[..., None] * np.swapaxes(vecs, -1, -2)
         )
@@ -263,7 +263,7 @@ class TestWishartScheme:
         # positive floor that does clip
         m = three_asset_wishart()
         grid = TimeGrid(0.5, 40)
-        cfg = SimConfig(n_paths=24, seed=11, psd_floor=0.01)
+        cfg = SimConfig(n_paths=24, seed=11, floor=0.01)
         bundle = simulate_wishart(m, grid, cfg)
         assert bundle.psd_violation_count > 0
         states, roots = wishart_two_sum_reference(m, grid, cfg, bundle.increments["w_sigma"])
@@ -292,8 +292,8 @@ def vector_left_point_reference(model: VectorModel, grid: TimeGrid, cfg: SimConf
         prev = states[:, n - 1]
         shocks[:, n - 1] = prev @ model.drift.T + model.nu * np.sqrt(np.maximum(prev, 0.0)) * db[:, n - 1] / dt
         vn = forced[n] + np.einsum("ja,pja->pa", cell[n - 1 :: -1], shocks[:, :n])
-        clips += int(np.count_nonzero(vn < cfg.variance_floor))
-        states[:, n] = np.where(np.isfinite(vn), np.maximum(vn, cfg.variance_floor), vn)
+        clips += int(np.count_nonzero(vn < cfg.floor))
+        states[:, n] = np.where(np.isfinite(vn), np.maximum(vn, cfg.floor), vn)
     return states, clips
 
 
@@ -306,7 +306,7 @@ class TestVectorScheme:
                         rho=[-0.6, -0.3], v0=[0.04, 0.06], b0=[0.02, 0.01], gamma=0.5,
                         kernel=[Kernel.fractional(1.0, 0.95), Kernel.fractional(1.0, 0.6)])
         grid = TimeGrid(0.5, n_steps)
-        cfg = SimConfig(n_paths=n_paths, seed=3, variance_floor=0.01)
+        cfg = SimConfig(n_paths=n_paths, seed=3, floor=0.01)
         bundle = simulate_vector(m, grid, cfg)
         states, clips = vector_left_point_reference(m, grid, cfg, bundle.increments["w1"], bundle.increments["w2"])
         assert clips > 0
@@ -548,6 +548,30 @@ class TestPsdHandling:
         assert bundle.states.min() >= 0.0
         assert bundle.psd_violation_count > 0  # square-root scheme does clip
 
+    @pytest.mark.parametrize("kind", ["vector", "wishart"])
+    def test_one_floor_clips_either_family_after_node_0(self, kind):
+        # the floor lies above V0 = 0.04 and Sigma0's eigenvalues 0.25: node 0 keeps its state as given,
+        # a Wishart root at node 0 is that of Sigma0 clipped at the floor, and every later node is floored
+        floor = 0.3
+        m = make_rough_heston() if kind == "vector" else make_wishart()
+        bundle = simulate.simulate_bundle(m, TimeGrid(0.25, 40), SimConfig(n_paths=50, seed=29, floor=floor))
+        later = bundle.states[:, 1:]
+        assert bundle.psd_violation_count > 0
+        if kind == "vector":
+            assert np.array_equal(bundle.states[:, 0], np.full((50, 1), 0.04))
+            assert later.min() >= floor
+            assert bundle.psd_violation_count == np.count_nonzero(later == floor)
+        else:
+            assert np.array_equal(bundle.states[:, 0], np.broadcast_to(0.25 * np.eye(2), (50, 2, 2)))
+            np.testing.assert_allclose(bundle.roots[:, 0], np.broadcast_to(np.sqrt(floor) * np.eye(2), (50, 2, 2)),
+                                       rtol=1e-15, atol=0.0)
+            assert np.linalg.eigvalsh(later).min() >= floor * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -float("inf"), -0.01])
+    def test_floor_must_be_finite_and_nonnegative(self, floor):
+        with pytest.raises(ValueError, match="floor must be finite and nonnegative"):
+            SimConfig(n_paths=4, floor=floor)
+
     def test_wishart_minimum_eigenvalue(self):
         m = make_wishart(alpha=0.75)
         grid = TimeGrid(0.25, 50)
@@ -773,7 +797,7 @@ class TestPathIntegralsAgainstWholeArrays:
     @staticmethod
     def three_asset_bundle(n_paths: int):
         m = three_asset_wishart()
-        return m, simulate_wishart(m, TimeGrid(0.5, 150), SimConfig(n_paths=n_paths, seed=19, psd_floor=0.01))
+        return m, simulate_wishart(m, TimeGrid(0.5, 150), SimConfig(n_paths=n_paths, seed=19, floor=0.01))
 
     @pytest.mark.parametrize("kind", ["vector", "wishart", "three_asset"])
     def test_wealth_sums_in_step_order(self, kind):
@@ -820,10 +844,10 @@ class TestStreaming:
         m, grid, cfg = {
             "heston": (make_rough_heston(), TimeGrid(0.25, 120), SimConfig(n_paths=301, seed=3)),
             "heston_antithetic": (make_rough_heston(), TimeGrid(0.25, 120),
-                                  SimConfig(n_paths=602, seed=5, antithetic=True, variance_floor=0.01)),
+                                  SimConfig(n_paths=602, seed=5, antithetic=True, floor=0.01)),
             "two_asset": (two_asset, TimeGrid(0.5, 150), SimConfig(n_paths=201, seed=7)),
-            "bpt10": (make_wishart(), TimeGrid(1.0, 100), SimConfig(n_paths=200, seed=9, antithetic=True, psd_floor=0.2)),
-            "three_asset": (three_asset_wishart(), TimeGrid(0.5, 80), SimConfig(n_paths=65, seed=19, psd_floor=0.01)),
+            "bpt10": (make_wishart(), TimeGrid(1.0, 100), SimConfig(n_paths=200, seed=9, antithetic=True, floor=0.2)),
+            "three_asset": (three_asset_wishart(), TimeGrid(0.5, 80), SimConfig(n_paths=65, seed=19, floor=0.01)),
         }[case]
         strategy = varying_strategy(grid, m.d, 1.0)
         bundle = simulate.simulate_bundle(m, grid, cfg)
@@ -833,21 +857,6 @@ class TestStreaming:
         assert held.psd_violation_count == bundle.psd_violation_count
         held = martingale_diagnostic(m, strategy, cfg, bundle=bundle)
         assert self.hexes(martingale_diagnostic(m, strategy, cfg)) == self.hexes(held)
-
-    @pytest.mark.parametrize("kind, field", [("vector", "psd_floor"), ("wishart", "variance_floor")])
-    def test_a_floor_the_model_does_not_read_is_refused(self, kind, field):
-        m = make_rough_heston() if kind == "vector" else make_wishart()
-        grid = TimeGrid(0.25, 10)
-        cfg = SimConfig(n_paths=4, **{field: 0.5})
-        own = "variance_floor" if kind == "vector" else "psd_floor"
-        message = f"{field} must be 0 for a {kind} model, which is clipped at {own}"
-        for call in (
-            lambda: simulate.simulate_bundle(m, grid, cfg),
-            lambda: mc_utility(m, varying_strategy(grid, m.d, 1.0), cfg, 1.0),
-        ):
-            with pytest.raises(ValueError) as caught:
-                call()
-            assert str(caught.value) == message
 
 
 class TestMemoryPeaks:
