@@ -1,24 +1,18 @@
 #!/usr/bin/env python3
 """Run the bundled experiment presets and collect hedging-demand figures.
 
-Writes CSV and SVG outputs for the smooth-kernel recovery check, the
-roughness sweep, the horizon regime study, the correlation study, and the
-vol-of-vol study into --out (default ./out), one subdirectory per preset.
+Writes CSV, SVG and JSON outputs of every bundled preset whose kind draws a
+hedging-demand figure (strategy, bl13-recovery and sweep: the BPT10 strategy,
+the smooth-kernel recovery check and the roughness, horizon, correlation and
+vol-of-vol sweeps) into --out (default ./out), one subdirectory per preset.
 """
 
 import argparse
 from pathlib import Path
 
-from volterra_merton.experiments import config_from_dict, read_config, run, with_overrides
+from volterra_merton.experiments import available_presets, config_from_dict, read_config, run, with_overrides
 
-PRESETS = [
-    "bpt10_wishart",
-    "bl13_recovery",
-    "bpt10_alpha_sweep",
-    "bpt10_horizon_study",
-    "bpt10_correlation_study",
-    "bpt10_volofvol_study",
-]
+PRESETS = [name for name in available_presets() if read_config(name)["kind"] in ("strategy", "bl13-recovery", "sweep")]
 
 
 def main(argv: list[str] | None = None) -> None:

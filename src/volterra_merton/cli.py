@@ -1,11 +1,12 @@
 """Command-line experiment runner.
 
-Subcommands mirror the experiment kinds; the configuration file (or bundled
-preset name) supplies the model and numerics, and command-line flags override
-selected fields.  Exit codes: 0 success, 1 configuration error, a bad
-command line included (or any other failure, reported as kind
-``internal``), 2 Riccati blow-up before the horizon or a non-finite Riccati
-step, 3 Monte Carlo divergence.
+Subcommands mirror the experiment kinds (``strategy`` runs bl13-recovery
+too); the configuration file (or bundled preset name) supplies the model,
+numerics and a sweep's axis, and command-line flags override selected
+fields.  Exit codes: 0 success, 1 configuration error, a bad command line
+included (or any other failure, reported as kind ``internal``), 2 Riccati
+blow-up before the horizon or a non-finite Riccati step, 3 Monte Carlo
+divergence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import sys
 
 from .experiments import (
-    SWEEP_KINDS,
     ConfigError,
     available_presets,
     config_from_dict,
@@ -31,7 +31,7 @@ _SUBCOMMAND_KINDS = {
     "strategy": ("strategy", "bl13-recovery"),
     "value": ("value",),
     "mc-check": ("mc-check",),
-    "sweep": SWEEP_KINDS,
+    "sweep": ("sweep",),
 }
 
 

@@ -3,8 +3,9 @@
 Experiments are described by a YAML key tree with sections mirroring the
 model / numerics / simulation / output records.  ``run`` executes single
 experiments (solve, strategy, value, mc-check, bl13-recovery); ``sweep``
-executes the list-valued kinds, one pipeline per sweep point, and writes a
-combined long-format CSV.  All CSV floats carry 17 significant digits and
+executes kind ``sweep``, whose sweep section's one key names the axis and
+lists its values, one pipeline per sweep point, and writes a combined
+long-format CSV.  All CSV floats carry 17 significant digits and
 files are written atomically, so identical configs reproduce byte-identical
 outputs.
 """
@@ -41,6 +42,7 @@ from .riccati import (
     MatrixRiccatiRHS,
     RiccatiBlowUpError,
     RiccatiPath,
+    global_existence_diagonal,
     solve_riccati_batch,
     solve_riccati_matrix,
     solve_riccati_vector,
@@ -62,16 +64,9 @@ __all__ = [
     "available_presets",
 ]
 
-SINGLE_KINDS = ("solve", "strategy", "value", "mc-check", "bl13-recovery")
-_SWEEP_AXES = {
-    "sweep-alpha": "alpha",
-    "sweep-horizon": "horizon",
-    "sweep-gamma": "gamma",
-    "regime-study": "horizon",
-    "correlation-study": "correlation",
-    "volofvol-study": "volofvol_scale",
-}
-SWEEP_KINDS = tuple(_SWEEP_AXES)
+KINDS = ("solve", "strategy", "value", "mc-check", "bl13-recovery", "sweep")
+# the keys a sweep section may have, one each
+_SWEEP_AXES = ("alpha", "horizon", "gamma", "correlation", "volofvol_scale")
 _MODELS = {"vector": VectorModel, "wishart": WishartModel}
 # Scalar fields, (section, key) -> (default, integer); section "" is the top level.
 _SCALARS = {
@@ -90,10 +85,10 @@ _KEYS = {
     "simulation": ("antithetic",),
     "output": ("directory", "formats"),
 }
-# correlation-study regimes: factor on the off-diagonal entries of M and Q
+# correlation regimes: factor on the off-diagonal entries of M and Q
 _REGIMES = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
-# kinds whose pipeline reads the matrix fields of a wishart model
-_WISHART_KINDS = ("bl13-recovery", "correlation-study", "volofvol-study")
+# the kind and the sweep axes whose pipeline reads the matrix fields of a wishart model
+_WISHART_ONLY = ("bl13-recovery", "sweep.correlation", "sweep.volofvol_scale")
 # A run whose largest array would take more bytes than this is refused as a
 # config error before anything is allocated.
 MAX_ARRAY_BYTES = 2**30
@@ -120,16 +115,13 @@ class ExperimentConfig:
     out_dir: Path
     formats: tuple[str, ...]
     x0: float
+    sweep_axis: str | None  # the sweep section's one key
     sweep_values: tuple | None
     echo: str  # canonical resolved-config dump
 
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid(self.horizon, self.n_steps)
-
-    @property
-    def sweep_axis(self) -> str | None:
-        return _SWEEP_AXES.get(self.kind)
 
     def replaced(self, **fields) -> "ExperimentConfig":
         """This config with each field written at its config key (``sim`` at every simulation key) into its
@@ -386,9 +378,10 @@ def _sweep_point(model, horizon, axis: str, value):
     """The model and horizon of the sweep point at ``value``, or ValueError with the reason.
 
     ``value`` is as the config gives it, read with ``float`` on a numeric axis.
-    A correlation regime scales the off-diagonal entries of M and Q: 'zero'
-    drops them, 'negative' flips them, 'positive' keeps them.  The model must
-    suit the axis: a wishart model on the correlation and vol-of-vol axes.
+    ``axis`` is one of ``_SWEEP_AXES``.  A correlation regime scales the
+    off-diagonal entries of M and Q: 'zero' drops them, 'negative' flips them,
+    'positive' keeps them.  The model must suit the axis: a wishart model on
+    the correlation and volofvol_scale axes (``_WISHART_ONLY``).
     ``validate`` and ``TimeGrid`` check the point's model and horizon.
     """
     if axis == "correlation":
@@ -422,13 +415,15 @@ def _grid_problems(model, grid: TimeGrid) -> list[str]:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     problems: list[str] = []
     kind = raw.get("kind")
-    if kind not in SINGLE_KINDS + SWEEP_KINDS:
-        problems.append(
-            f"kind must be one of {', '.join(SINGLE_KINDS + SWEEP_KINDS)} (got {kind!r})"
-        )
+    if kind not in KINDS:
+        problems.append(f"kind must be one of {', '.join(KINDS)} (got {kind!r})")
+    sweep_section = raw.get("sweep")
+    named = list(sweep_section) if isinstance(sweep_section, dict) else []
+    axis = named[0] if kind == "sweep" and len(named) == 1 and named[0] in _SWEEP_AXES else None
     model = _build_model(raw.get("model"), problems)
-    if kind in _WISHART_KINDS and isinstance(model, VectorModel):
-        problems.append(f"{kind} requires a wishart model")
+    task = f"sweep.{axis}" if axis else kind
+    if task in _WISHART_ONLY and isinstance(model, VectorModel):
+        problems.append(f"{task} requires a wishart model")
         model = None  # so that no sweep point is built from it
 
     sections = {name: _section(raw, name, problems) if name else raw for name in _KEYS}
@@ -478,12 +473,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         problems.append(f"unsupported output formats: {bad}")
 
     sweep_values: tuple | None = None
-    sweep_section = raw.get("sweep")
-    if kind in SWEEP_KINDS:
-        axis = _SWEEP_AXES[kind]
-        values = sweep_section.get(axis) if isinstance(sweep_section, dict) else None
-        if values is None or len(sweep_section) != 1:
-            problems.append(f"kind {kind} sweeps exactly one axis: a sweep section {{{axis}: [...]}} (got {sweep_section!r})")
+    if kind == "sweep":
+        values = sweep_section[axis] if axis else None
+        if axis is None:
+            problems.append(f"a sweep section has exactly one key, its axis: {', '.join(_SWEEP_AXES)} (got {sweep_section!r})")
         elif not isinstance(values, list) or not values:
             problems.append("sweep values must be a nonempty list")
         else:
@@ -511,9 +504,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                     problems.append(f"sweep.{axis} {labels[label]!r} and {value!r} {shared}")
                 files.setdefault(slug, value)
                 labels.setdefault(label, value)
-    elif sweep_section:
+    elif sweep_section and kind in KINDS:
         problems.append(f"kind {kind} does not take a sweep section")
-    if kind not in SWEEP_KINDS and model is not None and grid is not None:
+    if kind != "sweep" and model is not None and grid is not None:
         problems.extend(_grid_problems(model, grid))
 
     if not problems and model is not None:
@@ -535,6 +528,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_dir=out_dir,
         formats=formats,
         x0=x0,
+        sweep_axis=axis,
         sweep_values=sweep_values,
         echo=_canonical_echo(raw),
     )
@@ -657,7 +651,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     or SimulationError for the documented nonzero exit codes; sweeps are
     dispatched to ``sweep``.
     """
-    if config.kind in SWEEP_KINDS:
+    if config.kind == "sweep":
         return sweep(config)
     started = time.perf_counter()
     report = ExperimentReport(kind=config.kind, config_echo=config.echo)
@@ -670,6 +664,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     report.metrics["riccati_residual"] = path.residual
     if not isinstance(model, WishartModel):
         report.metrics["lambda_condition_number"] = lambda_condition_number(model)
+        verdict = global_existence_diagonal(model)
+        report.metrics["global_existence"] = verdict.all_ok if verdict.applicable else None
     if path.blowup is not None and config.kind != "solve":
         raise RiccatiBlowUpError(path.blowup)
 
@@ -771,7 +767,7 @@ def sweep(config: ExperimentConfig) -> ExperimentReport:
     are then made in turn, in sweep-value order (a correlation regime keeps its
     config order), which is also the order of the combined file.
     """
-    if config.kind not in SWEEP_KINDS:
+    if config.kind != "sweep":
         raise ConfigError([f"kind {config.kind} is not a sweep"])
     started = time.perf_counter()
     axis = config.sweep_axis

@@ -478,6 +478,7 @@ class GlobalExistenceVerdict:
         return bool(self.applicable and self.per_component is not None and self.per_component.all())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a term that overflows fails its comparison, silently
 def global_existence_diagonal(model) -> GlobalExistenceVerdict:
     """Sufficient conditions for a global solution, per component i:
 

@@ -246,12 +246,20 @@ class TestLoadConfig:
         # YAML reads 1.0e8 (no signed exponent) as a string, and float fields still take it
         text = (ROOT / "README.md").read_text(encoding="utf-8")
         block = text.split("### Configuration format", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
-        raw = dict(yaml.safe_load(block), kind="sweep-alpha")
+        raw = dict(yaml.safe_load(block), kind="sweep")
         assert isinstance(raw["numerics"]["blowup_threshold"], str)
         config = config_from_dict(raw)
         assert config.blowup_threshold == 1.0e8
         assert (config.horizon, config.n_steps, config.sim.n_paths) == (1.0, 1000, 10000)
         assert config.sweep_values == (0.55, 0.75, 0.95)
+
+    def test_readme_preset_table_gives_each_presets_kind(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split("| preset | kind | what it runs |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()]
+        assert {name.strip().strip("`"): kind.strip() for name, kind in rows} == {
+            name: load_config(name).kind for name in available_presets()
+        }
 
     @pytest.mark.parametrize("section, key, text, value", [
         ("simulation", "floor", "1e-8", 1e-8),
@@ -396,7 +404,7 @@ class TestRunPipelines:
         "overrides, svg",
         [
             ({}, "strategy.svg"),
-            ({"kind": "sweep-gamma", "sweep": {"gamma": [0.3, 0.5]}}, "sweep-gamma_gamma_0_3.svg"),
+            ({"kind": "sweep", "sweep": {"gamma": [0.3, 0.5]}}, "sweep_gamma_0_3.svg"),
         ],
         ids=["run", "sweep"],
     )
@@ -411,6 +419,19 @@ class TestRunPipelines:
         assert payload["kind"] == raw["kind"]
         assert "runtime_seconds" not in payload
         assert str(target) in report.outputs
+
+    @pytest.mark.parametrize(
+        "model, verdict",
+        [({}, True), ({"drift": [[0.0]], "rho": [0.0]}, False), (read_config("degenerate_pair_2d")["model"], None)],
+        ids=["holds", "fails", "non-diagonal-drift"],
+    )
+    def test_vector_report_holds_the_global_existence_verdict(self, tmp_path, model, verdict):
+        # the drift of degenerate_pair_2d has off-diagonal entries, where the check does not apply
+        raw = vector_config(tmp_path, kind="value", model=dict(BASE_VECTOR["model"], **model))
+        raw["output"]["formats"] = ["csv", "json"]
+        report = run(config_from_dict(raw))
+        assert report.metrics["global_existence"] is verdict
+        assert json.loads((tmp_path / "value_report.json").read_text())["metrics"]["global_existence"] is verdict
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = vector_config(tmp_path, kind="mc-check")
@@ -443,10 +464,10 @@ class TestRunPipelines:
         reports = []
         for name in ("first", "second"):
             report = sweep(config.replaced(out_dir=tmp_path / name))
-            assert report.outputs[-1] == str(tmp_path / name / "sweep-alpha_report.json")
-            reports.append((tmp_path / name / "sweep-alpha_report.json").read_bytes())
+            assert report.outputs[-1] == str(tmp_path / name / "sweep_report.json")
+            reports.append((tmp_path / name / "sweep_report.json").read_bytes())
         assert reports[0] == reports[1]
-        assert "sweep-alpha_combined.csv" in json.loads(reports[0])["outputs"]
+        assert "sweep_combined.csv" in json.loads(reports[0])["outputs"]
 
     def test_blowup_raises_for_strategy(self, tmp_path):
         from volterra_merton.riccati import RiccatiBlowUpError
@@ -512,7 +533,7 @@ class TestCsvText:
                 for name, series in (("pi", strat.weights), ("hedge", strat.hedging)):
                     rows.extend(["horizon", text, cell(t), f"{name}_{i + 1}", cell(series[j, i])] for i in range(2))
         header = ["sweep_param", "sweep_value", "t", "series", "value"]
-        assert (tmp_path / "regime-study_combined.csv").read_text() == csv_text(header, rows)
+        assert (tmp_path / "sweep_combined.csv").read_text() == csv_text(header, rows)
 
     def test_mc_check_csv_with_large_seed(self, tmp_path):
         seed = 2**100  # a float cell would write it as 1.2676506002282294e+30
@@ -542,7 +563,7 @@ class TestSweeps:
     def test_alpha_sweep_combined_csv(self, tmp_path):
         config = load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=200)
         report = sweep(config)
-        combined = tmp_path / "sweep-alpha_combined.csv"
+        combined = tmp_path / "sweep_combined.csv"
         lines = combined.read_text().splitlines()
         assert lines[0] == "sweep_param,sweep_value,t,series,value"
         # 3 sweep points x 201 nodes x 4 series rows
@@ -557,7 +578,7 @@ class TestSweeps:
         curvature = {}
         for alpha in ("0_55", "0_75", "0_95"):
             data = np.loadtxt(
-                (tmp_path / f"sweep-alpha_alpha_{alpha}.csv").read_text().splitlines()[1:],
+                (tmp_path / f"sweep_alpha_{alpha}.csv").read_text().splitlines()[1:],
                 delimiter=",",
             )
             hedge = data[:, 3]
@@ -568,7 +589,7 @@ class TestSweeps:
     def test_horizon_regime_study(self, tmp_path):
         config = load_config("bpt10_horizon_study").replaced(out_dir=tmp_path, n_steps=150)
         report = sweep(config)
-        combined = tmp_path / "regime-study_combined.csv"
+        combined = tmp_path / "sweep_combined.csv"
         assert combined.exists()
         values = {line.split(",")[1] for line in combined.read_text().splitlines()[1:]}
         assert values == {"0.5", "1", "2"}
@@ -576,8 +597,8 @@ class TestSweeps:
     def test_volofvol_scaling_is_linear(self, tmp_path):
         config = load_config("bpt10_volofvol_study").replaced(out_dir=tmp_path, n_steps=120)
         sweep(config)
-        lo = np.loadtxt((tmp_path / "volofvol-study_volofvol_scale_0_5.csv").read_text().splitlines()[1:], delimiter=",")
-        hi = np.loadtxt((tmp_path / "volofvol-study_volofvol_scale_2_0.csv").read_text().splitlines()[1:], delimiter=",")
+        lo = np.loadtxt((tmp_path / "sweep_volofvol_scale_0_5.csv").read_text().splitlines()[1:], delimiter=",")
+        hi = np.loadtxt((tmp_path / "sweep_volofvol_scale_2_0.csv").read_text().splitlines()[1:], delimiter=",")
         # hedging demand scales linearly in Q up to the Riccati feedback,
         # which is weak at these parameters: ratio close to 4; the terminal
         # node is excluded (hedging there is exactly zero)
@@ -588,42 +609,35 @@ class TestSweeps:
         config = load_config("bpt10_correlation_study").replaced(out_dir=tmp_path, n_steps=100)
         report = sweep(config)
         for regime in ("positive", "zero", "negative"):
-            assert (tmp_path / f"correlation-study_correlation_{regime}.csv").exists()
+            assert (tmp_path / f"sweep_correlation_{regime}.csv").exists()
 
     @pytest.mark.parametrize(
-        "kind, sweep_section",
-        [("correlation-study", {"correlation": ["positive"]}), ("volofvol-study", {"volofvol_scale": [1.0]})],
+        "axis, values", [("correlation", ["positive"]), ("volofvol_scale", [1.0])], ids=["correlation", "volofvol_scale"]
     )
-    def test_wishart_only_study_refuses_a_vector_model(self, tmp_path, kind, sweep_section):
-        raw = vector_config(tmp_path, kind=kind, sweep=sweep_section)
+    def test_wishart_only_study_refuses_a_vector_model(self, tmp_path, axis, values):
+        raw = vector_config(tmp_path, kind="sweep", sweep={axis: values})
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
-        assert err.value.problems == [f"{kind} requires a wishart model"]
+        assert err.value.problems == [f"sweep.{axis} requires a wishart model"]
 
     def test_alpha_sweep_on_an_exponential_kernel_is_refused(self, tmp_path):
         # the exponential family has no alpha, so every point would be the same
-        raw = vector_config(tmp_path, kind="sweep-alpha", sweep={"alpha": [0.6, 1.0]})
+        raw = vector_config(tmp_path, kind="sweep", sweep={"alpha": [0.6, 1.0]})
         raw["model"]["kernel"] = {"family": "exponential", "c": 1.0, "lam": 1.0}
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
         assert [p.split(":")[0] for p in err.value.problems] == ["sweep.alpha 0.6"]
 
     def test_empty_sweep_list_is_config_error(self, tmp_path):
-        raw = vector_config(tmp_path, kind="sweep-alpha")
+        raw = vector_config(tmp_path, kind="sweep")
         raw["sweep"] = {"alpha": []}
         with pytest.raises(ConfigError, match="nonempty"):
             config_from_dict(raw)
 
     def test_two_swept_parameters_rejected(self, tmp_path):
-        raw = vector_config(tmp_path, kind="sweep-alpha")
+        raw = vector_config(tmp_path, kind="sweep")
         raw["sweep"] = {"alpha": [0.6, 0.7], "gamma": [0.2]}
         with pytest.raises(ConfigError, match="exactly one"):
-            config_from_dict(raw)
-
-    def test_wrong_axis_for_kind(self, tmp_path):
-        raw = vector_config(tmp_path, kind="sweep-gamma")
-        raw["sweep"] = {"alpha": [0.6, 0.7]}
-        with pytest.raises(ConfigError, match="sweeps"):
             config_from_dict(raw)
 
     def test_every_output_is_written_atomically(self, tmp_path):
@@ -648,14 +662,14 @@ class TestSweeps:
         config = load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=50)
         config = config.replaced(sweep_values=(0.95, 0.55, 0.75))  # unsorted input
         sweep(config)
-        seen = combined_blocks(tmp_path / "sweep-alpha_combined.csv")
+        seen = combined_blocks(tmp_path / "sweep_combined.csv")
         assert [float(v) for v in seen] == [0.55, 0.75, 0.95]
 
     def test_combined_csv_orders_a_number_yaml_reads_as_text(self, tmp_path):
         values = tuple(yaml.safe_load("[0.9, 6e-1, 0.75]"))
         assert values[1] == "6e-1"  # YAML 1.1 needs a dot in a float
         sweep(load_config("bpt10_alpha_sweep").replaced(out_dir=tmp_path, n_steps=50, sweep_values=values))
-        seen = combined_blocks(tmp_path / "sweep-alpha_combined.csv")
+        seen = combined_blocks(tmp_path / "sweep_combined.csv")
         assert seen == ["6e-1", "0.75", "0.90000000000000002"]
 
     # Vol-of-vol scale 5 blows up at t = 0.67 of 200 steps; 1e200 makes Q^T Q
@@ -976,7 +990,7 @@ class TestCli:
         ],
     )
     def test_bad_field_is_one_config_record(self, tmp_path, capsys, command, field, text, needle):
-        kind = {"sweep": f"sweep-{field[1]}", "mc-check": "mc-check"}.get(command, "strategy")
+        kind = {"sweep": "sweep", "mc-check": "mc-check"}.get(command, "strategy")
         raw = vector_config(tmp_path, kind=kind, simulation={"n_paths": 100})
         if command == "sweep":
             raw["sweep"] = {field[1]: [0.5]}
@@ -996,12 +1010,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "kind, axis, values, problems",
         [
-            pytest.param("sweep-horizon", "horizon", [1.5, "1_5"],
+            pytest.param("sweep", "horizon", [1.5, "1_5"],
                          ["sweep.horizon 1.5 and '1_5' name the same output file"], id="horizon-1_5"),
-            pytest.param("sweep-alpha", "alpha", [0.6, 0.6, 0.60000000000000001],
+            pytest.param("sweep", "alpha", [0.6, 0.6, 0.60000000000000001],
                          ["sweep.alpha 0.6 and 0.6 name the same output file"] * 2, id="alpha-repeated"),
             # the files are horizon_1 and horizon_1_0, but the combined CSV writes both points as 1
-            pytest.param("sweep-horizon", "horizon", [1, 1.0],
+            pytest.param("sweep", "horizon", [1, 1.0],
                          ["sweep.horizon 1 and 1.0 share the combined-CSV sweep_value '1'"], id="horizon-1-1_0"),
         ],
     )
@@ -1015,6 +1029,52 @@ class TestCli:
         record = json.loads(captured.out)  # one document, nothing else
         assert record["error"]["kind"] == "config"
         assert record["error"]["problems"] == problems
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("alpha", [0.6, 0.9]), ("horizon", [0.25, 0.5]), ("gamma", [0.3, 0.5]),
+         ("correlation", ["positive", "zero", "negative"]), ("volofvol_scale", [0.5, 2.0])],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_every_axis_runs_through_the_sweep_command(self, tmp_path, capsys, axis, values):
+        # the matrix axes on bpt10_wishart, the others on a small vector config
+        if axis in ("correlation", "volofvol_scale"):
+            raw = with_overrides(read_config("bpt10_wishart"), {"kind": "sweep", "numerics.n_steps": 20})
+        else:
+            raw = vector_config(tmp_path, kind="sweep", numerics={"horizon": 0.5, "n_steps": 20})
+        raw["sweep"] = {axis: values}
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "sweep"
+        for value in values:
+            assert (out / f"sweep_{axis}_{str(value).replace('.', '_')}.csv").exists()
+        rows = (out / "sweep_combined.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {axis}
+
+    @pytest.mark.parametrize(
+        "kind, sweep_section",
+        [pytest.param(kind, {"alpha": [0.6]}, id=kind) for kind in
+         ("sweep-alpha", "sweep-horizon", "sweep-gamma", "regime-study", "correlation-study", "volofvol-study")]
+        + [pytest.param("sweep", {"rho": [0.5]}, id="axis-rho")],
+    )
+    def test_a_retired_kind_or_an_unknown_axis_is_one_config_record(self, tmp_path, capsys, kind, sweep_section):
+        # the six kinds that named a sweep's axis are gone: a sweep section's one key names it
+        raw = vector_config(tmp_path / "out", kind=kind, sweep=sweep_section)
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert cli_main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)  # one document, nothing else
+        assert record["error"]["kind"] == "config"
+        axes = "alpha, horizon, gamma, correlation, volofvol_scale"
+        assert record["error"]["problems"] == [
+            f"kind must be one of solve, strategy, value, mc-check, bl13-recovery, sweep (got {kind!r})"
+            if kind != "sweep" else f"a sweep section has exactly one key, its axis: {axes} (got {sweep_section!r})"
+        ]
         assert captured.err == ""
         assert not (tmp_path / "out").exists()
 
